@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / verdict positive, 1 verdict negative (satisfiable,
 not splittable, no pair, false, undefined), 2 unknown / budget exhausted,
-3 usage or parse error.  All diagnostics go to stderr; stdout carries only
-the machine-readable result.
+3 usage or parse error, input nested too deeply included.  All diagnostics
+go to stderr; stdout carries only the machine-readable result.
 """
 
 from __future__ import annotations
@@ -332,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dump the per-node interpolant trace")
     top.add_argument("--trace", action="store_true",
                      help="print the closed-tableau trace")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for corpus generation (reserved)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, **kwargs):
@@ -413,6 +411,9 @@ def main(argv=None) -> int:
     except NotProvedWithinBudget as e:
         print(f"unknown: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,13 +16,13 @@ from .errors import (
     NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
-    And, Atom, Const, Exists, Forall, Not, Or, SignatureReport, Top, Var,
-    abstract_constant, fresh_constant, is_sentence, signature_of, simplify,
-    substitute_constant, to_nnf, walk,
+    And, Atom, Const, Forall, Not, Or, SignatureReport, Var, abstract_constant,
+    fresh_names, is_sentence, map_atoms, signature_of, simplify,
+    substitute_constant, to_nnf, variable_names,
 )
-from .interpolation import entails, interpolant_from_labeled
+from .interpolation import interpolant_from_labeled, reprove
 from .models import enumerate_structures, evaluate, merged_signature
-from .tableau import Closed, LabeledSentence, prove
+from .tableau import LabeledSentence
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,8 @@ class Theory:
 
 def rename_relations(phi, mapping: dict):
     """Uniformly substitute relation symbols by other relation symbols."""
-    if isinstance(phi, Atom):
-        return Atom(mapping.get(phi.rel, phi.rel), phi.args)
-    if isinstance(phi, Top):
-        return phi
-    if isinstance(phi, Not):
-        return Not(rename_relations(phi.sub, mapping))
-    if isinstance(phi, And):
-        return And(tuple(rename_relations(g, mapping) for g in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(rename_relations(g, mapping) for g in phi.items))
-    if isinstance(phi, Exists):
-        return Exists(phi.vars, rename_relations(phi.body, mapping))
-    if isinstance(phi, Forall):
-        return Forall(phi.vars, rename_relations(phi.body, mapping))
-    raise FormulaError(f"not a formula: {phi!r}")
+    return map_atoms(phi, lambda a, _bound: Atom(mapping[a.rel], a.args)
+                     if a.rel in mapping else a)
 
 
 def _primed_map(names, taken) -> dict:
@@ -158,12 +145,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     primed = _primed_map(sig.relations, sig.relations)
     sigma_primed = [rename_relations(s, primed) for s in sigma.sentences]
     arity = sig.arities[relation]
-    frozen: list = []
-    avoid = set(sig.constants)
-    for _ in range(arity):
-        c = fresh_constant(avoid)
-        avoid.add(c)
-        frozen.append(c)
+    frozen = fresh_names("c", sig.constants, arity)
     args = tuple(Const(c) for c in frozen)
 
     left = [LabeledSentence(to_nnf(s), "L") for s in sigma.sentences]
@@ -176,20 +158,8 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     theta, _ = interpolant_from_labeled(left + right, budget)
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
-    taken = set()
-    for f in walk(theta):
-        if isinstance(f, (Exists, Forall)):
-            taken.update(f.vars)
-        elif isinstance(f, Atom):
-            taken.update(t.name for t in f.args if isinstance(t, Var))
-    variables: list = []
-    for c in frozen:
-        i = 0
-        while f"x{i}" in taken:
-            i += 1
-        v = f"x{i}"
-        taken.add(v)
-        variables.append(v)
+    variables = fresh_names("x", variable_names(theta), arity)
+    for c, v in zip(frozen, variables):
         theta = abstract_constant(theta, c, v)
 
     _reprove_biconditional(sigma, relation, theta, tuple(variables), budget)
@@ -197,24 +167,14 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
 
 
 def _reprove_biconditional(sigma: Theory, relation: str, phi, variables, budget: int):
-    sig = sigma.signature()
-    avoid = set(sig.constants) | set(signature_of(phi).constants)
-    consts: list = []
-    for _ in variables:
-        c = fresh_constant(avoid)
-        avoid.add(c)
-        consts.append(c)
+    consts = fresh_names("c", sigma.signature().constants | signature_of(phi).constants,
+                         len(variables))
     grounded = phi
     for v, c in zip(variables, consts):
         grounded = substitute_constant(grounded, v, c)
     head = Atom(relation, tuple(Const(c) for c in consts))
-    base = [LabeledSentence(to_nnf(s), "L") for s in sigma.sentences]
-    for name, extra in (("R -> definition", [head, Not(grounded)]),
-                        ("definition -> R", [grounded, Not(head)])):
-        outcome = prove(base + [LabeledSentence(to_nnf(f), "L") for f in extra], budget)
-        if not isinstance(outcome, Closed):
-            raise NotProvedWithinBudget(
-                f"could not re-prove {name} within {budget} applications")
+    reprove([("R -> definition", [*sigma.sentences, head, Not(grounded)]),
+             ("definition -> R", [*sigma.sentences, grounded, Not(head)])], budget)
 
 
 def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
@@ -227,13 +187,8 @@ def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
         raise JointlyConsistent("the theories admit a common model",
                                 e.structure) from e
     theta = simplify(theta)
-    for name, sentences, extra in (("sigma1 |= phi", sigma1.sentences, Not(theta)),
-                                   ("sigma2 |= !phi", sigma2.sentences, theta)):
-        sents = [LabeledSentence(to_nnf(s), "L") for s in sentences]
-        sents.append(LabeledSentence(to_nnf(extra), "L"))
-        if not isinstance(prove(sents, budget), Closed):
-            raise NotProvedWithinBudget(
-                f"could not re-prove {name} within {budget} applications")
+    reprove([("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
+             ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
     return theta
 
 
@@ -274,8 +229,6 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
         raise FormulaError("internal error: rewrite kept a negative occurrence")
     if primed in out_sig.relations:
         raise FormulaError("internal error: primed symbol leaked into the rewrite")
-    for name, a, b in (("phi -> theta", phi, theta), ("theta -> phi", theta, phi)):
-        if not isinstance(entails(a, b, budget), Closed):
-            raise NotProvedWithinBudget(
-                f"could not re-prove {name} within {budget} applications")
+    reprove([("phi -> theta", [phi, Not(theta)]),
+             ("theta -> phi", [theta, Not(phi)])], budget)
     return theta

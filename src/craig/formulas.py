@@ -230,10 +230,6 @@ def is_sentence(phi) -> bool:
     return not free_vars(phi)
 
 
-def constants_of(phi) -> frozenset:
-    return signature_of(phi).constants
-
-
 def to_nnf(phi) -> object:
     """Negation normal form: negations pushed down to atoms (or top).
 
@@ -287,103 +283,82 @@ def complement_literal(phi):
     return None
 
 
+def map_atoms(phi, fn) -> object:
+    """Rebuild phi with every atom a replaced by fn(a, bound).
+
+    bound is the frozenset of variable names bound above the atom.
+    Iterative; a subformula in which no atom changed is returned as the same
+    object.
+    """
+    out: list = []
+    stack: list = [(phi, frozenset(), False)]
+    while stack:
+        f, bound, ready = stack.pop()
+        kind = type(f)  # exact types: dispatch is the hot path of the prover
+        if kind is Atom:
+            out.append(fn(f, bound))
+        elif kind is Top:
+            out.append(f)
+        elif ready:
+            if kind is Not:
+                sub = out.pop()
+                out.append(f if sub is f.sub else Not(sub))
+            elif kind is And or kind is Or:
+                n = len(f.items)
+                items = tuple(out[-n:])
+                del out[-n:]
+                changed = any(a is not b for a, b in zip(items, f.items))
+                out.append(kind(items) if changed else f)
+            else:
+                body = out.pop()
+                out.append(f if body is f.body else kind(f.vars, body))
+        elif kind is Not:
+            stack.append((f, bound, True))
+            stack.append((f.sub, bound, False))
+        elif kind is And or kind is Or:
+            stack.append((f, bound, True))
+            stack.extend([(g, bound, False) for g in reversed(f.items)])
+        elif kind is Exists or kind is Forall:
+            stack.append((f, bound, True))
+            stack.append((f.body, bound | frozenset(f.vars), False))
+        else:
+            raise FormulaError(f"not a formula: {f!r}")
+    return out[0]
+
+
 def substitute_constant(phi, x: str, c: str) -> object:
     """Replace every free occurrence of variable x by constant c."""
+    const = Const(c)
 
-    def sub(f, shadowed: bool):
-        if isinstance(f, Atom):
-            if shadowed:
-                return f
-            return Atom(f.rel, tuple(
-                Const(c) if isinstance(t, Var) and t.name == x else t for t in f.args))
-        if isinstance(f, Top):
-            return f
-        if isinstance(f, Not):
-            return Not(sub(f.sub, shadowed))
-        if isinstance(f, And):
-            return And(tuple(sub(g, shadowed) for g in f.items))
-        if isinstance(f, Or):
-            return Or(tuple(sub(g, shadowed) for g in f.items))
-        if isinstance(f, Exists):
-            return Exists(f.vars, sub(f.body, shadowed or x in f.vars))
-        if isinstance(f, Forall):
-            return Forall(f.vars, sub(f.body, shadowed or x in f.vars))
-        raise FormulaError(f"not a formula: {f!r}")
+    def sub(a, bound):
+        if x not in bound:
+            for t in a.args:
+                if isinstance(t, Var) and t.name == x:
+                    return Atom(a.rel, tuple(
+                        const if isinstance(t, Var) and t.name == x else t for t in a.args))
+        return a
 
-    return sub(phi, False)
-
-
-def substitute_constants(phi, mapping: dict) -> object:
-    out = phi
-    for x, c in mapping.items():
-        out = substitute_constant(out, x, c)
-    return out
-
-
-def occurs_var(phi, x: str) -> bool:
-    for f in walk(phi):
-        if isinstance(f, (Exists, Forall)) and x in f.vars:
-            return True
-        if isinstance(f, Atom) and any(isinstance(t, Var) and t.name == x for t in f.args):
-            return True
-    return False
+    return map_atoms(phi, sub)
 
 
 def abstract_constant(phi, c: str, x: str) -> object:
     """Replace every occurrence of constant c by variable x (left free)."""
-    if occurs_var(phi, x):
+    if x in variable_names(phi):
         raise FormulaError(f"variable {x} already occurs; cannot abstract {c} to it")
+    var = Var(x)
 
-    def ab(f):
-        if isinstance(f, Atom):
-            return Atom(f.rel, tuple(
-                Var(x) if isinstance(t, Const) and t.name == c else t for t in f.args))
-        if isinstance(f, Top):
-            return f
-        if isinstance(f, Not):
-            return Not(ab(f.sub))
-        if isinstance(f, And):
-            return And(tuple(ab(g) for g in f.items))
-        if isinstance(f, Or):
-            return Or(tuple(ab(g) for g in f.items))
-        if isinstance(f, Exists):
-            return Exists(f.vars, ab(f.body))
-        if isinstance(f, Forall):
-            return Forall(f.vars, ab(f.body))
-        raise FormulaError(f"not a formula: {f!r}")
+    def ab(a, _bound):
+        for t in a.args:
+            if isinstance(t, Const) and t.name == c:
+                return Atom(a.rel, tuple(
+                    var if isinstance(t, Const) and t.name == c else t for t in a.args))
+        return a
 
-    return ab(phi)
+    return map_atoms(phi, ab)
 
 
-def fresh_constant(avoid: Iterable) -> str:
-    """Lowest-index c<i> not in avoid (a set of constant names or a report)."""
-    if isinstance(avoid, SignatureReport):
-        avoid = avoid.constants
-    taken = set(avoid)
-    i = 0
-    while f"c{i}" in taken:
-        i += 1
-    return f"c{i}"
-
-
-def fresh_variable(phi_or_names, prefix: str = "x") -> str:
-    """Lowest-index <prefix><i> not occurring in the given formula/name set."""
-    if isinstance(phi_or_names, (set, frozenset)):
-        taken = set(phi_or_names)
-    else:
-        taken = set()
-        for f in walk(phi_or_names):
-            if isinstance(f, (Exists, Forall)):
-                taken.update(f.vars)
-            elif isinstance(f, Atom):
-                taken.update(t.name for t in f.args if isinstance(t, Var))
-    i = 0
-    while f"{prefix}{i}" in taken:
-        i += 1
-    return f"{prefix}{i}"
-
-
-def all_variable_names(phi) -> set:
+def variable_names(phi) -> set:
+    """Every variable name in phi: free, bound, and quantifier-block names."""
     names = set()
     for f in walk(phi):
         if isinstance(f, (Exists, Forall)):
@@ -391,6 +366,29 @@ def all_variable_names(phi) -> set:
         elif isinstance(f, Atom):
             names.update(t.name for t in f.args if isinstance(t, Var))
     return names
+
+
+def fresh_names(prefix: str, taken, n: int) -> list:
+    """The n lowest-index names <prefix><i> not in taken, ascending."""
+    out: list = []
+    i = 0
+    while len(out) < n:
+        if f"{prefix}{i}" not in taken:
+            out.append(f"{prefix}{i}")
+        i += 1
+    return out
+
+
+def fresh_constant(avoid: Iterable) -> str:
+    """Lowest-index c<i> not in avoid (a set of constant names)."""
+    return fresh_names("c", set(avoid), 1)[0]
+
+
+def fresh_variable(phi_or_names, prefix: str = "x") -> str:
+    """Lowest-index <prefix><i> not occurring in the given formula/name set."""
+    if not isinstance(phi_or_names, (set, frozenset)):
+        phi_or_names = variable_names(phi_or_names)
+    return fresh_names(prefix, phi_or_names, 1)[0]
 
 
 def simplify(phi) -> object:

@@ -23,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
-from .formulas import And, Atom, Exists, Forall, Not, Or, Top, Var, free_vars
+from .formulas import (
+    And, Atom, Exists, Forall, Not, Or, Top, Var, free_vars, fresh_names,
+    variable_names, walk,
+)
 
 HAS = "has"
 LACKS = "lacks"
@@ -75,16 +78,7 @@ class FragmentReport:
 
 
 def _quantifiers(phi):
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (Exists, Forall)):
-            yield f
-            stack.append(f.body)
-        elif isinstance(f, (And, Or)):
-            stack.extend(f.items)
-        elif isinstance(f, Not):
-            stack.append(f.sub)
+    return (f for f in walk(phi) if isinstance(f, (Exists, Forall)))
 
 
 def _is_relativized(phi, relativizers) -> bool:
@@ -195,16 +189,8 @@ def canonical_rename(phi):
         if isinstance(f, (Exists, Forall)):
             outer_free = free_vars(f.body) - set(f.vars)
             blocked = {env.get(x, x) for x in outer_free}
-            env2 = dict(env)
-            fresh = []
-            for v in f.vars:
-                i = 0
-                while f"v{i}" in blocked:
-                    i += 1
-                name = f"v{i}"
-                blocked.add(name)
-                fresh.append(name)
-                env2[v] = name
+            fresh = fresh_names("v", blocked, len(f.vars))
+            env2 = {**env, **dict(zip(f.vars, fresh))}
             body = rec(f.body, env2)
             cls = Exists if isinstance(f, Exists) else Forall
             return cls(tuple(fresh), body)
@@ -213,29 +199,12 @@ def canonical_rename(phi):
     return rec(phi, {})
 
 
-def _variable_names(phi) -> set:
-    names = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            names.update(t.name for t in f.args if isinstance(t, Var))
-        elif isinstance(f, (And, Or)):
-            stack.extend(f.items)
-        elif isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, (Exists, Forall)):
-            names.update(f.vars)
-            stack.append(f.body)
-    return names
-
-
 def classify(phi, relativizers=()) -> FragmentReport:
     """Compute the syntactic fragment flags and the matching CIP rows."""
     relativizers = set(relativizers)
     qf = not any(True for _ in _quantifiers(phi))
     relativized = qf or _is_relativized(phi, relativizers)
-    two_var = len(_variable_names(canonical_rename(phi))) <= 2
+    two_var = len(variable_names(canonical_rename(phi))) <= 2
     guarded = _is_guarded(phi)
     unfo = _is_unary_negation(phi)
     gnfo = _is_guarded_negation(phi)

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauError
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    abstract_constant, fresh_constant, fresh_variable, is_sentence,
+    abstract_constant, fresh_names, fresh_variable, is_sentence,
     signature_of, substitute_constant, to_nnf,
 )
 from .models import count_structures, enumerate_structures, evaluate
 from .tableau import (
-    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
+    Closed, ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
     LabeledSentence, Node, Satisfiable, Unknown, prove,
 )
 
@@ -160,9 +160,7 @@ def _freeze_free_vars(formulas: list) -> list:
         return list(formulas)
     avoid = set().union(*(signature_of(f).constants for f in formulas))
     out = list(formulas)
-    for v in free:
-        c = fresh_constant(avoid)
-        avoid.add(c)
+    for v, c in zip(free, fresh_names("c", avoid, len(free))):
         out = [substitute_constant(f, v, c) for f in out]
     return out
 
@@ -175,6 +173,17 @@ def entails(phi, psi, budget: int):
     frozen_phi, frozen_psi = _freeze_free_vars([phi, psi])
     return prove([LabeledSentence(to_nnf(frozen_phi), "L"),
                   LabeledSentence(to_nnf(Not(frozen_psi)), "R")], budget)
+
+
+def reprove(claims, budget: int) -> None:
+    """Re-prove each (name, sentences) claim that the sentences are jointly
+    unsatisfiable; raise NotProvedWithinBudget for the first that does not
+    close.  Labels play no role in the search, so every input is L."""
+    for name, sentences in claims:
+        if not isinstance(prove([LabeledSentence(to_nnf(s), "L") for s in sentences],
+                                budget), Closed):
+            raise NotProvedWithinBudget(
+                f"could not re-prove {name} within {budget} applications")
 
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import FormulaError, MissingSymbolError, PartialAssignmentError
 from .formulas import (
-    And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
+    And, Atom, Exists, Forall, Not, Or, Top, Var,
     SignatureReport, signature_of,
 )
 
@@ -47,13 +47,6 @@ class Structure:
             tuple((n, tuple(sorted(ts))) for n, ts in sorted(self.relations.items())),
             tuple(sorted(self.constants.items())),
         )
-
-    def restrict(self, names: Iterable) -> "Structure":
-        """Reduct to the given relation names (constants kept)."""
-        names = set(names)
-        return Structure(self.domain_size,
-                         {n: ts for n, ts in self.relations.items() if n in names},
-                         dict(self.constants))
 
 
 def evaluate(structure: Structure, phi, assignment: dict | None = None) -> bool:
@@ -177,31 +170,17 @@ def count_structures(sig: SignatureReport, n: int) -> int:
     return total
 
 
-def find_model(phis: list, max_size: int, extra_sig: SignatureReport | None = None):
+def find_model(phis: list, max_size: int):
     """Smallest-domain structure satisfying every sentence, or None.
 
     Deterministic: sizes ascending, structures in enumeration order.
     """
     sig = merged_signature(phis)
-    if extra_sig is not None:
-        sig = _union_sig(sig, extra_sig)
     for n in range(1, max_size + 1):
         for A in enumerate_structures(sig, n):
             if all(_eval(A, phi, {}) for phi in phis):
                 return A
     return None
-
-
-def _union_sig(a: SignatureReport, b: SignatureReport) -> SignatureReport:
-    arities = dict(a.arities)
-    for r, k in b.arities.items():
-        if arities.setdefault(r, k) != k:
-            raise FormulaError(f"relation {r} used with inconsistent arities")
-    return SignatureReport(a.relations | b.relations, arities,
-                           a.constants | b.constants,
-                           a.relsig_pos | b.relsig_pos,
-                           a.relsig_neg | b.relsig_neg,
-                           a.free_vars | b.free_vars)
 
 
 def structure_to_json(A: Structure) -> str:

@@ -97,12 +97,6 @@ class Node:
     rule: object
     children: list = field(default_factory=list)
 
-    def depth(self) -> int:
-        d, n = 0, self
-        while n.parent is not None:
-            d, n = d + 1, n.parent
-        return d
-
 
 @dataclass
 class ClosedTableau:

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaError, NotProvedWithinBudget, NotSplittable
+from .errors import FormulaError, NotSplittable
 from .formulas import Not, is_sentence, signature_of, simplify, to_nnf
 from .definability import Theory
-from .interpolation import interpolant_from_labeled
-from .tableau import Closed, LabeledSentence, prove
+from .interpolation import interpolant_from_labeled, reprove
+from .tableau import LabeledSentence
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,5 @@ def _check_sentences(phi, psi):
 
 
 def _reprove_under_theory(sigma: Theory, phi, psi, theta, budget: int):
-    base = [LabeledSentence(to_nnf(s), "L") for s in sigma.sentences]
-    for name, extra in (("Sigma, phi |= theta", [phi, Not(theta)]),
-                        ("Sigma, theta |= psi", [theta, Not(psi)])):
-        sents = base + [LabeledSentence(to_nnf(f), "L") for f in extra]
-        if not isinstance(prove(sents, budget), Closed):
-            raise NotProvedWithinBudget(
-                f"could not re-prove {name} within {budget} applications")
+    reprove([("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
+             ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)

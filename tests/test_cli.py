@@ -305,3 +305,13 @@ def test_subprocess_byte_determinism(data_dir):
                 capture_output=True, env=env)
             results.add((proc.returncode, proc.stdout))
     assert len(results) == 1
+
+
+def test_too_deep_input_exits_usage(tmp_path, capsys):
+    # an unsatisfiable set: exit 1 would claim "satisfiable"
+    problem = tmp_path / "deep.fol"
+    problem.write_text("[left]\n" + "!" * 30000 + "P(a)\n[right]\n!P(a)\n")
+    code, out, err = run(capsys, "prove", str(problem))
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -136,6 +136,28 @@ def test_substitute_free_under_other_binder():
         Forall(("y",), Atom("R", (Const("c"), Var("y"))))
 
 
+def test_substitute_shares_unchanged_subtrees():
+    left = Atom("P", (Var("x0"),))
+    right = Exists(("y",), Atom("Q", (Var("y"),)))
+    out = substitute_constant(And((left, right)), "x0", "c")
+    assert out.items[0] == Atom("P", (Const("c"),))
+    assert out.items[1] is right
+    unchanged = Not(right)
+    assert substitute_constant(unchanged, "x0", "c") is unchanged
+
+
+def test_substitute_and_abstract_are_iterative():
+    f = Atom("P", (Var("x"),))
+    for _ in range(50_000):
+        f = Not(f)
+    g = abstract_constant(substitute_constant(f, "x", "c"), "c", "z")
+    depth = 0
+    while isinstance(g, Not):
+        g, depth = g.sub, depth + 1
+    assert depth == 50_000
+    assert g == Atom("P", (Var("z"),))
+
+
 def test_abstract_constant_uniform():
     f = parse("A(c) & !B(c)")
     assert abstract_constant(f, "c", "x") == \
