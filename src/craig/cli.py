@@ -21,10 +21,10 @@ from .errors import (
     CraigError, ImplicitDefinabilityRefuted, JointlyConsistent,
     NotProvedWithinBudget, NotSplittable, NotValid, ParseError,
 )
-from .formulas import conj, simplify, to_nnf, Not
+from .formulas import conj, simplify, to_nnf
 from .fragments import classify
 from .interpolation import (
-    Verdict, craig_interpolant, lyndon_check, propagate, search_interpolant,
+    Verdict, _verified_interpolant, lyndon_check, search_interpolant,
     verify_interpolant,
 )
 from .models import evaluate, find_model, structure_from_json, structure_to_json
@@ -126,17 +126,13 @@ def cmd_interpolate(args) -> int:
     psi = conj(problem.right)
     budget = _budget(args, problem)
     try:
-        theta = craig_interpolant(phi, psi, budget)
+        theta, annotated = _verified_interpolant(phi, psi, budget)
     except NotValid as e:
         print(structure_to_json(e.structure))
         print("not valid: countermodel found", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.emit_annotated:
-        inputs = [LabeledSentence(to_nnf(phi), "L"),
-                  LabeledSentence(to_nnf(Not(psi)), "R")]
-        outcome = prove(inputs, budget)
-        annotated = propagate(outcome.tableau)
-        sys.stdout.write(render_trace(outcome.tableau, annotated.interpolants))
+        sys.stdout.write(render_trace(annotated.tableau, annotated.interpolants))
     _emit_formula(args, theta)
     return EXIT_OK
 

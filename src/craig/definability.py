@@ -18,7 +18,7 @@ from .errors import (
 from .formulas import (
     And, Atom, Const, Forall, Not, Or, SignatureReport, Var, abstract_constant,
     fresh_names, is_sentence, map_atoms, signature_of, simplify,
-    substitute_constant, to_nnf, variable_names,
+    substitute_constants, to_nnf, variable_names,
 )
 from .interpolation import interpolant_from_labeled, reprove
 from .models import enumerate_structures, evaluate, merged_signature
@@ -169,9 +169,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
 def _reprove_biconditional(sigma: Theory, relation: str, phi, variables, budget: int):
     consts = fresh_names("c", sigma.signature().constants | signature_of(phi).constants,
                          len(variables))
-    grounded = phi
-    for v, c in zip(variables, consts):
-        grounded = substitute_constant(grounded, v, c)
+    grounded = substitute_constants(phi, dict(zip(variables, consts)))
     head = Atom(relation, tuple(Const(c) for c in consts))
     reprove([("R -> definition", [*sigma.sentences, head, Not(grounded)]),
              ("definition -> R", [*sigma.sentences, grounded, Not(head)])], budget)

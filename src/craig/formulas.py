@@ -328,14 +328,20 @@ def map_atoms(phi, fn) -> object:
 
 def substitute_constant(phi, x: str, c: str) -> object:
     """Replace every free occurrence of variable x by constant c."""
-    const = Const(c)
+    return substitute_constants(phi, {x: c})
+
+
+def substitute_constants(phi, mapping: dict) -> object:
+    """Replace every free occurrence of each variable x in mapping by the
+    constant mapping[x], in one pass."""
+    consts = {x: Const(c) for x, c in mapping.items()}
 
     def sub(a, bound):
-        if x not in bound:
-            for t in a.args:
-                if isinstance(t, Var) and t.name == x:
-                    return Atom(a.rel, tuple(
-                        const if isinstance(t, Var) and t.name == x else t for t in a.args))
+        for t in a.args:
+            if isinstance(t, Var) and t.name in consts and t.name not in bound:
+                return Atom(a.rel, tuple(
+                    consts.get(t.name, t) if isinstance(t, Var) and t.name not in bound
+                    else t for t in a.args))
         return a
 
     return map_atoms(phi, sub)

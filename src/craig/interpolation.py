@@ -21,7 +21,7 @@ from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauEr
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
     abstract_constant, fresh_names, fresh_variable, is_sentence,
-    signature_of, substitute_constant, to_nnf,
+    signature_of, substitute_constants, to_nnf,
 )
 from .models import count_structures, enumerate_structures, evaluate
 from .tableau import (
@@ -159,10 +159,8 @@ def _freeze_free_vars(formulas: list) -> list:
     if not free:
         return list(formulas)
     avoid = set().union(*(signature_of(f).constants for f in formulas))
-    out = list(formulas)
-    for v, c in zip(free, fresh_names("c", avoid, len(free))):
-        out = [substitute_constant(f, v, c) for f in out]
-    return out
+    mapping = dict(zip(free, fresh_names("c", avoid, len(free))))
+    return [substitute_constants(f, mapping) for f in formulas]
 
 
 def entails(phi, psi, budget: int):
@@ -219,9 +217,14 @@ def craig_interpolant(phi, psi, budget: int):
     The result is emitted un-simplified and passes verify_interpolant before
     being returned.
     """
+    return _verified_interpolant(phi, psi, budget)[0]
+
+
+def _verified_interpolant(phi, psi, budget: int):
+    """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
     if not is_sentence(phi) or not is_sentence(psi):
         raise FormulaError("craig_interpolant expects sentences")
-    theta, _ = interpolant_from_labeled(
+    theta, annotated = interpolant_from_labeled(
         [LabeledSentence(to_nnf(phi), "L"), LabeledSentence(to_nnf(Not(psi)), "R")],
         budget)
     verdict = verify_interpolant(phi, psi, theta, budget)
@@ -231,7 +234,7 @@ def craig_interpolant(phi, psi, budget: int):
     if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:
         raise NotProvedWithinBudget(
             f"interpolant verification incomplete: {verdict.details}")
-    return theta
+    return theta, annotated
 
 
 def lyndon_check(phi, psi, theta) -> bool:

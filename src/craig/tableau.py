@@ -23,6 +23,18 @@ pending existentials and otherwise seeds one fresh constant (domains are
 non-empty).  Multi-variable ∀ blocks peel one variable per application; ∃
 blocks instantiate in one application.
 
+Search state.  One mutable branch state serves the whole depth-first
+search.  A split creates every child node at once, in disjunct order, leaves
+a choice point (trail mark, child node, disjunct) for each child after the
+first, and goes straight on into the first.  While a choice point is open,
+every change to the branch state logs its inverse on an undo trail; when a
+branch closes, the latest choice point is popped, the trail is undone down to
+its mark and the next child is entered.  Nothing before the lowest open
+choice point is ever undone, so the trail is None, and nothing is logged,
+until the first split and again once the last pending child is entered.
+Search order, node ids and fresh constants are those of a search that
+copied the branch at every split.
+
 The budget counts rule applications (created tableau nodes, closures
 included).  No completeness promise is made within a finite budget.
 """
@@ -39,7 +51,7 @@ from .errors import (
 from .formulas import (
     BOTTOM, And, Atom, Const, Exists, Forall, Or,
     complement_literal, free_vars, is_literal, is_nnf, is_sentence,
-    substitute_constant, walk,
+    substitute_constant, substitute_constants, walk,
 )
 from .models import Structure, evaluate, merged_signature
 
@@ -176,9 +188,6 @@ class _AlphaItem:
     kind: str  # "and" | "forall"
     next_const: int = 0  # forall only: index into branch constants
 
-    def clone(self):
-        return _AlphaItem(self.ls, self.kind, self.next_const)
-
 
 _OPEN, _CLOSING, _DEAD = 0, 1, 2
 
@@ -188,16 +197,20 @@ class _BetaItem:
     ls: LabeledSentence
     state: int = _OPEN
 
-    def clone(self):
-        return _BetaItem(self.ls, self.state)
-
 
 class _BranchState:
-    """Mutable search state of one open branch."""
+    """Search state of the branch being expanded, shared by every branch.
+
+    ``choices`` holds the open choice points (trail mark, child node,
+    disjunct), the latest on top.  While one is open, every mutation appends
+    its inverse to ``trail`` as a callable followed by its arguments;
+    ``undo_to(mark)`` replays them newest first.  With no choice point open
+    ``trail`` is None and nothing is logged.
+    """
 
     __slots__ = ("node", "formulas", "constants", "const_set", "alpha",
                  "exists_queues", "beta_closing", "beta_open", "promote",
-                 "evidence")
+                 "evidence", "trail", "choices")
 
     def __init__(self):
         self.node: Node = None
@@ -211,34 +224,64 @@ class _BranchState:
         self.beta_open: deque = deque()
         self.promote: dict = {}    # literal formula -> [beta items it would close]
         self.evidence = None
+        self.trail: list | None = None
+        self.choices: list = []
 
-    def clone(self) -> "_BranchState":
-        b = _BranchState.__new__(_BranchState)
-        b.node = self.node
-        b.formulas = dict(self.formulas)
-        b.constants = list(self.constants)
-        b.const_set = set(self.const_set)
-        b.alpha = deque(it.clone() for it in self.alpha)
-        b.exists_queues = tuple(deque(q) for q in self.exists_queues)
-        copies: dict = {}
+    # -- choice points and the trail --------------------------------------
 
-        def copy_of(item):
-            new = copies.get(id(item))
-            if new is None:
-                new = copies[id(item)] = item.clone()
-            return new
+    def split(self, children: list):
+        """Open a choice point for every (node, disjunct) after the first and
+        enter the first."""
+        if self.trail is None:
+            self.trail = []
+        mark = len(self.trail)
+        self.choices.extend((mark, node, gls) for node, gls in reversed(children[1:]))
+        self.enter(*children[0])
 
-        b.beta_closing = deque(copy_of(it) for it in self.beta_closing
-                               if it.state != _DEAD)
-        b.beta_open = deque(copy_of(it) for it in self.beta_open
-                            if it.state != _DEAD)
-        b.promote = {}
-        for key, items in self.promote.items():
-            live = [copy_of(it) for it in items if it.state == _OPEN]
-            if live:
-                b.promote[key] = live
-        b.evidence = self.evidence
-        return b
+    def backtrack(self) -> bool:
+        """Resume the latest choice point; False when none is left."""
+        if not self.choices:
+            return False
+        mark, node, gls = self.choices.pop()
+        self.undo_to(mark)
+        if not self.choices:
+            self.trail = None  # nothing before this point is ever undone
+        self.enter(node, gls)
+        return True
+
+    def enter(self, node: Node, gls: LabeledSentence):
+        self.node = node
+        self.add(gls, origin=0)
+
+    def undo_to(self, mark: int):
+        trail = self.trail
+        while len(trail) > mark:
+            undo, *args = trail.pop()
+            undo(*args)
+
+    def add_constant(self, c: str):
+        self.const_set.add(c)
+        self.constants.append(c)
+        if self.trail is not None:
+            self.trail.append((self.const_set.discard, c))
+            self.trail.append((self.constants.pop,))
+
+    def assign(self, obj, name: str, value):
+        if self.trail is not None:
+            self.trail.append((setattr, obj, name, getattr(obj, name)))
+        setattr(obj, name, value)
+
+    def push(self, seq, x):
+        """Append x to a list or deque."""
+        seq.append(x)
+        if self.trail is not None:
+            self.trail.append((seq.pop,))
+
+    def popleft(self, queue: deque):
+        x = queue.popleft()
+        if self.trail is not None:
+            self.trail.append((queue.appendleft, x))
+        return x
 
     # -- sentence introduction ------------------------------------------
 
@@ -249,31 +292,35 @@ class _BranchState:
         1 for structural, 2 for ∀-instantiation-descended.
         """
         f = ls.formula
-        if f in self.formulas:
+        formulas = self.formulas
+        if f in formulas:
             return False
-        self.formulas[f] = ls
+        trail = self.trail
+        formulas[f] = ls
+        if trail is not None:
+            trail.append((formulas.__delitem__, f))
         for c in _constants_in_order(f):
             if c not in self.const_set:
-                self.const_set.add(c)
-                self.constants.append(c)
+                self.add_constant(c)
         if self.evidence is None:
             if f == BOTTOM:
-                self.evidence = ("bottom", ls)
+                self.assign(self, "evidence", ("bottom", ls))
             elif is_literal(f):
-                comp = complement_literal(f)
-                partner = self.formulas.get(comp)
+                partner = formulas.get(complement_literal(f))
                 if partner is not None:
-                    if isinstance(f, Atom):
-                        self.evidence = ("clash", ls, partner)
-                    else:
-                        self.evidence = ("clash", partner, ls)
+                    pair = (ls, partner) if isinstance(f, Atom) else (partner, ls)
+                    self.assign(self, "evidence", ("clash", *pair))
         # promotion: this formula may be the clash partner some disjunct waits for
-        for item in self.promote.pop(f, []):
-            if item.state == _OPEN:
-                item.state = _CLOSING
-                self.beta_closing.append(item)
+        waiting = self.promote.pop(f, None)
+        if waiting is not None:
+            if trail is not None:
+                trail.append((self.promote.__setitem__, f, waiting))
+            for item in waiting:
+                if item.state == _OPEN:
+                    self.assign(item, "state", _CLOSING)
+                    self.push(self.beta_closing, item)
         if isinstance(f, And):
-            self.alpha.append(_AlphaItem(ls, "and"))
+            self.push(self.alpha, _AlphaItem(ls, "and"))
         elif isinstance(f, Or):
             item = _BetaItem(ls)
             for g in f.items:
@@ -282,44 +329,44 @@ class _BranchState:
                     continue
                 comp = complement_literal(g)
                 if comp is not None:
-                    if comp in self.formulas:
+                    if comp in formulas:
                         item.state = _CLOSING
+                    elif comp in self.promote:
+                        self.push(self.promote[comp], item)
                     else:
-                        self.promote.setdefault(comp, []).append(item)
-            if item.state == _CLOSING:
-                self.beta_closing.append(item)
-            else:
-                self.beta_open.append(item)
+                        self.promote[comp] = [item]
+                        if trail is not None:
+                            trail.append((self.promote.__delitem__, comp))
+            self.push(self.beta_closing if item.state == _CLOSING else self.beta_open, item)
         elif isinstance(f, Exists):
-            self.exists_queues[origin].append(ls)
+            self.push(self.exists_queues[origin], ls)
         elif isinstance(f, Forall):
-            self.alpha.append(_AlphaItem(ls, "forall"))
+            self.push(self.alpha, _AlphaItem(ls, "forall"))
         return True
 
     # -- agenda ----------------------------------------------------------
 
     def next_alpha(self):
-        for _ in range(len(self.alpha)):
-            item = self.alpha[0]
-            if item.kind == "and":
-                self.alpha.popleft()
-                return item
-            if item.next_const < len(self.constants) or (
-                    not self.constants and not any(self.exists_queues)):
-                self.alpha.popleft()
-                return item
-            self.alpha.rotate(-1)  # dormant forall: look past it
+        alpha = self.alpha
+        n = len(self.constants)
+        for k, item in enumerate(alpha):
+            if item.kind == "and" or item.next_const < n or (
+                    not n and not any(self.exists_queues)):
+                if k:  # look past the dormant foralls before it
+                    alpha.rotate(-k)
+                    if self.trail is not None:
+                        self.trail.append((alpha.rotate, k))
+                return self.popleft(alpha)
         return None
 
     def _pop_beta(self, queue: deque, want: int):
         while queue:
-            item = queue.popleft()
+            item = self.popleft(queue)
             if item.state != want:
                 continue
+            self.assign(item, "state", _DEAD)
             if any(g in self.formulas for g in item.ls.formula.items):
-                item.state = _DEAD  # some disjunct already holds: satisfied
-                continue
-            item.state = _DEAD
+                continue  # some disjunct already holds: satisfied
             return item
         return None
 
@@ -332,7 +379,7 @@ class _BranchState:
     def next_exists(self):
         for queue in self.exists_queues:
             if queue:
-                return queue.popleft()
+                return self.popleft(queue)
         return None
 
 
@@ -369,55 +416,48 @@ class _Prover:
         branch.node = root
         for ls in self.inputs:
             branch.add(ls)
-        stack = [branch]
-        while stack:
-            branch = stack.pop()
-            verdict = self.work(branch, stack)
-            if verdict == "budget":
-                return Unknown(self.applications)
-            if isinstance(verdict, Satisfiable):
-                return verdict
-        return Closed(ClosedTableau(root, self.inputs, self.applications))
+        while True:
+            outcome = self.work(branch)
+            if outcome is not None:
+                return outcome
+            if not branch.backtrack():
+                return Closed(ClosedTableau(root, self.inputs, self.applications))
 
-    def work(self, branch: _BranchState, stack: list):
-        """Expand one branch until it closes, saturates, splits or budget ends."""
+    def work(self, branch: _BranchState):
+        """Expand the current branch until it closes (None), saturates or the
+        budget ends."""
         while True:
             if branch.evidence is not None:
                 if self.applications >= self.budget:
-                    return "budget"
+                    return Unknown(self.applications)
                 self.applications += 1
                 self.new_node(branch.node, (), Closure(branch.evidence))
-                return "closed"
+                return None
             if self.applications >= self.budget:
-                return "budget"
+                return Unknown(self.applications)
             item = branch.next_alpha()
             if item is not None:
                 self.fire_alpha(branch, item)
                 continue
             beta = branch.next_closing_beta()
             if beta is not None:
-                self.applications += 1
-                self.fire_beta(branch, beta, stack)
-                return "split"
+                self.fire_beta(branch, beta)
+                continue
             ex = branch.next_exists()
             if ex is not None:
                 self.fire_exists(branch, ex)
                 continue
             beta = branch.next_open_beta()
             if beta is not None:
-                self.applications += 1
-                self.fire_beta(branch, beta, stack)
-                return "split"
+                self.fire_beta(branch, beta)
+                continue
             return self.saturate(branch)
 
     def fire_exists(self, branch: _BranchState, ls: LabeledSentence):
         f = ls.formula
         used = free_vars(f.body)  # vacuous block variables mint no constants
         mapping = {v: self.fresh() for v in f.vars if v in used}
-        body = f.body
-        for v, c in mapping.items():
-            body = substitute_constant(body, v, c)
-        gls = LabeledSentence(body, ls.label)
+        gls = LabeledSentence(substitute_constants(f.body, mapping), ls.label)
         self.applications += 1
         branch.node = self.new_node(branch.node, (gls,),
                                     ExistsRule(ls, tuple(mapping.values())))
@@ -436,34 +476,28 @@ class _Prover:
                     branch.add(gls)
             return
         # forall: peel the first block variable with one constant
-        if not branch.constants:
-            c = self.fresh()
-            branch.const_set.add(c)
-            branch.constants.append(c)
-            item.next_const = 0
+        if not branch.constants:  # so no constant was tried: next_const is 0
+            branch.add_constant(self.fresh())
         c = branch.constants[item.next_const]
-        item.next_const += 1
-        peeled = substitute_constant(f.body, f.vars[0], c)
-        if len(f.vars) > 1:
-            peeled = Forall(f.vars[1:], peeled)
+        branch.assign(item, "next_const", item.next_const + 1)
+        peeled = _instantiate_first(f, c)
         if peeled not in branch.formulas:
             gls = LabeledSentence(peeled, ls.label)
             self.applications += 1
             branch.node = self.new_node(branch.node, (gls,), ForallRule(ls, c))
             branch.add(gls, origin=2)
-        branch.alpha.append(item)  # await further constants
+        branch.push(branch.alpha, item)  # await further constants
 
-    def fire_beta(self, branch: _BranchState, item: _BetaItem, stack: list):
+    def fire_beta(self, branch: _BranchState, item: _BetaItem):
+        """Split: every child node is made now, in disjunct order; the search
+        goes on into the first and the others wait as choice points."""
         ls = item.ls
+        self.applications += 1
         children = []
         for g in ls.formula.items:
-            child = branch.clone()
             gls = LabeledSentence(g, ls.label)
-            node = self.new_node(branch.node, (gls,), Disj(ls))
-            child.node = node
-            child.add(gls, origin=0)
-            children.append(child)
-        stack.extend(reversed(children))
+            children.append((self.new_node(branch.node, (gls,), Disj(ls)), gls))
+        branch.split(children)
 
     def saturate(self, branch: _BranchState):
         model_branch = Branch(tuple(branch.formulas.values()), tuple(branch.constants))
@@ -521,22 +555,23 @@ def _hintikka_violation(branch: Branch):
             if not consts:
                 return f"{f!r} never instantiated"
             for c in consts:
-                peeled = substitute_constant(f.body, f.vars[0], c)
-                if len(f.vars) > 1:
-                    peeled = Forall(f.vars[1:], peeled)
-                if peeled not in present:
+                if _instantiate_first(f, c) not in present:
                     return f"{f!r} not instantiated with {c}"
     return None
 
 
 def _exists_witnessed(f: Exists, present: set, consts) -> bool:
     for values in itertools.product(consts, repeat=len(f.vars)):
-        body = f.body
-        for v, c in zip(f.vars, values):
-            body = substitute_constant(body, v, c)
-        if body in present:
+        if substitute_constants(f.body, dict(zip(f.vars, values))) in present:
             return True
     return False
+
+
+def _instantiate_first(f: Forall, c: str):
+    """f with its first block variable instantiated to c; the rest of the
+    block stays a ∀."""
+    body = substitute_constant(f.body, f.vars[0], c)
+    return Forall(f.vars[1:], body) if len(f.vars) > 1 else body
 
 
 def saturated_branch_model(branch: Branch) -> Structure:
