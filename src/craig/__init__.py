@@ -25,8 +25,8 @@ from .formulas import (
 from .parser import ProblemFile, parse, parse_problem, print_formula
 from .models import (
     Structure, count_structures, enumerate_structures, evaluate, find_model,
-    isomorphic_pair, merged_signature, structure_from_json, structure_to_json,
-    substructure,
+    isomorphic_pair, merged_signature, satisfying_structures, structure_from_json,
+    structure_to_json, substructure,
 )
 from .tableau import (
     Branch, Closed, ClosedTableau, LabeledSentence, Outcome, Satisfiable,

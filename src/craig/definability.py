@@ -21,7 +21,7 @@ from .formulas import (
     substitute_constants, to_nnf, variable_names,
 )
 from .interpolation import interpolant_from_labeled, reprove
-from .models import enumerate_structures, evaluate, merged_signature
+from .models import merged_signature, satisfying_structures
 from .tableau import LabeledSentence
 
 
@@ -100,9 +100,7 @@ def padoa_counterexample(sigma: Theory, relation: str, tau, max_size: int,
     _check_beth_inputs(sig, relation, tau)
     for n in range(1, max_size + 1):
         seen: dict = {}
-        for A in enumerate_structures(sig, n):
-            if not all(evaluate(A, s) for s in sigma.sentences):
-                continue
+        for A in satisfying_structures(sig, n, sigma.sentences):
             key = tuple((t, tuple(sorted(A.relations[t]))) for t in tau)
             first = seen.get(key)
             if first is None:

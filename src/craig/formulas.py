@@ -351,6 +351,11 @@ def abstract_constant(phi, c: str, x: str) -> object:
     """Replace every occurrence of constant c by variable x (left free)."""
     if x in variable_names(phi):
         raise FormulaError(f"variable {x} already occurs; cannot abstract {c} to it")
+    return _abstract_constant(phi, c, x)
+
+
+def _abstract_constant(phi, c: str, x: str) -> object:
+    """abstract_constant for an x the caller already knows not to occur in phi."""
     var = Var(x)
 
     def ab(a, _bound):

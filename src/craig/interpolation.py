@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauError
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    abstract_constant, fresh_names, fresh_variable, is_sentence,
+    _abstract_constant, fresh_names, fresh_variable, is_sentence,
     signature_of, substitute_constants, to_nnf,
 )
-from .models import count_structures, enumerate_structures, evaluate
+from .models import _check_evaluable, _eval, count_structures, satisfying_structures
 from .tableau import (
     Closed, ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
     LabeledSentence, Node, Satisfiable, Unknown, prove,
@@ -70,7 +70,7 @@ def _quantifier_case(theta, c: str, l_consts: frozenset, r_consts: frozenset):
         # invariant already keeps c out of theta
         return theta
     x = fresh_variable(theta)
-    body = abstract_constant(theta, c, x)
+    body = _abstract_constant(theta, c, x)  # x is fresh: no second occurs check
     return Exists((x,), body) if not in_r else Forall((x,), body)
 
 
@@ -316,26 +316,27 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
             raise FormulaError(f"relation {r} used with inconsistent arities")
     shared_consts = sorted(sig_phi.constants & sig_psi.constants)
 
-    def screen_lists(formula, sig):
-        structures = []
-        for n in range(1, screen_size + 1):
-            if count_structures(sig, n) > _SCREEN_CAP:
-                return None
-            structures.extend(enumerate_structures(sig, n))
-        return structures
+    def screen(sentence, sig):
+        sizes = range(1, screen_size + 1)
+        if any(count_structures(sig, n) > _SCREEN_CAP for n in sizes):
+            return None
+        return [A for n in sizes for A in satisfying_structures(sig, n, [sentence])]
 
-    phi_structs = screen_lists(phi, sig_phi)
-    psi_structs = screen_lists(psi, sig_psi)
-    phi_models = None if phi_structs is None else \
-        [A for A in phi_structs if evaluate(A, phi)]
-    psi_antimodels = None if psi_structs is None else \
-        [A for A in psi_structs if not evaluate(A, psi)]
+    phi_models = screen(phi, sig_phi)
+    psi_antimodels = screen(Not(psi), sig_psi)
 
     for theta in enumerate_shared_formulas(shared_rels, shared_consts, max_size):
-        if phi_models is not None and not all(evaluate(A, theta) for A in phi_models):
-            continue
-        if psi_antimodels is not None and any(evaluate(A, theta) for A in psi_antimodels):
-            continue
+        # evaluate's checks, once per candidate: every screen structure of
+        # one list interprets exactly the symbols of its side
+        report = signature_of(theta)
+        if phi_models:
+            _check_evaluable(report, sig_phi.relations, sig_phi.constants)
+            if not all(_eval(A, theta, {}) for A in phi_models):
+                continue
+        if psi_antimodels:
+            _check_evaluable(report, sig_psi.relations, sig_psi.constants)
+            if any(_eval(A, theta, {}) for A in psi_antimodels):
+                continue
         if verify_interpolant(phi, psi, theta, budget):
             return theta
     return None

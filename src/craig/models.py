@@ -2,6 +2,17 @@
 
 This is the brute-force oracle the rest of the package is checked against:
 everything here is deliberately simple and deterministic.
+
+Enumeration prunes by prefix.  ``satisfying_structures`` assigns the symbols
+one at a time (relations sorted, then constants sorted), so every structure
+of the enumeration order shares its prefix of assignments with the block of
+structures that differ from it only in later symbols.  Each sentence is split
+into top-level conjuncts, and a conjunct is evaluated as soon as the last of
+its symbols is assigned: its truth is the same for the whole block, so a
+failing conjunct skips the block without losing a satisfying structure.  The
+survivors come out in enumeration order, which is why ``find_model`` and
+``padoa_counterexample`` return the same first models as a filter over every
+structure would.  ``enumerate_structures`` is the case with no sentences.
 """
 
 from __future__ import annotations
@@ -52,54 +63,54 @@ class Structure:
 def evaluate(structure: Structure, phi, assignment: dict | None = None) -> bool:
     """Tarskian truth of phi in the structure under the assignment."""
     g = dict(assignment or {})
-    report = signature_of(phi)
-    for rel in sorted(report.relations):
-        if rel not in structure.relations:
-            raise MissingSymbolError(f"structure does not interpret relation {rel}")
-    for c in sorted(report.constants):
-        if c not in structure.constants:
-            raise MissingSymbolError(f"structure does not interpret constant {c}")
-    missing = report.free_vars - set(g)
-    if missing:
-        raise PartialAssignmentError(f"assignment misses {sorted(missing)}")
+    _check_evaluable(signature_of(phi), structure.relations, structure.constants, g)
     return _eval(structure, phi, g)
 
 
-def _term_value(structure: Structure, t, g: dict) -> int:
-    if isinstance(t, Var):
-        return g[t.name]
-    return structure.constants[t.name]
+def _check_evaluable(report: SignatureReport, relations, constants, variables=()) -> None:
+    """Raise evaluate's error unless a structure interpreting these relation
+    and constant names, under an assignment of these variable names, can
+    evaluate a formula with this signature."""
+    for rel in sorted(report.relations):
+        if rel not in relations:
+            raise MissingSymbolError(f"structure does not interpret relation {rel}")
+    for c in sorted(report.constants):
+        if c not in constants:
+            raise MissingSymbolError(f"structure does not interpret constant {c}")
+    missing = report.free_vars - set(variables)
+    if missing:
+        raise PartialAssignmentError(f"assignment misses {sorted(missing)}")
 
 
 def _eval(A: Structure, f, g: dict) -> bool:
-    if isinstance(f, Atom):
-        tup = tuple(_term_value(A, t, g) for t in f.args)
-        return tup in A.relations[f.rel]
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Not):
+    kind = type(f)  # exact types: dispatch is the hot path of the oracle
+    if kind is Atom:
+        return tuple([g[t.name] if type(t) is Var else A.constants[t.name]
+                      for t in f.args]) in A.relations[f.rel]
+    if kind is Not:
         return not _eval(A, f.sub, g)
-    if isinstance(f, And):
-        return all(_eval(A, x, g) for x in f.items)
-    if isinstance(f, Or):
-        return any(_eval(A, x, g) for x in f.items)
-    if isinstance(f, Exists):
-        return _eval_quant(A, f.vars, f.body, g, any)
-    if isinstance(f, Forall):
-        return _eval_quant(A, f.vars, f.body, g, all)
+    if kind is And:
+        for x in f.items:
+            if not _eval(A, x, g):
+                return False
+        return True
+    if kind is Or:
+        for x in f.items:
+            if _eval(A, x, g):
+                return True
+        return False
+    if kind is Exists or kind is Forall:
+        # a witness decides ∃, a counterexample ∀; g2 is private to this loop
+        decisive = kind is Exists
+        g2 = dict(g)
+        for values in itertools.product(range(A.domain_size), repeat=len(f.vars)):
+            g2.update(zip(f.vars, values))
+            if _eval(A, f.body, g2) == decisive:
+                return decisive
+        return not decisive
+    if kind is Top:
+        return True
     raise FormulaError(f"not a formula: {f!r}")
-
-
-def _eval_quant(A: Structure, names, body, g: dict, mode) -> bool:
-    dom = range(A.domain_size)
-
-    def gen():
-        for values in itertools.product(dom, repeat=len(names)):
-            g2 = dict(g)
-            g2.update(zip(names, values))
-            yield _eval(A, body, g2)
-
-    return mode(gen())
 
 
 def merged_signature(phis: Iterable) -> SignatureReport:
@@ -141,25 +152,90 @@ def enumerate_structures(sig: SignatureReport, n: int) -> Iterator[Structure]:
     relation the tuple universe is sorted lexicographically and subsets are
     emitted in binary-counter order (bit i = i-th tuple); the rightmost symbol
     varies fastest.  The count is prod_R 2^(n^arity(R)) * n^#constants.
+    This is satisfying_structures with no sentences.
+    """
+    yield from satisfying_structures(sig, n, ())
+
+
+def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[Structure]:
+    """The structures of enumerate_structures(sig, n) that satisfy every
+    sentence, in the same order.
+
+    Each top-level conjunct of a sentence is evaluated once per assignment of
+    the symbols up to the last one it mentions, and a failing conjunct skips
+    every completion of that prefix.  Every sentence is checked up front as
+    evaluate checks it: a symbol outside sig or a free variable raises before
+    anything is enumerated.
     """
     if n < 1:
         raise FormulaError("domain must be non-empty")
     rel_names = sorted(sig.relations)
     const_names = sorted(sig.constants)
-    universes = {r: sorted(itertools.product(range(n), repeat=sig.arities[r]))
-                 for r in rel_names}
+    names = rel_names + const_names
+    rel_position = {r: i for i, r in enumerate(rel_names)}
+    const_position = {c: len(rel_names) + i for i, c in enumerate(const_names)}
+    # checks[i + 1] holds the conjuncts whose last symbol is names[i];
+    # checks[0] those that mention no symbol at all
+    checks: list = [[] for _ in range(len(names) + 1)]
+    for phi in sentences:
+        _check_evaluable(signature_of(phi), sig.relations, sig.constants)
+        for conjunct in _conjuncts(phi):
+            r = signature_of(conjunct)
+            last = max([rel_position[x] for x in r.relations]
+                       + [const_position[x] for x in r.constants], default=-1)
+            checks[last + 1].append(conjunct)
 
-    def rel_options(r):
-        univ = universes[r]
-        for mask in range(1 << len(univ)):
-            yield frozenset(t for i, t in enumerate(univ) if mask >> i & 1)
+    pools = [_relation_options(n, sig.arities[r]) for r in rel_names] + \
+            [range(n)] * len(const_names)
+    relations = {r: pools[i][0] for i, r in enumerate(rel_names)}
+    constants = dict.fromkeys(const_names, 0)
+    targets = [relations] * len(rel_names) + [constants] * len(const_names)
+    partial = _trusted_structure(n, relations, constants)  # mutated in place
+    if not all(_eval(partial, f, {}) for f in checks[0]):
+        return
+    if not names:
+        yield _trusted_structure(n, {}, {})
+        return
+    last = len(names) - 1
 
-    pools = [list(rel_options(r)) for r in rel_names] + \
-            [list(range(n)) for _ in const_names]
-    for combo in itertools.product(*pools):
-        rels = dict(zip(rel_names, combo[:len(rel_names)]))
-        consts = dict(zip(const_names, combo[len(rel_names):]))
-        yield _trusted_structure(n, rels, consts)
+    def fill(i: int):
+        target, name, check = targets[i], names[i], checks[i + 1]
+        for value in pools[i]:
+            target[name] = value
+            if check and not all(_eval(partial, f, {}) for f in check):
+                continue
+            if i == last:
+                yield _trusted_structure(n, dict(relations), dict(constants))
+            else:
+                yield from fill(i + 1)
+
+    yield from fill(0)
+
+
+def _relation_options(n: int, arity: int) -> list:
+    """Every interpretation of one relation over {0..n-1}: subsets of the
+    sorted tuple universe in binary-counter order (bit i = i-th tuple)."""
+    univ = sorted(itertools.product(range(n), repeat=arity))
+    return [frozenset(t for i, t in enumerate(univ) if mask >> i & 1)
+            for mask in range(1 << len(univ))]
+
+
+def _conjuncts(phi) -> list:
+    """Top-level conjuncts of phi: ∧, ¬∨ and ¬¬ are pushed through the outer
+    connectives only."""
+    out: list = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.extend(reversed(f.items))
+        elif isinstance(f, Not) and isinstance(f.sub, Or):
+            stack.extend(Not(x) for x in reversed(f.sub.items))
+        elif isinstance(f, Not) and isinstance(f.sub, Not):
+            stack.append(f.sub.sub)
+        else:
+            out.append(f)
+    return out
 
 
 def count_structures(sig: SignatureReport, n: int) -> int:
@@ -173,13 +249,15 @@ def count_structures(sig: SignatureReport, n: int) -> int:
 def find_model(phis: list, max_size: int):
     """Smallest-domain structure satisfying every sentence, or None.
 
-    Deterministic: sizes ascending, structures in enumeration order.
+    Deterministic: sizes ascending, and within a size the first structure of
+    enumerate_structures that satisfies every sentence; blocks of structures
+    that a conjunct already refutes on their prefix are skipped unvisited.
+    A formula with free variables raises PartialAssignmentError.
     """
     sig = merged_signature(phis)
     for n in range(1, max_size + 1):
-        for A in enumerate_structures(sig, n):
-            if all(_eval(A, phi, {}) for phi in phis):
-                return A
+        for A in satisfying_structures(sig, n, phis):
+            return A
     return None
 
 

@@ -108,6 +108,15 @@ def test_find_model_results_satisfy_inputs():
     assert all(evaluate(A, s) for s in sentences)
 
 
+def test_find_model_rejects_open_formulas_before_enumerating():
+    # whichever conjunct pruning would check first, a free variable raises
+    from craig.formulas import BOTTOM, And, Atom, Var
+    open_atom = Atom("P", (Var("x"),))
+    for phi in (open_atom, And((open_atom, BOTTOM)), And((BOTTOM, open_atom))):
+        with pytest.raises(PartialAssignmentError, match=r"assignment misses \['x'\]"):
+            find_model([phi], 2)
+
+
 def test_evaluate_isomorphism_invariance():
     phi = parse("exists x. forall y. R(x, y) | P(y)")
     sig = merged_signature([phi])
