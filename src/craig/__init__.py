@@ -25,12 +25,12 @@ from .formulas import (
 from .parser import ProblemFile, parse, parse_problem, print_formula
 from .models import (
     Structure, count_structures, enumerate_structures, evaluate, find_model,
-    isomorphic_pair, merged_signature, satisfying_structures, structure_from_json,
+    isomorphic_pair, satisfying_structures, structure_from_json,
     structure_to_json, substructure,
 )
 from .tableau import (
     Branch, Closed, ClosedTableau, LabeledSentence, Outcome, Satisfiable,
-    Unknown, prove, render_trace, saturated_branch_model,
+    Unknown, labeled, prove, render_trace, saturated_branch_model,
 )
 from .interpolation import (
     AnnotatedTableau, Verdict, craig_interpolant, entails, lyndon_check,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verdict positive, 1 verdict negative (satisfiable,
 not splittable, no pair, false, undefined), 2 unknown / budget exhausted,
-3 usage or parse error, input nested too deeply included.  All diagnostics
+3 usage error or bad input of any kind (parse errors, unreadable files,
+malformed structures or options, input nested too deeply).  All diagnostics
 go to stderr; stdout carries only the machine-readable result.
 """
 
@@ -18,10 +19,10 @@ from .definability import (
     robinson_separator,
 )
 from .errors import (
-    CraigError, ImplicitDefinabilityRefuted, JointlyConsistent,
-    NotProvedWithinBudget, NotSplittable, NotValid, ParseError,
+    ImplicitDefinabilityRefuted, JointlyConsistent, NotProvedWithinBudget,
+    NotSplittable, NotValid, ParseError,
 )
-from .formulas import conj, simplify, to_nnf
+from .formulas import conj, simplify
 from .fragments import classify
 from .interpolation import (
     Verdict, _verified_interpolant, lyndon_check, search_interpolant,
@@ -29,7 +30,7 @@ from .interpolation import (
 )
 from .models import evaluate, find_model, structure_from_json, structure_to_json
 from .parser import parse, parse_problem, print_formula
-from .tableau import Closed, LabeledSentence, Satisfiable, prove, render_trace
+from .tableau import Closed, Satisfiable, labeled, prove, render_trace
 from .theory import split_theory, strong_interpolant, weak_interpolant
 
 EXIT_OK = 0
@@ -93,18 +94,13 @@ def _parse_methods(spec: str) -> frozenset:
 
 
 def _format_methods(methods) -> str:
-    parts = []
-    for m in sorted(methods, key=lambda m: (m.relation, sorted(m.inputs))):
-        pos = ",".join(str(i) for i in sorted(m.inputs)) or "-"
-        parts.append(f"{m.relation}:{pos}")
-    return " ".join(parts)
+    ordered = sorted(methods, key=lambda m: (m.relation, sorted(m.inputs)))
+    return " ".join(map(repr, ordered))
 
 
 def cmd_prove(args) -> int:
     problem = _load_problem(args.file)
-    inputs = [LabeledSentence(to_nnf(s), "L") for s in problem.left]
-    inputs += [LabeledSentence(to_nnf(s), "R") for s in problem.right]
-    outcome = prove(inputs, _budget(args, problem))
+    outcome = prove(labeled(problem.left, problem.right), _budget(args, problem))
     if isinstance(outcome, Closed):
         if args.trace:
             sys.stdout.write(render_trace(outcome.tableau))
@@ -291,13 +287,7 @@ def cmd_classify(args) -> int:
 
 def cmd_eval(args) -> int:
     structure = _load_structure(args.structure)
-    phi = parse(args.formula)
-    assignment = {}
-    if args.assign:
-        for piece in args.assign.split(","):
-            name, value = piece.split("=", 1)
-            assignment[name.strip()] = int(value)
-    result = evaluate(structure, phi, assignment)
+    result = evaluate(structure, parse(args.formula))
     print("true" if result else "false")
     return EXIT_OK if result else EXIT_NEGATIVE
 
@@ -387,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("eval", cmd_eval, help="evaluate a formula in a structure")
     p.add_argument("structure")
     p.add_argument("--formula", required=True)
-    p.add_argument("--assign", default="")
     p = cmd("find-model", cmd_find_model, help="smallest finite model of all sentences")
     p.add_argument("file")
     return top
@@ -410,11 +399,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except CraigError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:  # any other bad input: exit 1 would read as a verdict
+        reason = " ".join(str(e).split()) or type(e).__name__  # one line
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .formulas import And, Atom, Const, Exists, Forall, Not, Or, Var, walk
-from .models import count_structures, merged_signature
+from .formulas import And, Atom, Const, Exists, Forall, Not, Or, Var, signature_of, walk
+from .models import count_structures
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def formula_size(phi) -> int:
 
 
 def _sweep_cost(phi, psi) -> int:
-    sig = merged_signature([phi, psi])
+    sig = signature_of(phi, psi)
     return sum(count_structures(sig, n) for n in (1, 2, 3))
 
 

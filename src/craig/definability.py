@@ -18,11 +18,11 @@ from .errors import (
 from .formulas import (
     And, Atom, Const, Forall, Not, Or, SignatureReport, Var, abstract_constant,
     fresh_names, is_sentence, map_atoms, signature_of, simplify,
-    substitute_constants, to_nnf, variable_names,
+    substitute_constants, variable_names,
 )
 from .interpolation import interpolant_from_labeled, reprove
-from .models import merged_signature, satisfying_structures
-from .tableau import LabeledSentence
+from .models import satisfying_structures
+from .tableau import labeled
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Theory:
                 raise FormulaError(f"theory member has free variables: {s!r}")
 
     def signature(self):
-        return merged_signature(self.sentences)
+        return signature_of(*self.sentences)
 
 
 def rename_relations(phi, mapping: dict):
@@ -146,26 +146,25 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     frozen = fresh_names("c", sig.constants, arity)
     args = tuple(Const(c) for c in frozen)
 
-    left = [LabeledSentence(to_nnf(s), "L") for s in sigma.sentences]
-    left.append(LabeledSentence(Atom(relation, args), "L"))
-    right = [LabeledSentence(to_nnf(s), "R") for s in sigma_primed]
-    for t in tau:
-        right.append(LabeledSentence(to_nnf(_copy_bicond(t, primed[t], sig.arities[t])), "R"))
-    right.append(LabeledSentence(to_nnf(Not(Atom(primed[relation], args))), "R"))
-
-    theta, _ = interpolant_from_labeled(left + right, budget)
+    left = [*sigma.sentences, Atom(relation, args)]
+    right = [*sigma_primed,
+             *(_copy_bicond(t, primed[t], sig.arities[t]) for t in tau),
+             Not(Atom(primed[relation], args))]
+    theta, _ = interpolant_from_labeled(labeled(left, right), budget)
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
     variables = fresh_names("x", variable_names(theta), arity)
     for c, v in zip(frozen, variables):
         theta = abstract_constant(theta, c, v)
+    if signature_of(theta).symbols() - set(tau):
+        raise FormulaError("internal error: definition leaks symbols outside tau")
 
     _reprove_biconditional(sigma, relation, theta, tuple(variables), budget)
     return Definition(theta, tuple(variables))
 
 
 def _reprove_biconditional(sigma: Theory, relation: str, phi, variables, budget: int):
-    consts = fresh_names("c", sigma.signature().constants | signature_of(phi).constants,
+    consts = fresh_names("c", signature_of(*sigma.sentences, phi).constants,
                          len(variables))
     grounded = substitute_constants(phi, dict(zip(variables, consts)))
     head = Atom(relation, tuple(Const(c) for c in consts))
@@ -175,10 +174,9 @@ def _reprove_biconditional(sigma: Theory, relation: str, phi, variables, budget:
 
 def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
     """Sentence phi over the shared signature with Σ1 ⊨ phi and Σ2 ⊨ ¬phi."""
-    inputs = [LabeledSentence(to_nnf(s), "L") for s in sigma1.sentences]
-    inputs += [LabeledSentence(to_nnf(s), "R") for s in sigma2.sentences]
     try:
-        theta, _ = interpolant_from_labeled(inputs, budget)
+        theta, _ = interpolant_from_labeled(
+            labeled(sigma1.sentences, sigma2.sentences), budget)
     except NotValid as e:
         raise JointlyConsistent("the theories admit a common model",
                                 e.structure) from e
@@ -210,11 +208,8 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
         guard = Forall(tuple(v.name for v in args), guard)
     renamed = rename_relations(phi, {relation: primed})
 
-    inputs = [LabeledSentence(to_nnf(phi), "L"),
-              LabeledSentence(to_nnf(guard), "R"),
-              LabeledSentence(to_nnf(Not(renamed)), "R")]
     try:
-        theta, _ = interpolant_from_labeled(inputs, budget)
+        theta, _ = interpolant_from_labeled(labeled([phi], [guard, Not(renamed)]), budget)
     except NotValid as e:
         raise NotProvedWithinBudget(
             "the monotonicity implication is not valid "

@@ -174,46 +174,47 @@ class SignatureReport:
         return self.relations | self.constants
 
 
-def signature_of(phi) -> SignatureReport:
-    """Collect relations (with arity checks), constants, polarities, free vars.
+def signature_of(*phis) -> SignatureReport:
+    """Joint signature of the formulas: relations with their arities,
+    constants, polarities and free variables.
 
-    Polarity is negation-depth parity; top contributes no symbols.
+    This is the one place that collects a formula set's symbols.  Polarity is
+    negation-depth parity; top contributes no symbols; a variable is free if
+    it occurs free in some formula.  A relation used with two arities, in one
+    formula or across several, raises FormulaError.  Iterative, with exact
+    type dispatch as in map_atoms: nesting depth is not bounded by the
+    recursion limit.
     """
-    relations: set = set()
     arities: dict = {}
     constants: set = set()
     pos: set = set()
     neg: set = set()
     free: set = set()
-
-    def visit(f, bound: frozenset, parity: int):
-        if isinstance(f, Atom):
-            relations.add(f.rel)
+    stack: list = [(phi, frozenset(), pos) for phi in reversed(phis)]
+    while stack:
+        f, bound, polarity = stack.pop()
+        kind = type(f)
+        if kind is Atom:
             seen = arities.setdefault(f.rel, len(f.args))
             if seen != len(f.args):
                 raise FormulaError(
                     f"relation {f.rel} used with arities {seen} and {len(f.args)}")
             for t in f.args:
-                if isinstance(t, Const):
+                if type(t) is Const:
                     constants.add(t.name)
                 elif t.name not in bound:
                     free.add(t.name)
-            (pos if parity == 0 else neg).add(f.rel)
-        elif isinstance(f, Top):
-            pass
-        elif isinstance(f, Not):
-            visit(f.sub, bound, 1 - parity)
-        elif isinstance(f, (And, Or)):
-            for g in f.items:
-                visit(g, bound, parity)
-        elif isinstance(f, (Exists, Forall)):
-            visit(f.body, bound | frozenset(f.vars), parity)
-        else:
+            polarity.add(f.rel)
+        elif kind is Not:
+            stack.append((f.sub, bound, neg if polarity is pos else pos))
+        elif kind is And or kind is Or:
+            stack.extend([(g, bound, polarity) for g in reversed(f.items)])
+        elif kind is Exists or kind is Forall:
+            stack.append((f.body, bound | frozenset(f.vars), polarity))
+        elif kind is not Top:
             raise FormulaError(f"not a formula: {f!r}")
-
-    visit(phi, frozenset(), 0)
     return SignatureReport(
-        relations=frozenset(relations),
+        relations=frozenset(arities),
         arities=arities,
         constants=frozenset(constants),
         relsig_pos=frozenset(pos),
@@ -393,13 +394,6 @@ def fresh_names(prefix: str, taken, n: int) -> list:
 def fresh_constant(avoid: Iterable) -> str:
     """Lowest-index c<i> not in avoid (a set of constant names)."""
     return fresh_names("c", set(avoid), 1)[0]
-
-
-def fresh_variable(phi_or_names, prefix: str = "x") -> str:
-    """Lowest-index <prefix><i> not occurring in the given formula/name set."""
-    if not isinstance(phi_or_names, (set, frozenset)):
-        phi_or_names = variable_names(phi_or_names)
-    return fresh_names(prefix, phi_or_names, 1)[0]
 
 
 def simplify(phi) -> object:

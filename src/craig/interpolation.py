@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauError
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    _abstract_constant, fresh_names, fresh_variable, is_sentence,
-    signature_of, substitute_constants, to_nnf,
+    _abstract_constant, fresh_names, is_sentence, signature_of,
+    substitute_constants, variable_names,
 )
 from .models import _check_evaluable, _eval, count_structures, satisfying_structures
 from .tableau import (
     Closed, ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
-    LabeledSentence, Node, Satisfiable, Unknown, prove,
+    Node, Satisfiable, Unknown, labeled, prove,
 )
 
 
@@ -69,7 +69,7 @@ def _quantifier_case(theta, c: str, l_consts: frozenset, r_consts: frozenset):
         # on both sides c is shared and may stay; on neither, the signature
         # invariant already keeps c out of theta
         return theta
-    x = fresh_variable(theta)
+    x = fresh_names("x", variable_names(theta), 1)[0]
     body = _abstract_constant(theta, c, x)  # x is fresh: no second occurs check
     return Exists((x,), body) if not in_r else Forall((x,), body)
 
@@ -155,11 +155,11 @@ class Verdict:
 
 def _freeze_free_vars(formulas: list) -> list:
     """Close formulas by mapping each free variable to one fresh constant."""
-    free = sorted(set().union(*(signature_of(f).free_vars for f in formulas)))
-    if not free:
+    sig = signature_of(*formulas)
+    if not sig.free_vars:
         return list(formulas)
-    avoid = set().union(*(signature_of(f).constants for f in formulas))
-    mapping = dict(zip(free, fresh_names("c", avoid, len(free))))
+    free = sorted(sig.free_vars)
+    mapping = dict(zip(free, fresh_names("c", sig.constants, len(free))))
     return [substitute_constants(f, mapping) for f in formulas]
 
 
@@ -169,8 +169,7 @@ def entails(phi, psi, budget: int):
     Returns the prover outcome for the set {phi, ¬psi}.
     """
     frozen_phi, frozen_psi = _freeze_free_vars([phi, psi])
-    return prove([LabeledSentence(to_nnf(frozen_phi), "L"),
-                  LabeledSentence(to_nnf(Not(frozen_psi)), "R")], budget)
+    return prove(labeled([frozen_phi], [Not(frozen_psi)]), budget)
 
 
 def reprove(claims, budget: int) -> None:
@@ -178,8 +177,7 @@ def reprove(claims, budget: int) -> None:
     unsatisfiable; raise NotProvedWithinBudget for the first that does not
     close.  Labels play no role in the search, so every input is L."""
     for name, sentences in claims:
-        if not isinstance(prove([LabeledSentence(to_nnf(s), "L") for s in sentences],
-                                budget), Closed):
+        if not isinstance(prove(labeled(sentences, ()), budget), Closed):
             raise NotProvedWithinBudget(
                 f"could not re-prove {name} within {budget} applications")
 
@@ -224,9 +222,7 @@ def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
     if not is_sentence(phi) or not is_sentence(psi):
         raise FormulaError("craig_interpolant expects sentences")
-    theta, annotated = interpolant_from_labeled(
-        [LabeledSentence(to_nnf(phi), "L"), LabeledSentence(to_nnf(Not(psi)), "R")],
-        budget)
+    theta, annotated = interpolant_from_labeled(labeled([phi], [Not(psi)]), budget)
     verdict = verify_interpolant(phi, psi, theta, budget)
     if verdict.kind == Verdict.SIGNATURE_VIOLATION:
         raise FormulaError(f"internal error: extracted interpolant leaks symbols "
@@ -246,8 +242,10 @@ def lyndon_check(phi, psi, theta) -> bool:
 
 # ---------------------------------------------------------------- search
 
-def enumerate_shared_formulas(relations: dict, constants: list, max_size: int,
-                              var_pool: tuple = ("x0", "x1")):
+_VAR_POOL = ("x0", "x1")  # the variables candidates may bind, outermost first
+
+
+def enumerate_shared_formulas(relations: dict, constants: list, max_size: int):
     """Closed formulas over the given signature, by size then construction
     order.  Negation is applied to atoms (and top) only; quantifier depth is
     bounded by the variable pool."""
@@ -280,8 +278,8 @@ def enumerate_shared_formulas(relations: dict, constants: list, max_size: int,
                     for g in build(size - 1 - left_size, scope):
                         out.append(And((f, g)))
                         out.append(Or((f, g)))
-        if size >= 2 and len(scope) < len(var_pool):
-            v = var_pool[len(scope)]
+        if size >= 2 and len(scope) < len(_VAR_POOL):
+            v = _VAR_POOL[len(scope)]
             for f in build(size - 1, scope + (v,)):
                 out.append(Exists((v,), f))
                 out.append(Forall((v,), f))
@@ -309,11 +307,8 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
     verified candidate in canonical order, or None.
     """
     sig_phi, sig_psi = signature_of(phi), signature_of(psi)
-    shared_rels = {r: sig_phi.arities[r]
-                   for r in sorted(sig_phi.relations & sig_psi.relations)}
-    for r, k in shared_rels.items():
-        if sig_psi.arities[r] != k:
-            raise FormulaError(f"relation {r} used with inconsistent arities")
+    arities = signature_of(phi, psi).arities  # raises on an arity clash
+    shared_rels = {r: arities[r] for r in sorted(sig_phi.relations & sig_psi.relations)}
     shared_consts = sorted(sig_phi.constants & sig_psi.constants)
 
     def screen(sentence, sig):

@@ -113,29 +113,6 @@ def _eval(A: Structure, f, g: dict) -> bool:
     raise FormulaError(f"not a formula: {f!r}")
 
 
-def merged_signature(phis: Iterable) -> SignatureReport:
-    """Joint signature of several formulas, with arity-consistency checks."""
-    relations: set = set()
-    arities: dict = {}
-    constants: set = set()
-    pos: set = set()
-    neg: set = set()
-    free: set = set()
-    for phi in phis:
-        r = signature_of(phi)
-        for rel in r.relations:
-            seen = arities.setdefault(rel, r.arities[rel])
-            if seen != r.arities[rel]:
-                raise FormulaError(f"relation {rel} used with inconsistent arities")
-        relations |= r.relations
-        constants |= r.constants
-        pos |= r.relsig_pos
-        neg |= r.relsig_neg
-        free |= r.free_vars
-    return SignatureReport(frozenset(relations), arities, frozenset(constants),
-                           frozenset(pos), frozenset(neg), frozenset(free))
-
-
 def _trusted_structure(n: int, relations: dict, constants: dict) -> Structure:
     # enumeration fast path: fields are valid by construction
     A = object.__new__(Structure)
@@ -254,7 +231,7 @@ def find_model(phis: list, max_size: int):
     that a conjunct already refutes on their prefix are skipped unvisited.
     A formula with free variables raises PartialAssignmentError.
     """
-    sig = merged_signature(phis)
+    sig = signature_of(*phis)
     for n in range(1, max_size + 1):
         for A in satisfying_structures(sig, n, phis):
             return A

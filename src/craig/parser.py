@@ -283,7 +283,7 @@ class ProblemFile:
 _SECTION = re.compile(r"^\[(left|right|theory|options)\]\s*$")
 
 
-def parse_problem(text: str, require_sentences: bool = True) -> ProblemFile:
+def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file: '#' comments, one sentence per line, sections
     [left] [right] [theory] [options].  Sentences before any header go to
     [left]."""
@@ -307,7 +307,7 @@ def parse_problem(text: str, require_sentences: bool = True) -> ProblemFile:
             f = parse(line, pf.arities)
         except ParseError as e:
             raise ParseError(f"line {lineno}: {e}") from e
-        if require_sentences and free_vars(f):
+        if free_vars(f):
             raise ParseError(
                 f"line {lineno}: free variables {sorted(free_vars(f))} (sentences required)")
         getattr(pf, section).append(f)

@@ -51,9 +51,9 @@ from .errors import (
 from .formulas import (
     BOTTOM, And, Atom, Const, Exists, Forall, Or,
     complement_literal, free_vars, is_literal, is_nnf, is_sentence,
-    substitute_constant, substitute_constants, walk,
+    signature_of, substitute_constant, substitute_constants, to_nnf, walk,
 )
-from .models import Structure, evaluate, merged_signature
+from .models import Structure, evaluate
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,13 @@ class LabeledSentence:
     def __post_init__(self):
         if self.label not in ("L", "R"):
             raise FormulaError(f"label must be L or R, got {self.label!r}")
+
+
+def labeled(left, right) -> list:
+    """Prover input for refuting left ∪ right: the NNF of each left sentence
+    labeled L, then the NNF of each right sentence labeled R, in order."""
+    return [LabeledSentence(to_nnf(s), label)
+            for label, part in (("L", left), ("R", right)) for s in part]
 
 
 # ---------------------------------------------------------------- rules
@@ -586,7 +593,7 @@ def saturated_branch_model(branch: Branch) -> Structure:
     else:
         domain = len(consts)
         index = {c: i for i, c in enumerate(consts)}
-    sig = merged_signature([ls.formula for ls in branch.sentences])
+    sig = signature_of(*(ls.formula for ls in branch.sentences))
     relations = {r: set() for r in sig.relations}
     for ls in branch.sentences:
         f = ls.formula

@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaError, NotSplittable
-from .formulas import Not, is_sentence, signature_of, simplify, to_nnf
+from .formulas import Not, is_sentence, signature_of, simplify
 from .definability import Theory
 from .interpolation import interpolant_from_labeled, reprove
-from .tableau import LabeledSentence
+from .tableau import labeled
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def split_theory(sigma: Theory, sigma_sig, tau_sig):
         (part1 if side == 1 else part2).append(s)
     result = SplitResult(Theory(tuple(part1), sigma.name and sigma.name + ".1"),
                          Theory(tuple(part2), sigma.name and sigma.name + ".2"))
-    sig1 = result.sigma1.signature().symbols() if part1 else frozenset()
-    sig2 = result.sigma2.signature().symbols() if part2 else frozenset()
+    sig1 = result.sigma1.signature().symbols()
+    sig2 = result.sigma2.signature().symbols()
     if ((sig1 | sigma_sig) & (sig2 | tau_sig)) - shared:
         raise FormulaError("internal error: split violates its invariant")
     return result
@@ -81,13 +81,10 @@ def split_theory(sigma: Theory, sigma_sig, tau_sig):
 def weak_interpolant(sigma: Theory, phi, psi, budget: int):
     """θ with Σ ⊨ phi→θ, Σ ⊨ θ→psi, sig(θ) ⊆ (sig(phi)∩sig(psi)) ∪ sig(Σ)."""
     _check_sentences(phi, psi)
-    inputs = [LabeledSentence(to_nnf(s), "L") for s in sigma.sentences]
-    inputs.append(LabeledSentence(to_nnf(phi), "L"))
-    inputs.append(LabeledSentence(to_nnf(Not(psi)), "R"))
+    inputs = labeled([*sigma.sentences, phi], [Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
-    allowed = (signature_of(phi).symbols() & signature_of(psi).symbols())
-    if sigma.sentences:
-        allowed |= sigma.signature().symbols()
+    allowed = ((signature_of(phi).symbols() & signature_of(psi).symbols())
+               | sigma.signature().symbols())
     if signature_of(theta).symbols() - allowed:
         raise FormulaError("internal error: weak interpolant leaks symbols")
     _reprove_under_theory(sigma, phi, psi, theta, budget)
@@ -102,10 +99,7 @@ def strong_interpolant(sigma: Theory, phi, psi, budget: int):
     if split is None:
         raise NotSplittable(
             "the theory is not (sig(phi), sig(psi))-splittable")
-    inputs = [LabeledSentence(to_nnf(s), "L") for s in split.sigma1.sentences]
-    inputs.append(LabeledSentence(to_nnf(phi), "L"))
-    inputs += [LabeledSentence(to_nnf(s), "R") for s in split.sigma2.sentences]
-    inputs.append(LabeledSentence(to_nnf(Not(psi)), "R"))
+    inputs = labeled([*split.sigma1.sentences, phi], [*split.sigma2.sentences, Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
     allowed = signature_of(phi).symbols() & signature_of(psi).symbols()
     if signature_of(theta).symbols() - allowed:

@@ -10,8 +10,8 @@ from craig.access import (
     is_bounded, upward_closure,
 )
 from craig.errors import FormulaError
-from craig.formulas import TOP
-from craig.models import Structure, enumerate_structures, merged_signature
+from craig.formulas import TOP, signature_of
+from craig.models import Structure, enumerate_structures
 from craig.parser import parse
 
 
@@ -177,7 +177,7 @@ def test_accessible_part_monotone_in_methods_and_start():
 def test_access_determinacy_bounded_formula():
     phi = parse("forall x y. R(x,y) -> S(x,y)")
     methods = bind_patt(phi).methods
-    sig = merged_signature([phi])
+    sig = signature_of(phi)
     for n in (1, 2):
         for A in enumerate_structures(sig, n):
             assert check_access_determinacy(phi, methods, A, ())

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from craig.cli import main
 from craig.models import structure_from_json
 from craig.parser import parse
@@ -312,6 +314,38 @@ def test_too_deep_input_exits_usage(tmp_path, capsys):
     problem = tmp_path / "deep.fol"
     problem.write_text("[left]\n" + "!" * 30000 + "P(a)\n[right]\n!P(a)\n")
     code, out, err = run(capsys, "prove", str(problem))
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def _malformed_option(tmp_path, data_dir):
+    problem = tmp_path / "lots.fol"
+    problem.write_text("[left]\nP(c)\n[right]\n!P(c)\n[options]\nbudget = lots\n")
+    return ["prove", str(problem)]
+
+
+def _directory(tmp_path, data_dir):
+    return ["prove", str(tmp_path)]
+
+
+def _truncated_structure(tmp_path, data_dir):
+    text = (data_dir / "structure.json").read_text()
+    structure = tmp_path / "truncated.json"
+    structure.write_text(text[:len(text) // 2])
+    return ["eval", str(structure), "--formula", "exists x. P(x)"]
+
+
+def _bad_method_position(tmp_path, data_dir):
+    return ["accpart", str(data_dir / "structure.json"), "--methods", "P:a"]
+
+
+@pytest.mark.parametrize("argv", [_malformed_option, _directory,
+                                  _truncated_structure, _bad_method_position],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
+    # exit 1 is a negative verdict; bad input must never produce one
+    code, out, err = run(capsys, *argv(tmp_path, data_dir))
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1

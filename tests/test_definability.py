@@ -197,3 +197,14 @@ def test_monotone_rewrite_contradiction_closes():
     theta = monotone_rewrite(parse("(exists x. R(x)) & forall y. !R(y)"), "R", 5000)
     assert "R" not in signature_of(theta).relsig_neg
     assert isinstance(entails(theta, parse("false"), 5000), Closed)
+
+
+def test_explicit_definition_rejects_symbols_outside_tau(tallest_theory, monkeypatch):
+    # re-proving R <-> R closes, so only the signature check catches this
+    from craig import definability
+    from craig.formulas import Const
+    leak = Atom("Tallest", (Const("c0"),))  # c0 stands for the defined tuple
+    monkeypatch.setattr(definability, "interpolant_from_labeled",
+                        lambda inputs, budget: (leak, None))
+    with pytest.raises(FormulaError, match="outside tau"):
+        explicit_definition(tallest_theory, "Tallest", ["Taller-than"], 1000)

@@ -9,7 +9,7 @@ from craig.formulas import (
     abstract_constant, fresh_constant, is_nnf, signature_of, simplify,
     substitute_constant, to_nnf,
 )
-from craig.models import enumerate_structures, evaluate, merged_signature
+from craig.models import enumerate_structures, evaluate
 from craig.parser import parse
 
 
@@ -80,7 +80,7 @@ def test_nnf_equivalent_on_small_structures(phi):
         for v in sorted(report.free_vars):
             phi = substitute_constant(phi, v, "e")
     nnf = to_nnf(phi)
-    sig = merged_signature([phi, nnf])
+    sig = signature_of(phi, nnf)
     for n in (1, 2, 3):
         for A in enumerate_structures(sig, n):
             assert evaluate(A, phi) == evaluate(A, nnf)

@@ -12,7 +12,7 @@ from craig.interpolation import (
     interpolant_from_labeled, lyndon_check, propagate, search_interpolant,
     side_sentences, verify_interpolant,
 )
-from craig.models import enumerate_structures, evaluate, merged_signature
+from craig.models import enumerate_structures, evaluate
 
 from craig.parser import parse, print_formula
 from craig.tableau import Closed, LabeledSentence, prove
@@ -69,7 +69,7 @@ def test_fig2_per_node_invariant(fig2_inputs):
         theta = annotated.interpolants[node.id]
         chi_l = side_sentences(node, "L")
         chi_r = side_sentences(node, "R")
-        sig = merged_signature(chi_l + chi_r + [theta])
+        sig = signature_of(*(chi_l + chi_r + [theta]))
         for n in (1, 2, 3):
             for A in enumerate_structures(sig, n):
                 if all(evaluate(A, f) for f in chi_l):
@@ -241,7 +241,7 @@ def test_per_node_invariant_on_corpus_sample():
             theta = annotated.interpolants[node.id]
             chi_l = side_sentences(node, "L")
             chi_r = side_sentences(node, "R")
-            sig = merged_signature(chi_l + chi_r + [theta])
+            sig = signature_of(*(chi_l + chi_r + [theta]))
             for n in (1, 2):
                 for A in enumerate_structures(sig, n):
                     if all(evaluate(A, f) for f in chi_l):

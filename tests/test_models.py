@@ -5,9 +5,10 @@ import itertools
 import pytest
 
 from craig.errors import FormulaError, MissingSymbolError, PartialAssignmentError
+from craig.formulas import signature_of
 from craig.models import (
     Structure, apply_permutation, count_structures, enumerate_structures,
-    evaluate, find_model, merged_signature, structure_from_json,
+    evaluate, find_model, structure_from_json,
     structure_to_json, substructure,
 )
 from craig.parser import parse
@@ -59,7 +60,7 @@ def test_zero_ary_relation_truth():
 
 
 def _sig(text):
-    return merged_signature([parse(text)])
+    return signature_of(parse(text))
 
 
 def test_enumerate_count_unary():
@@ -81,7 +82,7 @@ def test_enumerate_count_with_constant():
 
 
 def test_enumerate_distinct_and_closed_form():
-    sig = merged_signature([parse("exists x. P(x) & R(x, x) & Q(c)")])
+    sig = signature_of(parse("exists x. P(x) & R(x, x) & Q(c)"))
     structures = list(enumerate_structures(sig, 2))
     keys = {A.key() for A in structures}
     assert len(keys) == len(structures) == count_structures(sig, 2)
@@ -119,7 +120,7 @@ def test_find_model_rejects_open_formulas_before_enumerating():
 
 def test_evaluate_isomorphism_invariance():
     phi = parse("exists x. forall y. R(x, y) | P(y)")
-    sig = merged_signature([phi])
+    sig = signature_of(phi)
     for n in (1, 2, 3):
         for A in itertools.islice(enumerate_structures(sig, n), 0, None, 7):
             value = evaluate(A, phi)

@@ -41,8 +41,8 @@ from craig.errors import CraigError
 from craig.formulas import Atom, Const, Not, Var, signature_of
 from craig.interpolation import search_interpolant
 from craig.models import (
-    enumerate_structures, evaluate, find_model, merged_signature,
-    satisfying_structures, structure_to_json,
+    enumerate_structures, evaluate, find_model, satisfying_structures,
+    structure_to_json,
 )
 from craig.parser import parse_problem, print_formula
 
@@ -126,7 +126,7 @@ def test_golden_has_models_and_misses():
 
 def test_pruned_enumeration_matches_filtered_enumeration():
     for name, phis in sentence_sets(DIFFERENTIAL_SLICE).items():
-        sig = merged_signature(phis)
+        sig = signature_of(*phis)
         for n in range(1, MAX_SIZE + 1):
             want = [A.key() for A in enumerate_structures(sig, n)
                     if all(evaluate(A, p) for p in phis)]
