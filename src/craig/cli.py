@@ -61,16 +61,21 @@ def _resolve(args, problem, attr: str, option: str, fallback: int) -> int:
     return fallback
 
 
-def _budget(args, problem=None) -> int:
-    value = _resolve(args, problem, "budget", "budget", DEFAULT_BUDGET)
-    if value <= 0:
-        raise ParseError("budget must be positive")
+def _positive(value: int, what: str) -> int:
+    # a bound below 1 searches nothing, and "none" would read as a verdict
+    if value < 1:
+        raise ParseError(f"{what} must be positive")
     return value
 
 
+def _budget(args, problem=None) -> int:
+    return _positive(_resolve(args, problem, "budget", "budget", DEFAULT_BUDGET),
+                     "budget")
+
+
 def _max_size(args, problem=None) -> int:
-    return _resolve(args, problem, "max_model_size", "max-model-size",
-                    DEFAULT_MAX_MODEL_SIZE)
+    return _positive(_resolve(args, problem, "max_model_size", "max-model-size",
+                              DEFAULT_MAX_MODEL_SIZE), "max-model-size")
 
 
 def _emit_formula(args, theta) -> None:
@@ -157,7 +162,8 @@ def cmd_lyndon(args) -> int:
 def cmd_search_interpolant(args) -> int:
     problem = _load_problem(args.file)
     theta = search_interpolant(conj(problem.left), conj(problem.right),
-                               args.max_size, _budget(args, problem),
+                               _positive(args.max_size, "max-size"),
+                               _budget(args, problem),
                                screen_size=_max_size(args, problem))
     if theta is None:
         print("none")

@@ -23,7 +23,7 @@ from .formulas import (
     _abstract_constant, fresh_names, is_sentence, signature_of,
     substitute_constants, variable_names,
 )
-from .models import _check_evaluable, _eval, count_structures, satisfying_structures
+from .models import _check_evaluable, _compile, count_structures, satisfying_structures
 from .tableau import (
     Closed, ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
     Node, Satisfiable, Unknown, labeled, prove,
@@ -322,15 +322,16 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
 
     for theta in enumerate_shared_formulas(shared_rels, shared_consts, max_size):
         # evaluate's checks, once per candidate: every screen structure of
-        # one list interprets exactly the symbols of its side
-        report = signature_of(theta)
+        # one list interprets exactly the symbols of its side.  Compiling
+        # raises nothing, so the checks still raise first.
+        report, holds = signature_of(theta), _compile(theta)
         if phi_models:
             _check_evaluable(report, sig_phi.relations, sig_phi.constants)
-            if not all(_eval(A, theta, {}) for A in phi_models):
+            if not all(holds(A, {}) for A in phi_models):
                 continue
         if psi_antimodels:
             _check_evaluable(report, sig_psi.relations, sig_psi.constants)
-            if any(_eval(A, theta, {}) for A in psi_antimodels):
+            if any(holds(A, {}) for A in psi_antimodels):
                 continue
         if verify_interpolant(phi, psi, theta, budget):
             return theta

@@ -13,12 +13,23 @@ failing conjunct skips the block without losing a satisfying structure.  The
 survivors come out in enumeration order, which is why ``find_model`` and
 ``padoa_counterexample`` return the same first models as a filter over every
 structure would.  ``enumerate_structures`` is the case with no sentences.
+
+Compile once, evaluate many.  Where one formula meets many structures (each
+conjunct of ``satisfying_structures``, each interpolant-search candidate on
+its screens) ``_compile`` translates it once into nested closures, so node
+dispatch, atom argument shapes and quantifier loops are fixed before the
+first structure.  ``evaluate`` keeps the ``_eval`` interpreter, for two
+reasons: for one formula on one structure, compiling and running costs about
+twice as much as interpreting (corpus formulas, size 1 and 2 structures), and
+``_eval`` is the independent reference the compiled closures are tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -113,6 +124,84 @@ def _eval(A: Structure, f, g: dict) -> bool:
     raise FormulaError(f"not a formula: {f!r}")
 
 
+def _compile(f):
+    """Translate f once into a closure ``holds(structure, assignment)``.
+
+    The closure returns exactly what ``_eval(structure, f, assignment)``
+    returns and raises what it raises, at the same point: connectives and
+    quantifier blocks short-circuit in the same order, and a node that is not
+    a formula raises ``FormulaError`` when evaluation reaches it, not at
+    compile time.  Compiling and running each recurse once per nesting level,
+    no deeper than ``_eval``.
+    """
+    kind = type(f)
+    if kind is Atom:
+        rel, names = f.rel, [t.name for t in f.args]
+        shape = [type(t) is Var for t in f.args]
+        if len(names) == 1:  # the common case: one lookup, no tuple building
+            (n,) = names
+            if shape[0]:
+                return lambda A, g: (g[n],) in A.relations[rel]
+            return lambda A, g: (A.constants[n],) in A.relations[rel]
+        if len(names) > 1 and (all(shape) or not any(shape)):
+            get = operator.itemgetter(*names)  # a tuple, keys read in order
+            if shape[0]:
+                return lambda A, g: get(g) in A.relations[rel]
+            return lambda A, g: get(A.constants) in A.relations[rel]
+        pairs = tuple(zip(shape, names))
+        return lambda A, g: tuple([g[n] if is_var else A.constants[n]
+                                   for is_var, n in pairs]) in A.relations[rel]
+    if kind is Not:
+        sub = _compile(f.sub)
+        return lambda A, g: not sub(A, g)
+    if kind is And or kind is Or:
+        items = []
+        for x in f.items:  # a loop, not a generator: one frame per level
+            items.append(_compile(x))
+        if len(items) == 2:
+            a, b = items
+            if kind is And:
+                return lambda A, g: a(A, g) and b(A, g)
+            return lambda A, g: a(A, g) or b(A, g)
+        decisive = kind is Or  # a false conjunct decides ∧, a true disjunct ∨
+
+        def junction(A, g):
+            for x in items:
+                if x(A, g) == decisive:
+                    return decisive
+            return not decisive
+        return junction
+    if kind is Exists or kind is Forall:
+        decisive = kind is Exists
+        block, body = f.vars, _compile(f.body)
+        if len(block) == 1:
+            (v,) = block
+
+            def quantifier(A, g):
+                g2 = dict(g)
+                for e in range(A.domain_size):
+                    g2[v] = e
+                    if body(A, g2) == decisive:
+                        return decisive
+                return not decisive
+            return quantifier
+
+        def block_quantifier(A, g):
+            g2 = dict(g)
+            for values in itertools.product(range(A.domain_size), repeat=len(block)):
+                g2.update(zip(block, values))
+                if body(A, g2) == decisive:
+                    return decisive
+            return not decisive
+        return block_quantifier
+    if kind is Top:
+        return lambda A, g: True
+
+    def not_a_formula(A, g):
+        raise FormulaError(f"not a formula: {f!r}")
+    return not_a_formula
+
+
 def _trusted_structure(n: int, relations: dict, constants: dict) -> Structure:
     # enumeration fast path: fields are valid by construction
     A = object.__new__(Structure)
@@ -160,7 +249,7 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
             r = signature_of(conjunct)
             last = max([rel_position[x] for x in r.relations]
                        + [const_position[x] for x in r.constants], default=-1)
-            checks[last + 1].append(conjunct)
+            checks[last + 1].append(_compile(conjunct))
 
     pools = [_relation_options(n, sig.arities[r]) for r in rel_names] + \
             [range(n)] * len(const_names)
@@ -168,7 +257,8 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
     constants = dict.fromkeys(const_names, 0)
     targets = [relations] * len(rel_names) + [constants] * len(const_names)
     partial = _trusted_structure(n, relations, constants)  # mutated in place
-    if not all(_eval(partial, f, {}) for f in checks[0]):
+    no_vars: dict = {}  # closures copy an assignment before binding into it
+    if not all(holds(partial, no_vars) for holds in checks[0]):
         return
     if not names:
         yield _trusted_structure(n, {}, {})
@@ -179,12 +269,14 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
         target, name, check = targets[i], names[i], checks[i + 1]
         for value in pools[i]:
             target[name] = value
-            if check and not all(_eval(partial, f, {}) for f in check):
-                continue
-            if i == last:
-                yield _trusted_structure(n, dict(relations), dict(constants))
+            for holds in check:
+                if not holds(partial, no_vars):
+                    break
             else:
-                yield from fill(i + 1)
+                if i == last:
+                    yield _trusted_structure(n, dict(relations), dict(constants))
+                else:
+                    yield from fill(i + 1)
 
     yield from fill(0)
 

@@ -340,8 +340,29 @@ def _bad_method_position(tmp_path, data_dir):
     return ["accpart", str(data_dir / "structure.json"), "--methods", "P:a"]
 
 
+def _zero_model_size(tmp_path, data_dir):
+    return ["--max-model-size", "0", "find-model", str(data_dir / "sat.fol")]
+
+
+def _negative_padoa_size(tmp_path, data_dir):
+    return ["--max-model-size", "-1", "padoa", str(data_dir / "tallest.fol"),
+            "--define", "Taller-than", "--tau", "Tallest"]
+
+
+def _zero_size_option(tmp_path, data_dir):
+    problem = tmp_path / "zero.fol"
+    problem.write_text("[left]\nP(c)\n[options]\nmax-model-size = 0\n")
+    return ["find-model", str(problem)]
+
+
+def _zero_candidate_size(tmp_path, data_dir):
+    return ["search-interpolant", str(data_dir / "example1.fol"), "--max-size", "0"]
+
+
 @pytest.mark.parametrize("argv", [_malformed_option, _directory,
-                                  _truncated_structure, _bad_method_position],
+                                  _truncated_structure, _bad_method_position,
+                                  _zero_model_size, _negative_padoa_size,
+                                  _zero_size_option, _zero_candidate_size],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one
@@ -349,3 +370,12 @@ def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_beth_rejects_zero_model_size(data_dir, capsys):
+    # size 0 must be refused as a bad bound, not reported as a property of sigma
+    code, out, err = run(capsys, "--max-model-size", "0", "beth",
+                         str(data_dir / "tallest.fol"), "--define", "Taller-than",
+                         "--tau", "Tallest")
+    assert code == 3 and out == ""
+    assert "max-model-size must be positive" in err

@@ -1,0 +1,126 @@
+"""Differential test: compiled evaluation against the ``_eval`` interpreter.
+
+``models._compile`` must give the truth value ``_eval`` gives, and raise what
+it raises, on every formula, structure and assignment the oracle can meet.
+The reference side never runs compiled code: structures come from
+``enumerate_structures`` (no sentences, so no conjunct is evaluated) and the
+interpolant screens are rebuilt by filtering them through ``evaluate``.
+
+The cases:
+
+- the ``formulas()`` strategy of ``test_formulas`` (open formulas included)
+  on every structure of size <= 2 over the formula's signature, under every
+  assignment of its free variables;
+- hand-written formulas for the shapes that strategy never builds: n-ary
+  connectives, multi-variable blocks, mixed and 0-ary atoms, and a subterm
+  that is not a formula;
+- every ``enumerate_shared_formulas`` candidate of size <= 5 for the first
+  ``SEARCH_SLICE`` instances of ``corpus(42, 50, small=True)``, on both
+  screen lists ``search_interpolant`` builds.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from hypothesis import given, settings
+
+from craig.corpus import corpus
+from craig.formulas import And, Atom, Const, Not, Or, Var, signature_of
+from craig.interpolation import _SCREEN_CAP, enumerate_shared_formulas
+from craig.models import (
+    _compile, _eval, count_structures, enumerate_structures, evaluate,
+)
+from craig.parser import parse
+from test_formulas import formulas
+
+SEARCH_SLICE = 2  # 916 candidates each; the third instance alone has 2,518
+SCREEN_SIZE = 3  # search_interpolant's default screen_size
+
+
+def _outcome(run):
+    """The value run() returns, or the type and text of what it raises."""
+    try:
+        return run()
+    except Exception as e:  # the contract covers exceptions as well
+        return type(e), str(e)
+
+
+def _assert_agrees(f, structures, assignments) -> None:
+    holds = _compile(f)
+    for A in structures:
+        for g in assignments:
+            want = _outcome(lambda: _eval(A, f, dict(g)))
+            got = _outcome(lambda: holds(A, dict(g)))
+            assert got == want, (f, A.key(), g)
+
+
+def _assignments(names, n: int) -> list:
+    names = sorted(names)
+    return [dict(zip(names, values))
+            for values in itertools.product(range(n), repeat=len(names))]
+
+
+def _agrees_everywhere(f, max_size: int = 2) -> None:
+    sig = signature_of(f)
+    for n in range(1, max_size + 1):
+        structures = list(enumerate_structures(sig, n))
+        # the empty assignment too: an unassigned variable must raise alike
+        _assert_agrees(f, structures, _assignments(sig.free_vars, n) + [{}])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(formulas())
+def test_compiled_matches_interpreted_on_generated_formulas(phi):
+    _agrees_everywhere(phi)
+
+
+HAND_WRITTEN = (
+    "A(c) & B(c) & !A(d)",
+    "A(x) | B(c) | !A(y) | B(x)",
+    "forall x y. R(x, k) | !R(y, x) | Z",
+    "exists x y z. R(x, y) & R(y, z) & !R(x, z)",
+    "forall x. exists y z. R(x, y) & !R(k, z) & (Z | R(z, x))",
+    "exists y. R(x, y) & R(y, k)",
+    "Z & !Z",
+    "R(k, c) | !R(k, k) | exists x. R(x, x)",
+    "forall x y. R(y, x) -> !Q(x)",
+    "forall x. Q(x) | exists y. R(y, x)",
+    "true | false",
+)
+
+
+def test_compiled_matches_interpreted_on_other_shapes():
+    for text in HAND_WRITTEN:
+        _agrees_everywhere(parse(text))
+
+
+def test_compiled_raises_for_a_non_formula_only_when_reached():
+    junk = object()
+    A = next(enumerate_structures(signature_of(Atom("P", (Const("c"),))), 2))
+    for f in (Not(junk), And((Atom("P", (Const("c"),)), junk)),
+              Or((Atom("P", (Const("c"),)), junk)), Or((Not(Atom("P", (Var("x"),))), junk))):
+        _assert_agrees(f, [A], [{"x": 0}, {"x": 1}])
+
+
+def _screen(sentence, sig) -> list:
+    # search_interpolant's screen, filtered through evaluate
+    sizes = range(1, SCREEN_SIZE + 1)
+    if any(count_structures(sig, n) > _SCREEN_CAP for n in sizes):
+        return []
+    return [A for n in sizes for A in enumerate_structures(sig, n) if evaluate(A, sentence)]
+
+
+def test_compiled_matches_interpreted_on_search_candidates():
+    for inst in corpus(42, 50, small=True)[:SEARCH_SLICE]:
+        sig_phi, sig_psi = signature_of(inst.phi), signature_of(inst.psi)
+        shared = {r: sig_phi.arities[r]
+                  for r in sorted(sig_phi.relations & sig_psi.relations)}
+        screens = _screen(inst.phi, sig_phi) + _screen(Not(inst.psi), sig_psi)
+        assert screens, inst.index
+        consts = sorted(sig_phi.constants & sig_psi.constants)
+        for theta in enumerate_shared_formulas(shared, consts, 5):
+            # closed candidates on screens that interpret them never raise
+            holds = _compile(theta)
+            assert [holds(A, {}) for A in screens] == \
+                [_eval(A, theta, {}) for A in screens], theta
