@@ -15,11 +15,11 @@ from .errors import (
     BranchNotSaturatedError, CraigError, FormulaError, ImplicitDefinabilityRefuted,
     JointlyConsistent, MissingSymbolError, NonSentenceError, NotNNFError,
     NotProvedWithinBudget, NotSplittable, NotValid, OpenTableauError, ParseError,
-    PartialAssignmentError, UnknownFragmentError,
+    PartialAssignmentError, Refuted, UnknownFragmentError,
 )
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
-    abstract_constant, conj, disj, fresh_constant, free_vars, iff, implies,
+    abstract_constant, conj, disj, fresh_constant, free_vars, implies,
     is_nnf, is_sentence, signature_of, simplify, substitute_constant, to_nnf,
 )
 from .parser import ProblemFile, parse, parse_problem, print_formula
@@ -30,7 +30,7 @@ from .models import (
 )
 from .tableau import (
     Branch, Closed, ClosedTableau, LabeledSentence, Outcome, Satisfiable,
-    Unknown, labeled, prove, render_trace, saturated_branch_model,
+    Unknown, labeled, prove, refute, render_trace, saturated_branch_model,
 )
 from .interpolation import (
     AnnotatedTableau, Verdict, craig_interpolant, entails, lyndon_check,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import FormulaError, MissingSymbolError
 from .formulas import (
-    And, Atom, Const, Exists, Forall, Not, Or, Top, free_vars, signature_of,
+    And, Atom, Const, Exists, Forall, Not, Top, free_vars, signature_of,
 )
-from .models import Structure, evaluate, substructure
+from .models import Structure, _eval, _trusted_structure, evaluate, substructure
 
 
 @dataclass(frozen=True)
@@ -144,25 +144,6 @@ def accessible_part(structure: Structure, methods, start) -> frozenset:
     return frozenset(reached)
 
 
-def _eval_empty(phi) -> bool:
-    """Truth over the empty substructure (atoms false, ∃ false, ∀ true)."""
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Atom):
-        return False
-    if isinstance(phi, Not):
-        return not _eval_empty(phi.sub)
-    if isinstance(phi, And):
-        return all(_eval_empty(g) for g in phi.items)
-    if isinstance(phi, Or):
-        return any(_eval_empty(g) for g in phi.items)
-    if isinstance(phi, Exists):
-        return False
-    if isinstance(phi, Forall):
-        return True
-    raise FormulaError(f"not a formula: {phi!r}")
-
-
 def check_access_determinacy(phi, methods, structure: Structure, args) -> bool:
     """Spot check: does phi agree on the structure and on its accessible part?
 
@@ -179,7 +160,11 @@ def check_access_determinacy(phi, methods, structure: Structure, args) -> bool:
     if not region:
         if signature_of(phi).constants:
             raise FormulaError("empty accessible part but the formula has constants")
-        return full == _eval_empty(phi)
+        # the empty induced substructure keeps each relation's 0-ary fact,
+        # as substructure does
+        empty = _trusted_structure(0, {name: ts & {()} for name, ts
+                                       in structure.relations.items()}, {})
+        return full == _eval(empty, phi, {})
     if any(c not in region for c in structure.constants.values()):
         raise FormulaError("a constant denotation falls outside the accessible part")
     sub = substructure(structure, region)

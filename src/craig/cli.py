@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success / verdict positive, 1 verdict negative (satisfiable,
-not splittable, no pair, false, undefined), 2 unknown / budget exhausted,
+Exit codes: 0 success / verdict positive, 1 verdict negative (not valid,
+jointly consistent, not implicitly defined, not splittable, not entailed,
+signature violation, none, false, undefined), 2 unknown / budget exhausted,
 3 usage error or bad input of any kind (parse errors, unreadable files,
 malformed structures or options, input nested too deeply).  All diagnostics
 go to stderr; stdout carries only the machine-readable result.
@@ -18,10 +19,7 @@ from .definability import (
     Theory, explicit_definition, monotone_rewrite, padoa_counterexample,
     robinson_separator,
 )
-from .errors import (
-    ImplicitDefinabilityRefuted, JointlyConsistent, NotProvedWithinBudget,
-    NotSplittable, NotValid, ParseError,
-)
+from .errors import NotProvedWithinBudget, ParseError, Refuted
 from .formulas import conj, simplify
 from .fragments import classify
 from .interpolation import (
@@ -30,7 +28,7 @@ from .interpolation import (
 )
 from .models import evaluate, find_model, structure_from_json, structure_to_json
 from .parser import parse, parse_problem, print_formula
-from .tableau import Closed, Satisfiable, labeled, prove, render_trace
+from .tableau import labeled, refute, render_trace
 from .theory import split_theory, strong_interpolant, weak_interpolant
 
 EXIT_OK = 0
@@ -105,33 +103,20 @@ def _format_methods(methods) -> str:
 
 def cmd_prove(args) -> int:
     problem = _load_problem(args.file)
-    outcome = prove(labeled(problem.left, problem.right), _budget(args, problem))
-    if isinstance(outcome, Closed):
-        if args.trace:
-            sys.stdout.write(render_trace(outcome.tableau))
-        else:
-            print(f"closed: {outcome.tableau.branch_count()} branches, "
-                  f"{outcome.tableau.rule_applications} rule applications")
-        return EXIT_OK
-    if isinstance(outcome, Satisfiable):
-        print(structure_to_json(outcome.structure))
-        return EXIT_NEGATIVE
-    print(f"unknown: budget exhausted after {outcome.budget_spent} rule applications",
-          file=sys.stderr)
-    return EXIT_UNKNOWN
+    tableau = refute(labeled(problem.left, problem.right), _budget(args, problem))
+    if args.trace:
+        sys.stdout.write(render_trace(tableau))
+    else:
+        print(f"closed: {tableau.branch_count()} branches, "
+              f"{tableau.rule_applications} rule applications")
+    return EXIT_OK
 
 
 def cmd_interpolate(args) -> int:
     problem = _load_problem(args.file)
     phi = conj(problem.left)
     psi = conj(problem.right)
-    budget = _budget(args, problem)
-    try:
-        theta, annotated = _verified_interpolant(phi, psi, budget)
-    except NotValid as e:
-        print(structure_to_json(e.structure))
-        print("not valid: countermodel found", file=sys.stderr)
-        return EXIT_NEGATIVE
+    theta, annotated = _verified_interpolant(phi, psi, _budget(args, problem))
     if args.emit_annotated:
         sys.stdout.write(render_trace(annotated.tableau, annotated.interpolants))
     _emit_formula(args, theta)
@@ -146,9 +131,9 @@ def cmd_check_interpolant(args) -> int:
     print(verdict.kind + (f": {verdict.details}" if verdict.details else ""))
     if verdict.kind == Verdict.VERIFIED:
         return EXIT_OK
-    if verdict.kind == Verdict.SIGNATURE_VIOLATION:
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+    if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:
+        return EXIT_UNKNOWN
+    return EXIT_NEGATIVE
 
 
 def cmd_lyndon(args) -> int:
@@ -176,15 +161,8 @@ def cmd_beth(args) -> int:
     problem = _load_problem(args.file)
     sigma = Theory(tuple(problem.theory), args.file)
     tau = args.tau.split(",") if args.tau else []
-    try:
-        definition = explicit_definition(
-            sigma, args.define, tau, _budget(args, problem),
-            max_counterexample_size=_max_size(args, problem))
-    except ImplicitDefinabilityRefuted as e:
-        for structure in e.pair:
-            print(structure_to_json(structure))
-        print(f"not implicitly defined: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    definition = explicit_definition(sigma, args.define, tau, _budget(args, problem),
+                                     max_counterexample_size=_max_size(args, problem))
     print(f"# variables: {', '.join(definition.variables) or '(none)'}")
     _emit_formula(args, definition.formula)
     return EXIT_OK
@@ -207,13 +185,7 @@ def cmd_robinson(args) -> int:
     problem = _load_problem(args.file)
     sigma1 = Theory(tuple(problem.left), "sigma1")
     sigma2 = Theory(tuple(problem.right), "sigma2")
-    try:
-        theta = robinson_separator(sigma1, sigma2, _budget(args, problem))
-    except JointlyConsistent as e:
-        print(structure_to_json(e.structure))
-        print("jointly consistent", file=sys.stderr)
-        return EXIT_NEGATIVE
-    _emit_formula(args, theta)
+    _emit_formula(args, robinson_separator(sigma1, sigma2, _budget(args, problem)))
     return EXIT_OK
 
 
@@ -222,16 +194,8 @@ def cmd_theory_interpolate(args) -> int:
     sigma = Theory(tuple(problem.theory), args.file)
     phi = conj(problem.left)
     psi = conj(problem.right)
-    budget = _budget(args, problem)
-    try:
-        if args.mode == "strong":
-            theta = strong_interpolant(sigma, phi, psi, budget)
-        else:
-            theta = weak_interpolant(sigma, phi, psi, budget)
-    except NotSplittable as e:
-        print(f"not splittable: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    _emit_formula(args, theta)
+    interpolant = strong_interpolant if args.mode == "strong" else weak_interpolant
+    _emit_formula(args, interpolant(sigma, phi, psi, _budget(args, problem)))
     return EXIT_OK
 
 
@@ -396,6 +360,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except Refuted as e:
+        for structure in e.witnesses:
+            print(structure_to_json(structure))
+        print(f"{e.verdict}: {e}", file=sys.stderr)
+        return EXIT_NEGATIVE
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent,
-    NotProvedWithinBudget, NotValid,
+    FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent, NotValid,
 )
 from .formulas import (
     And, Atom, Const, Forall, Not, Or, SignatureReport, Var, abstract_constant,
@@ -21,7 +20,7 @@ from .formulas import (
     substitute_constants, variable_names,
 )
 from .interpolation import interpolant_from_labeled, reprove
-from .models import satisfying_structures
+from .models import Structure, satisfying_structures
 from .tableau import labeled
 
 
@@ -129,7 +128,9 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     definability and no definition can exist.  The tuple is frozen as fresh
     constants for the tableau, the interpolant of the primed-copy implication
     is extracted, and the constants are abstracted back to variables.  The
-    biconditional is re-proved before returning.
+    biconditional is re-proved before returning.  A countermodel of the
+    primed-copy implication is a Padoa pair too: its unprimed reduct and its
+    primed copy renamed back.
     """
     tau = sorted(tau)
     sig = sigma.signature()
@@ -138,7 +139,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     if pair is not None:
         raise ImplicitDefinabilityRefuted(
             f"{relation} is not implicitly defined by {tau} "
-            f"(counterexample pair of size {pair[0].domain_size})", pair)
+            f"(counterexample pair of size {pair[0].domain_size})", *pair)
 
     primed = _primed_map(sig.relations, sig.relations)
     sigma_primed = [rename_relations(s, primed) for s in sigma.sentences]
@@ -150,7 +151,15 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     right = [*sigma_primed,
              *(_copy_bicond(t, primed[t], sig.arities[t]) for t in tau),
              Not(Atom(primed[relation], args))]
-    theta, _ = interpolant_from_labeled(labeled(left, right), budget)
+    try:
+        theta, _ = interpolant_from_labeled(labeled(left, right), budget)
+    except NotValid as e:
+        n, rels = e.structure.domain_size, e.structure.relations
+        raise ImplicitDefinabilityRefuted(
+            f"{relation} is not implicitly defined by {tau} "
+            f"(counterexample pair of size {n} read off a countermodel)",
+            Structure(n, {r: rels[r] for r in sig.relations}),
+            Structure(n, {r: rels[primed[r]] for r in sig.relations})) from e
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
     variables = fresh_names("x", variable_names(theta), arity)
@@ -179,7 +188,7 @@ def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
             labeled(sigma1.sentences, sigma2.sentences), budget)
     except NotValid as e:
         raise JointlyConsistent("the theories admit a common model",
-                                e.structure) from e
+                                *e.witnesses) from e
     theta = simplify(theta)
     reprove([("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
              ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
@@ -190,8 +199,10 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     """Rewrite phi without negative occurrences of the relation.
 
     Extracts a Lyndon interpolant of phi -> (∀x⃗(R x⃗ -> R' x⃗) -> phi[R/R'])
-    and re-proves equivalence with phi; NotProvedWithinBudget signals either
-    non-monotonicity or budget exhaustion (indistinguishable).
+    and re-proves equivalence with phi.  NotValid carries a finite
+    countermodel of that implication (phi holds, R ⊆ R', phi[R/R'] fails),
+    which shows phi is not monotone in R; NotProvedWithinBudget means the
+    budget ran out.
     """
     if not is_sentence(phi):
         raise FormulaError("monotone_rewrite expects a sentence")
@@ -211,9 +222,9 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     try:
         theta, _ = interpolant_from_labeled(labeled([phi], [guard, Not(renamed)]), budget)
     except NotValid as e:
-        raise NotProvedWithinBudget(
-            "the monotonicity implication is not valid "
-            "(a finite countermodel exists)") from e
+        raise NotValid(f"the sentence is not monotone in {relation} "
+                       f"(countermodel with {primed} for the enlarged {relation})",
+                       *e.witnesses) from e
     theta = simplify(theta)
     out_sig = signature_of(theta)
     if relation in out_sig.relsig_neg:

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package.
+
+Refuted is the base of every negative verdict and carries its witness structures.
+"""
 
 from __future__ import annotations
 
@@ -52,32 +55,40 @@ class NotProvedWithinBudget(CraigError):
         super().__init__(message)
 
 
-class NotValid(CraigError):
+class Refuted(CraigError):
+    """A negative verdict the program reached, with the structures that show it."""
+
+    verdict = "refuted"
+
+    def __init__(self, message: str, *witnesses):
+        self.witnesses = witnesses
+        self.structure = witnesses[0] if witnesses else None
+        super().__init__(message)
+
+
+class NotValid(Refuted):
     """A finite countermodel to the claimed implication was found."""
 
-    def __init__(self, message: str, structure=None):
-        self.structure = structure
-        super().__init__(message)
+    verdict = "not valid"
 
 
-class JointlyConsistent(CraigError):
+class JointlyConsistent(Refuted):
     """The two theories admit a common model; no separator exists."""
 
-    def __init__(self, message: str, structure=None):
-        self.structure = structure
-        super().__init__(message)
+    verdict = "jointly consistent"
 
 
-class ImplicitDefinabilityRefuted(CraigError):
+class ImplicitDefinabilityRefuted(Refuted):
     """A Padoa pair witnesses that no explicit definition exists."""
 
-    def __init__(self, message: str, pair=None):
-        self.pair = pair
-        super().__init__(message)
+    verdict = "not implicitly defined"
+    pair = property(lambda self: self.witnesses)
 
 
-class NotSplittable(CraigError):
+class NotSplittable(Refuted):
     """Theory admits no (sigma, tau)-splitting."""
+
+    verdict = "not splittable"
 
 
 class UnknownFragmentError(CraigError):

@@ -141,10 +141,6 @@ def implies(a, b) -> object:
     return Not(And((a, Not(b))))
 
 
-def iff(a, b) -> object:
-    return conj([implies(a, b), implies(b, a)])
-
-
 def walk(phi) -> Iterator:
     """Yield every subformula, preorder."""
     stack = [phi]

@@ -25,8 +25,8 @@ from .formulas import (
 )
 from .models import _check_evaluable, _compile, count_structures, satisfying_structures
 from .tableau import (
-    Closed, ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
-    Node, Satisfiable, Unknown, labeled, prove,
+    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Node,
+    Satisfiable, Unknown, labeled, prove, refute,
 )
 
 
@@ -129,24 +129,18 @@ def interpolant_from_labeled(inputs: list, budget: int):
     Returns (theta, annotated tableau); raises NotValid with the countermodel
     or NotProvedWithinBudget.
     """
-    outcome = prove(inputs, budget)
-    if isinstance(outcome, Satisfiable):
-        raise NotValid("the input set is satisfiable", outcome.structure)
-    if isinstance(outcome, Unknown):
-        raise NotProvedWithinBudget(
-            f"no closed tableau within {budget} rule applications",
-            outcome.budget_spent)
-    annotated = propagate(outcome.tableau)
+    annotated = propagate(refute(inputs, budget))
     return annotated.root_interpolant(), annotated
 
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "verified" | "signature-violation" | "entailment-unknown"
+    kind: str  # one of the four constants below
     details: str = ""
 
     VERIFIED = "verified"
     SIGNATURE_VIOLATION = "signature-violation"
+    NOT_ENTAILED = "not-entailed"
     ENTAILMENT_UNKNOWN = "entailment-unknown"
 
     def __bool__(self) -> bool:
@@ -175,11 +169,17 @@ def entails(phi, psi, budget: int):
 def reprove(claims, budget: int) -> None:
     """Re-prove each (name, sentences) claim that the sentences are jointly
     unsatisfiable; raise NotProvedWithinBudget for the first that does not
-    close.  Labels play no role in the search, so every input is L."""
+    close, and FormulaError for one that has a countermodel, since a claim
+    the construction made must be valid.  Labels play no role in the search,
+    so every input is L."""
     for name, sentences in claims:
-        if not isinstance(prove(labeled(sentences, ()), budget), Closed):
-            raise NotProvedWithinBudget(
-                f"could not re-prove {name} within {budget} applications")
+        try:
+            refute(labeled(sentences, ()), budget)
+        except NotValid as e:
+            raise FormulaError(f"internal error: {name} has a countermodel") from e
+        except NotProvedWithinBudget as e:
+            raise NotProvedWithinBudget(f"could not re-prove {name}: {e}",
+                                        e.budget_spent) from e
 
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
@@ -204,8 +204,7 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
             return Verdict(Verdict.ENTAILMENT_UNKNOWN,
                            f"budget exhausted proving {name}")
         if isinstance(outcome, Satisfiable):
-            return Verdict(Verdict.ENTAILMENT_UNKNOWN,
-                           f"countermodel found for {name}")
+            return Verdict(Verdict.NOT_ENTAILED, f"countermodel found for {name}")
     return Verdict(Verdict.VERIFIED)
 
 
@@ -224,9 +223,9 @@ def _verified_interpolant(phi, psi, budget: int):
         raise FormulaError("craig_interpolant expects sentences")
     theta, annotated = interpolant_from_labeled(labeled([phi], [Not(psi)]), budget)
     verdict = verify_interpolant(phi, psi, theta, budget)
-    if verdict.kind == Verdict.SIGNATURE_VIOLATION:
-        raise FormulaError(f"internal error: extracted interpolant leaks symbols "
-                           f"({verdict.details})")
+    if verdict.kind in (Verdict.SIGNATURE_VIOLATION, Verdict.NOT_ENTAILED):
+        raise FormulaError(f"internal error: extracted interpolant fails "
+                           f"verification ({verdict.kind}: {verdict.details})")
     if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:
         raise NotProvedWithinBudget(
             f"interpolant verification incomplete: {verdict.details}")

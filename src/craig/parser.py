@@ -301,6 +301,8 @@ def parse_problem(text: str) -> ProblemFile:
             if "=" not in line:
                 raise ParseError("options are key=value lines", lineno, 1)
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in ("budget", "max-model-size"):
+                raise ParseError(f"unknown option {key!r}", lineno, 1)
             pf.options[key] = val
             continue
         try:

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BranchNotSaturatedError, FormulaError, NonSentenceError, NotNNFError,
+    NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
     BOTTOM, And, Atom, Const, Exists, Forall, Or,
@@ -533,6 +534,19 @@ def prove(inputs, budget: int):
             raise NotNNFError(f"input not in NNF: {ls.formula!r}")
         norm.append(ls)
     return _Prover(norm, budget).run()
+
+
+def refute(inputs, budget: int) -> ClosedTableau:
+    """prove for callers that need the closed tableau: raise NotValid with the
+    countermodel, or NotProvedWithinBudget."""
+    outcome = prove(inputs, budget)
+    if isinstance(outcome, Satisfiable):
+        raise NotValid("the input set is satisfiable", outcome.structure)
+    if isinstance(outcome, Unknown):
+        raise NotProvedWithinBudget(
+            f"budget exhausted after {outcome.budget_spent} rule applications",
+            outcome.budget_spent)
+    return outcome.tableau
 
 
 # ---------------------------------------------------------------- models

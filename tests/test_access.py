@@ -194,5 +194,14 @@ def test_access_determinacy_fails_for_domain_dependent():
     assert not check_access_determinacy(phi, methods, A, ())
 
 
+def test_access_determinacy_empty_part_keeps_zero_ary_facts():
+    # the empty accessible part is the empty induced substructure, which
+    # keeps 0-ary facts as substructure does
+    for fact in (set(), {()}):
+        A = Structure(1, {"P": fact, "R": {(0,)}})
+        for phi in ("P", "!P", "P & forall x. R(x)"):
+            assert check_access_determinacy(parse(phi), [], A, [])
+
+
 def test_access_determinacy_top():
     assert check_access_determinacy(TOP, set(), Structure(2, {"P": set()}), ())

@@ -83,6 +83,14 @@ def test_check_interpolant_violation(data_dir, capsys):
     assert code == 1 and "signature-violation" in out
 
 
+def test_check_interpolant_not_entailed(data_dir, capsys):
+    # a countermodel is a verdict the program reached, not an unknown
+    code, out, _ = run(capsys, "check-interpolant", str(data_dir / "example1.fol"),
+                       "--theta", "forall x. Cat(x)")
+    assert code == 1
+    assert out == "not-entailed: countermodel found for phi -> theta\n"
+
+
 def test_check_interpolant_budget(data_dir, capsys):
     code, out, _ = run(capsys, "--budget", "1", "check-interpolant",
                        str(data_dir / "example1.fol"),
@@ -359,10 +367,17 @@ def _zero_candidate_size(tmp_path, data_dir):
     return ["search-interpolant", str(data_dir / "example1.fol"), "--max-size", "0"]
 
 
+def _unknown_option(tmp_path, data_dir):
+    problem = tmp_path / "typo.fol"
+    problem.write_text("[left]\nP(c)\n[right]\n!P(c)\n[options]\nbudgte = 1\n")
+    return ["prove", str(problem)]
+
+
 @pytest.mark.parametrize("argv", [_malformed_option, _directory,
                                   _truncated_structure, _bad_method_position,
                                   _zero_model_size, _negative_padoa_size,
-                                  _zero_size_option, _zero_candidate_size],
+                                  _zero_size_option, _zero_candidate_size,
+                                  _unknown_option],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one

@@ -8,7 +8,7 @@ from craig.definability import (
 )
 from craig.errors import (
     FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent,
-    NotProvedWithinBudget,
+    NotValid,
 )
 from craig.formulas import (
     And, Atom, Exists, Not, Var, signature_of, substitute_constant, to_nnf,
@@ -188,7 +188,7 @@ def test_monotone_rewrite_top():
 
 
 def test_monotone_rewrite_rejects_antitone():
-    with pytest.raises(NotProvedWithinBudget):
+    with pytest.raises(NotValid):
         monotone_rewrite(parse("forall x. !R(x)"), "R", 2000)
 
 

@@ -3,14 +3,14 @@ from __future__ import annotations
 import pytest
 
 from craig.corpus import corpus
-from craig.errors import NotProvedWithinBudget, NotValid
+from craig.errors import FormulaError, NotProvedWithinBudget, NotValid
 from craig.formulas import (
     BOTTOM, TOP, Not, RESERVED_CONSTANT, signature_of, simplify, to_nnf,
 )
 from craig.interpolation import (
     Verdict, craig_interpolant, entails, enumerate_shared_formulas,
-    interpolant_from_labeled, lyndon_check, propagate, search_interpolant,
-    side_sentences, verify_interpolant,
+    interpolant_from_labeled, lyndon_check, propagate, reprove,
+    search_interpolant, side_sentences, verify_interpolant,
 )
 from craig.models import enumerate_structures, evaluate
 
@@ -116,6 +116,13 @@ def test_craig_rejects_invalid_implication():
     with pytest.raises(NotValid) as exc:
         craig_interpolant(parse("P(c)"), parse("Q(d)"), 1000)
     assert exc.value.structure is not None
+
+
+def test_reprove_countermodel_is_internal_error():
+    # a claim the construction made has a model: the construction is wrong,
+    # and no budget would have re-proved it
+    with pytest.raises(FormulaError, match="internal error"):
+        reprove([("P(c) is contradictory", [parse("P(c)")])], 1000)
 
 
 def test_craig_budget_exhaustion():
