@@ -41,9 +41,9 @@ def am_leq(a: AccessMethod, b: AccessMethod) -> bool:
     return a.relation == b.relation and a.inputs <= b.inputs
 
 
-def upward_closure(methods, sig) -> frozenset:
-    """All methods above the given ones: same relation, superset inputs."""
-    arities = sig.arities if hasattr(sig, "arities") else dict(sig)
+def upward_closure(methods, arities: dict) -> frozenset:
+    """All methods above the given ones: same relation, superset inputs.
+    arities maps each relation name to its arity."""
     out = set()
     for m in methods:
         arity = arities.get(m.relation)

@@ -157,35 +157,39 @@ def walk(phi) -> Iterator:
 
 @dataclass(frozen=True)
 class SignatureReport:
-    """Symbols of a formula: occurrence sets, polarities and free variables."""
+    """Symbols of a formula: occurrence sets, polarities and free variables.
+    ``constants`` and ``free_vars`` are ``dict.keys()`` views: sets that list
+    each name once, in order of first occurrence (preorder, arguments left to
+    right)."""
 
     relations: frozenset
     arities: dict
-    constants: frozenset
+    constants: object  # dict keys view, first-occurrence order
     relsig_pos: frozenset
     relsig_neg: frozenset
-    free_vars: frozenset
+    free_vars: object  # dict keys view, first-occurrence order
 
     def symbols(self) -> frozenset:
-        return self.relations | self.constants
+        return self.relations.union(self.constants)
 
 
 def signature_of(*phis) -> SignatureReport:
     """Joint signature of the formulas: relations with their arities,
     constants, polarities and free variables.
 
-    This is the one place that collects a formula set's symbols.  Polarity is
-    negation-depth parity; top contributes no symbols; a variable is free if
-    it occurs free in some formula.  A relation used with two arities, in one
-    formula or across several, raises FormulaError.  Iterative, with exact
-    type dispatch as in map_atoms: nesting depth is not bounded by the
-    recursion limit.
+    This is the one place that collects a formula set's constants or free
+    variables, and the only arity check.  Constants and free variables come
+    in first-occurrence (preorder) order.  Polarity is negation-depth
+    parity; top contributes no symbols; a variable is free if it occurs free
+    in some formula.  A relation used with two arities, in one formula or
+    across several, raises FormulaError.  Iterative, with exact type dispatch
+    as in map_atoms: nesting depth is not bounded by the recursion limit.
     """
     arities: dict = {}
-    constants: set = set()
+    constants: dict = {}
     pos: set = set()
     neg: set = set()
-    free: set = set()
+    free: dict = {}
     stack: list = [(phi, frozenset(), pos) for phi in reversed(phis)]
     while stack:
         f, bound, polarity = stack.pop()
@@ -197,9 +201,9 @@ def signature_of(*phis) -> SignatureReport:
                     f"relation {f.rel} used with arities {seen} and {len(f.args)}")
             for t in f.args:
                 if type(t) is Const:
-                    constants.add(t.name)
+                    constants[t.name] = None
                 elif t.name not in bound:
-                    free.add(t.name)
+                    free[t.name] = None
             polarity.add(f.rel)
         elif kind is Not:
             stack.append((f.sub, bound, neg if polarity is pos else pos))
@@ -212,14 +216,15 @@ def signature_of(*phis) -> SignatureReport:
     return SignatureReport(
         relations=frozenset(arities),
         arities=arities,
-        constants=frozenset(constants),
+        constants=constants.keys(),
         relsig_pos=frozenset(pos),
         relsig_neg=frozenset(neg),
-        free_vars=frozenset(free),
+        free_vars=free.keys(),
     )
 
 
-def free_vars(phi) -> frozenset:
+def free_vars(phi):
+    """Free variables of phi in first-occurrence order, as a set view."""
     return signature_of(phi).free_vars
 
 
@@ -394,8 +399,10 @@ def fresh_constant(avoid: Iterable) -> str:
 
 def simplify(phi) -> object:
     """Cosmetic normalization: flatten ∧/∨, drop ⊤/⊥ units, drop vacuous
-    quantifier variables.  Equivalence-preserving (domains are non-empty);
-    used only behind the CLI --simplify flag, never during extraction."""
+    quantifier variables.  Equivalence-preserving (domains are non-empty).
+    Used by the CLI --simplify flag, explicit_definition,
+    robinson_separator, monotone_rewrite and the theory interpolants;
+    craig_interpolant returns its interpolant unsimplified."""
     f = phi
     if isinstance(f, (Atom, Top)):
         return f

@@ -123,13 +123,7 @@ def _guard_candidates(body):
 def _is_guarded(phi) -> bool:
     for q in _quantifiers(phi):
         need = free_vars(q.body)
-        ok = False
-        for g in _guard_candidates(q.body):
-            have = {t.name for t in g.args if isinstance(t, Var)}
-            if need <= have:
-                ok = True
-                break
-        if not ok:
+        if not any(need <= free_vars(g) for g in _guard_candidates(q.body)):
             return False
     return True
 
@@ -161,8 +155,7 @@ def _is_guarded_negation(phi) -> bool:
         need = free_vars(n.sub)
         if len(need) <= 1:
             continue
-        if not any(need <= {t.name for t in g.args if isinstance(t, Var)}
-                   for g in sibling_atoms):
+        if not any(need <= free_vars(g) for g in sibling_atoms):
             return False
     return True
 

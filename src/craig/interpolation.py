@@ -25,7 +25,7 @@ from .formulas import (
 )
 from .models import _check_evaluable, _compile, count_structures, satisfying_structures
 from .tableau import (
-    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Node,
+    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Node, Root,
     Satisfiable, Unknown, labeled, prove, refute,
 )
 
@@ -79,7 +79,10 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
 
     Iterative (deep single-child chains are routine): one top-down pass
     accumulates the constants occurring in L/R sentences at or above each
-    node, then a bottom-up pass applies the propagation cases.
+    node, then a bottom-up pass applies the propagation cases.  Only root,
+    ∃ and ∀ nodes can add to those sets: a conjunct or disjunct has no
+    constant its premise above lacks.  Siblings share their parent's sets,
+    so they stay frozensets.
     """
     interpolants: dict = {}
     consts: dict = {}
@@ -87,12 +90,13 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     stack = [(tableau.root, frozenset(), frozenset())]
     while stack:
         node, l_consts, r_consts = stack.pop()
-        for ls in node.introduced:
-            names = frozenset(signature_of(ls.formula).constants)
-            if ls.label == "L":
-                l_consts |= names
-            else:
-                r_consts |= names
+        if isinstance(node.rule, (Root, ExistsRule, ForallRule)):
+            for ls in node.introduced:
+                names = signature_of(ls.formula).constants
+                if ls.label == "L":
+                    l_consts = l_consts.union(names)
+                else:
+                    r_consts = r_consts.union(names)
         consts[node.id] = (l_consts, r_consts)
         order.append(node)
         stack.extend((ch, l_consts, r_consts) for ch in node.children)
@@ -303,7 +307,9 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
     Candidates are screened against all structures of size <= screen_size
     (models of phi must satisfy the candidate; no countermodel of psi may)
     and survivors are confirmed with verify_interpolant.  Returns the first
-    verified candidate in canonical order, or None.
+    verified candidate in canonical order, or None.  Raises
+    NotProvedWithinBudget at the first survivor whose verification runs out
+    of budget: a later verified candidate would not be the first.
     """
     sig_phi, sig_psi = signature_of(phi), signature_of(psi)
     arities = signature_of(phi, psi).arities  # raises on an arity clash
@@ -332,6 +338,11 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
             _check_evaluable(report, sig_psi.relations, sig_psi.constants)
             if any(holds(A, {}) for A in psi_antimodels):
                 continue
-        if verify_interpolant(phi, psi, theta, budget):
+        verdict = verify_interpolant(phi, psi, theta, budget)
+        if verdict:
             return theta
+        if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:
+            raise NotProvedWithinBudget(
+                f"a screened candidate was neither verified nor refuted: "
+                f"{verdict.details}")
     return None

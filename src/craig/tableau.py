@@ -23,6 +23,13 @@ pending existentials and otherwise seeds one fresh constant (domains are
 non-empty).  Multi-variable ∀ blocks peel one variable per application; ∃
 blocks instantiate in one application.
 
+Constants.  The ∀ rule tries a branch's constants oldest first.  Only inputs
+and ∃ instances bring new ones: the inputs' constants join first, in order of
+first occurrence, then each ∃ instance's fresh constants in the order their
+variables first occur in the body (a ∀ on a constant-free branch registers
+the constant it seeds itself).  Conjuncts, disjuncts and ∀ instances use only
+constants already on the branch, so adding them registers nothing.
+
 Search state.  One mutable branch state serves the whole depth-first
 search.  A split creates every child node at once, in disjunct order, leaves
 a choice point (trail mark, child node, disjunct) for each child after the
@@ -50,9 +57,9 @@ from .errors import (
     NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
-    BOTTOM, And, Atom, Const, Exists, Forall, Or,
+    BOTTOM, And, Atom, Exists, Forall, Or,
     complement_literal, free_vars, is_literal, is_nnf, is_sentence,
-    signature_of, substitute_constant, substitute_constants, to_nnf, walk,
+    signature_of, substitute_constant, substitute_constants, to_nnf,
 )
 from .models import Structure, evaluate
 
@@ -148,14 +155,7 @@ class Branch:
     def from_sentences(cls, sentences) -> "Branch":
         ls = tuple(s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
                    for s in sentences)
-        consts: list = []
-        seen: set = set()
-        for s in ls:
-            for c in _constants_in_order(s.formula):
-                if c not in seen:
-                    seen.add(c)
-                    consts.append(c)
-        return cls(ls, tuple(consts))
+        return cls(ls, tuple(signature_of(*(s.formula for s in ls)).constants))
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,6 @@ class Unknown:
 
 
 Outcome = Closed | Satisfiable | Unknown
-
-
-def _constants_in_order(phi) -> list:
-    out, seen = [], set()
-    for f in walk(phi):
-        if isinstance(f, Atom):
-            for t in f.args:
-                if isinstance(t, Const) and t.name not in seen:
-                    seen.add(t.name)
-                    out.append(t.name)
-    return out
 
 
 # ---------------------------------------------------------------- agenda items
@@ -216,7 +205,7 @@ class _BranchState:
     ``trail`` is None and nothing is logged.
     """
 
-    __slots__ = ("node", "formulas", "constants", "const_set", "alpha",
+    __slots__ = ("node", "formulas", "constants", "alpha",
                  "exists_queues", "beta_closing", "beta_open", "promote",
                  "evidence", "trail", "choices")
 
@@ -224,7 +213,6 @@ class _BranchState:
         self.node: Node = None
         self.formulas: dict = {}   # formula -> LabeledSentence (first label wins)
         self.constants: list = []
-        self.const_set: set = set()
         self.alpha: deque = deque()
         # 0: split-descended, 1: input/structural, 2: ∀-instantiation-descended
         self.exists_queues: tuple = (deque(), deque(), deque())
@@ -267,13 +255,6 @@ class _BranchState:
             undo, *args = trail.pop()
             undo(*args)
 
-    def add_constant(self, c: str):
-        self.const_set.add(c)
-        self.constants.append(c)
-        if self.trail is not None:
-            self.trail.append((self.const_set.discard, c))
-            self.trail.append((self.constants.pop,))
-
     def assign(self, obj, name: str, value):
         if self.trail is not None:
             self.trail.append((setattr, obj, name, getattr(obj, name)))
@@ -295,6 +276,7 @@ class _BranchState:
 
     def add(self, ls: LabeledSentence, origin: int = 1) -> bool:
         """Record a sentence; returns False if already present (regularity).
+        Its constants must already be on the branch.
 
         origin ranks any existential it enqueues: 0 for split-descended,
         1 for structural, 2 for ∀-instantiation-descended.
@@ -307,9 +289,6 @@ class _BranchState:
         formulas[f] = ls
         if trail is not None:
             trail.append((formulas.__delitem__, f))
-        for c in _constants_in_order(f):
-            if c not in self.const_set:
-                self.add_constant(c)
         if self.evidence is None:
             if f == BOTTOM:
                 self.assign(self, "evidence", ("bottom", ls))
@@ -397,10 +376,8 @@ class _Prover:
         self.budget = budget
         self.applications = 0
         self.next_id = 0
-        avoid = set()
-        for ls in inputs:
-            avoid.update(_constants_in_order(ls.formula))
-        self.avoid = avoid
+        # raises on a relation used with two arities
+        self.avoid = signature_of(*(ls.formula for ls in self.inputs)).constants
         self.fresh_index = 0
 
     def fresh(self) -> str:
@@ -422,6 +399,7 @@ class _Prover:
         self.next_id += 1
         branch = _BranchState()
         branch.node = root
+        branch.constants.extend(self.avoid)  # no choice point yet: nothing to undo
         for ls in self.inputs:
             branch.add(ls)
         while True:
@@ -469,6 +447,8 @@ class _Prover:
         self.applications += 1
         branch.node = self.new_node(branch.node, (gls,),
                                     ExistsRule(ls, tuple(mapping.values())))
+        for v in used:  # in the order the body uses them
+            branch.push(branch.constants, mapping[v])
         branch.add(gls)
 
     def fire_alpha(self, branch: _BranchState, item: _AlphaItem):
@@ -485,7 +465,7 @@ class _Prover:
             return
         # forall: peel the first block variable with one constant
         if not branch.constants:  # so no constant was tried: next_const is 0
-            branch.add_constant(self.fresh())
+            branch.push(branch.constants, self.fresh())
         c = branch.constants[item.next_const]
         branch.assign(item, "next_const", item.next_const + 1)
         peeled = _instantiate_first(f, c)
@@ -521,7 +501,8 @@ def prove(inputs, budget: int):
     """Run the tableau on labeled NNF sentences.
 
     Returns Closed (the input set is unsatisfiable), Satisfiable (with a
-    verified finite model) or Unknown (budget exhausted).
+    verified finite model) or Unknown (budget exhausted).  Inputs that use
+    one relation with two arities raise FormulaError.
     """
     if budget <= 0:
         raise FormulaError("budget must be positive")
@@ -600,22 +581,14 @@ def saturated_branch_model(branch: Branch) -> Structure:
     problem = _hintikka_violation(branch)
     if problem is not None:
         raise BranchNotSaturatedError(problem)
-    consts = list(branch.constants)
-    if not consts:
-        domain = 1
-        index = {}
-    else:
-        domain = len(consts)
-        index = {c: i for i, c in enumerate(consts)}
+    index = {c: i for i, c in enumerate(branch.constants)}
     sig = signature_of(*(ls.formula for ls in branch.sentences))
     relations = {r: set() for r in sig.relations}
     for ls in branch.sentences:
         f = ls.formula
         if isinstance(f, Atom):
             relations[f.rel].add(tuple(index[t.name] for t in f.args))
-    structure = Structure(domain,
-                          {r: frozenset(ts) for r, ts in relations.items()},
-                          {c: index[c] for c in consts})
+    structure = Structure(max(len(index), 1), relations, index)  # non-empty domain
     for ls in branch.sentences:
         if not evaluate(structure, ls.formula):
             raise BranchNotSaturatedError(

@@ -115,6 +115,14 @@ def test_search_interpolant(data_dir, capsys):
     assert theta is not None
 
 
+def test_search_interpolant_out_of_budget_is_unknown(data_dir, capsys):
+    code, out, err = run(capsys, "--budget", "1", "search-interpolant",
+                         str(data_dir / "example1.fol"), "--max-size", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unknown:")
+
+
 def test_beth_definition(data_dir, capsys):
     code, out, _ = run(capsys, "beth", str(data_dir / "tallest.fol"),
                        "--define", "Tallest", "--tau", "Taller-than")
@@ -304,17 +312,21 @@ def test_split_output_reparses(tmp_path, capsys):
 
 
 def test_subprocess_byte_determinism(data_dir):
-    import subprocess, sys, os
-    results = set()
-    for hashseed in ("0", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "craig.cli", "--trace", "prove",
-                 str(data_dir / "fig2.fol")],
-                capture_output=True, env=env)
-            results.add((proc.returncode, proc.stdout))
-    assert len(results) == 1
+    import subprocess, sys, os, pathlib
+    import craig
+    src = str(pathlib.Path(craig.__file__).parent.parent)
+    for name in ("fig2.fol", "exists-order.fol"):
+        results = set()
+        for hashseed in ("0", "31337"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            for _ in range(2):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "craig.cli", "--trace", "prove",
+                     str(data_dir / name)],
+                    capture_output=True, env=env)
+                results.add((proc.returncode, proc.stdout))
+        assert len(results) == 1, name
+        assert results.pop()[0] == 0, name
 
 
 def test_too_deep_input_exits_usage(tmp_path, capsys):

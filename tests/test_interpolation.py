@@ -186,6 +186,14 @@ def test_search_finds_verified_interpolant(example1):
     assert verify_interpolant(phi, psi, theta, 10_000)
 
 
+def test_search_unknown_candidate_raises(example1):
+    # at budget 1 the first screened candidate can be neither verified nor
+    # refuted, so no later candidate may be reported as the first verified one
+    phi, psi, _, _ = example1
+    with pytest.raises(NotProvedWithinBudget, match="neither verified nor refuted"):
+        search_interpolant(phi, psi, 6, 1)
+
+
 def test_search_absent_for_non_entailment():
     assert search_interpolant(parse("P(c)"), parse("Q(d)"), 4, 1000) is None
 

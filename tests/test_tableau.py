@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from craig.errors import BranchNotSaturatedError, NonSentenceError, NotNNFError
+from craig.errors import (
+    BranchNotSaturatedError, FormulaError, NonSentenceError, NotNNFError,
+)
 from craig.formulas import Atom, Var, to_nnf
 from craig.models import evaluate, find_model
 from craig.parser import parse, print_formula
@@ -83,6 +85,15 @@ def test_non_sentence_rejected():
     f = Atom("P", (Var("x"),))
     with pytest.raises(NonSentenceError):
         prove([LabeledSentence(f, "L")], 10)
+
+
+def test_arity_clash_rejected():
+    # the one arity check (signature_of) now also guards the prover's inputs
+    # (each set would close at once on its clash if nothing checked)
+    with pytest.raises(FormulaError, match="relation R used with arities 1 and 2"):
+        prove(_labeled(["R(a)", "!R(a)", "R(a, a)"]), 10)
+    with pytest.raises(FormulaError, match="relation R used with arities 2 and 1"):
+        prove(_labeled(["R(a, a)", "!R(a, a)"], ["R(a)"]), 10)
 
 
 def test_non_nnf_rejected():

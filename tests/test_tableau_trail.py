@@ -4,7 +4,8 @@ At every split the test takes a snapshot of the branch state, which is the
 state at the split's trail mark.  When the search comes back to one of that
 split's choice points, the state after ``undo_to(mark)`` must equal the
 snapshot.  Whenever a sentence is added, the trail must be None exactly when
-no choice point is open.  The golden (``test_tableau_golden.py``) checks what
+no choice point is open, and the sentence's constants must already be among
+the branch's (distinct) constants.  The golden (``test_tableau_golden.py``) checks what
 the search finds; this test checks that backtracking restores every part of
 the state the search reads.
 """
@@ -16,7 +17,7 @@ import pathlib
 import pytest
 
 from craig.corpus import corpus
-from craig.formulas import Not, to_nnf
+from craig.formulas import Not, signature_of, to_nnf
 from craig.parser import parse, parse_problem
 from craig.tableau import LabeledSentence, Satisfiable, _BranchState, prove
 
@@ -32,7 +33,6 @@ def snapshot(branch: _BranchState) -> tuple:
     return (
         list(branch.formulas.items()),
         list(branch.constants),
-        set(branch.const_set),
         branch.evidence,
         [(it.ls, it.kind, it.next_const) for it in branch.alpha],
         [list(q) for q in branch.exists_queues],
@@ -62,6 +62,9 @@ def checked(monkeypatch):
 
     def checked_add(self, ls, origin=1):
         assert (self.trail is None) == (not self.choices)
+        # add registers no constant: the rule that made ls already did
+        assert signature_of(ls.formula).constants <= set(self.constants)
+        assert len(set(self.constants)) == len(self.constants)
         return add(self, ls, origin)
 
     monkeypatch.setattr(_BranchState, "split", checked_split)
