@@ -129,6 +129,8 @@ def cmd_check_interpolant(args) -> int:
     verdict = verify_interpolant(conj(problem.left), conj(problem.right), theta,
                                  _budget(args, problem))
     print(verdict.kind + (f": {verdict.details}" if verdict.details else ""))
+    if verdict.structure is not None:
+        print(structure_to_json(verdict.structure))
     if verdict.kind == Verdict.VERIFIED:
         return EXIT_OK
     if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:

@@ -23,7 +23,9 @@ from .formulas import (
     _abstract_constant, fresh_names, is_sentence, signature_of,
     substitute_constants, variable_names,
 )
-from .models import _check_evaluable, _compile, count_structures, satisfying_structures
+from .models import (
+    Structure, _check_evaluable, _compile, count_structures, satisfying_structures,
+)
 from .tableau import (
     ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Node, Root,
     Satisfiable, Unknown, labeled, prove, refute,
@@ -141,6 +143,7 @@ def interpolant_from_labeled(inputs: list, budget: int):
 class Verdict:
     kind: str  # one of the four constants below
     details: str = ""
+    structure: Structure | None = None  # the countermodel of NOT_ENTAILED
 
     VERIFIED = "verified"
     SIGNATURE_VIOLATION = "signature-violation"
@@ -208,7 +211,8 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
             return Verdict(Verdict.ENTAILMENT_UNKNOWN,
                            f"budget exhausted proving {name}")
         if isinstance(outcome, Satisfiable):
-            return Verdict(Verdict.NOT_ENTAILED, f"countermodel found for {name}")
+            return Verdict(Verdict.NOT_ENTAILED, f"countermodel found for {name}",
+                           outcome.structure)
     return Verdict(Verdict.VERIFIED)
 
 

@@ -3,14 +3,29 @@
 This is the brute-force oracle the rest of the package is checked against:
 everything here is deliberately simple and deterministic.
 
-Enumeration prunes by prefix.  ``satisfying_structures`` assigns the symbols
-one at a time (relations sorted, then constants sorted), so every structure
-of the enumeration order shares its prefix of assignments with the block of
-structures that differ from it only in later symbols.  Each sentence is split
-into top-level conjuncts, and a conjunct is evaluated as soon as the last of
-its symbols is assigned: its truth is the same for the whole block, so a
-failing conjunct skips the block without losing a satisfying structure.  The
-survivors come out in enumeration order, which is why ``find_model`` and
+Enumeration prunes by prefix and finishes bit-parallel.
+``satisfying_structures`` visits structures in the order of
+``enumerate_structures``: relations sorted, then constants sorted, each
+relation's interpretations in binary-counter order over its sorted tuple
+universe, the rightmost symbol fastest.  That order is a mixed-radix counter
+whose fastest digits are the constants, then the last relation's lowest
+tuples, so the structures that differ only there form contiguous runs of it.
+One such run is a block.  It holds the trailing constants (as many as fit)
+and, if every constant fits, the last relation's c lowest tuples (as many as
+fit), and at most ``_BLOCK_BITS`` structures.  The last relation's higher
+tuples, if any, are assigned in an outer loop, one chunk of the block's size
+per subset of them.  Bit o·K + j of a block mask stands for the structure
+with the c low tuples at option o and the batched constants at their j-th
+value combination (K = n^#batched constants, rightmost fastest), so
+ascending bits are enumeration order.
+
+Each sentence is split into top-level conjuncts.  A conjunct whose last
+symbol comes before the block is evaluated once per prefix, as soon as that
+symbol is assigned: its truth is the same for every completion, so a failing
+conjunct skips them all.  A conjunct whose last symbol lies in the block is
+evaluated once per chunk as a mask, and the chunk's survivors are the set
+bits of the AND of those masks, in ascending order.  The survivors of both
+come out in enumeration order, which is why ``find_model`` and
 ``padoa_counterexample`` return the same first models as a filter over every
 structure would.  ``enumerate_structures`` is the case with no sentences.
 
@@ -18,26 +33,36 @@ Compile once, evaluate many.  Where one formula meets many structures (each
 conjunct of ``satisfying_structures``, each interpolant-search candidate on
 its screens) ``_compile`` translates it once into nested closures, so node
 dispatch, atom argument shapes and quantifier loops are fixed before the
-first structure.  ``evaluate`` keeps the ``_eval`` interpreter, for two
-reasons: for one formula on one structure, compiling and running costs about
-twice as much as interpreting (corpus formulas, size 1 and 2 structures), and
-``_eval`` is the independent reference the compiled closures are tested
-against.
+first structure.  The closures return masks over a batch of structures: ∧,
+∨ and ¬ are ``&``, ``|`` and ``^``, ∃ and ∀ are the OR and AND of their
+instances, and a scalar use (the candidate screens, the per-prefix checks)
+is a batch of one structure.  ``evaluate`` keeps the ``_eval`` interpreter,
+for two reasons: for one formula on one structure, compiling and running
+costs about twice as much as interpreting (corpus formulas, size 1 and 2
+structures), and ``_eval`` is the independent reference the compiled
+closures are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormulaError, MissingSymbolError, PartialAssignmentError
 from .formulas import (
     And, Atom, Exists, Forall, Not, Or, Top, Var,
     SignatureReport, signature_of,
 )
+
+# The most structures one block of satisfying_structures evaluates at once,
+# the bit width of its masks.  Python ints of this width still AND, OR and
+# XOR in well under a microsecond, and a block of this size keeps the cached
+# tables small (at most 2^12 relation interpretations per relation shape).
+_BLOCK_BITS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -124,82 +149,187 @@ def _eval(A: Structure, f, g: dict) -> bool:
     raise FormulaError(f"not a formula: {f!r}")
 
 
-def _compile(f):
-    """Translate f once into a closure ``holds(structure, assignment)``.
+class _Batch(NamedTuple):
+    """The structures a compiled closure evaluates at once: a block.
 
-    The closure returns exactly what ``_eval(structure, f, assignment)``
-    returns and raises what it raises, at the same point: connectives and
-    quantifier blocks short-circuit in the same order, and a node that is not
-    a formula raises ``FormulaError`` when evaluation reaches it, not at
-    compile time.  Compiling and running each recurse once per nesting level,
-    no deeper than ``_eval``.
+    Bit b of a mask stands for the b-th structure of the block, and ``full``
+    has every bit set.  ``rel`` names the batched relation: in the evaluated
+    structure its interpretation is a table from each tuple to the mask of
+    the block structures that contain it.  ``consts`` maps each batched
+    constant to its value masks (bit b of the e-th is set where it denotes
+    e).  Every other symbol has one value for the whole block.
+    """
+
+    full: int
+    rel: str | None
+    consts: dict
+
+
+_SCALAR = _Batch(1, None, {})  # a block of one structure
+
+
+def _compile(f, batch: _Batch = _SCALAR):
+    """Translate f once into a closure ``holds(structure, assignment)`` that
+    returns a mask over the batch: bit b is f's truth in the b-th structure
+    of the block.
+
+    Over ``_SCALAR`` the mask is 0 or 1 (or a bool, a one-bit mask) with
+    the truth value ``_eval(structure, f, assignment)`` returns, and the
+    closure raises what ``_eval`` raises at the same point.  Connectives and
+    quantifier blocks stop where ``_eval`` does: ∧ and ∀ at the all-false
+    mask, ∨ and ∃ at the all-true one, and a node that is not a formula
+    raises ``FormulaError`` when evaluation reaches it, not at compile time.
+    An atom with no batched symbol is 0 or ``full``.  Compiling and running
+    each recurse once per nesting level, no deeper than ``_eval``.
     """
     kind = type(f)
+    full = batch.full
     if kind is Atom:
         rel, names = f.rel, [t.name for t in f.args]
         shape = [type(t) is Var for t in f.args]
-        if len(names) == 1:  # the common case: one lookup, no tuple building
-            (n,) = names
-            if shape[0]:
-                return lambda A, g: (g[n],) in A.relations[rel]
-            return lambda A, g: (A.constants[n],) in A.relations[rel]
-        if len(names) > 1 and (all(shape) or not any(shape)):
-            get = operator.itemgetter(*names)  # a tuple, keys read in order
-            if shape[0]:
-                return lambda A, g: get(g) in A.relations[rel]
-            return lambda A, g: get(A.constants) in A.relations[rel]
-        pairs = tuple(zip(shape, names))
-        return lambda A, g: tuple([g[n] if is_var else A.constants[n]
-                                   for is_var, n in pairs]) in A.relations[rel]
+        if rel == batch.rel or batch.consts and any(
+                not is_var and n in batch.consts for is_var, n in zip(shape, names)):
+            return _mask_atom(rel, shape, names, batch)
+        holds = _membership(rel, shape, names)
+        # a bool is a one-bit mask
+        return holds if full == 1 else lambda A, g: full if holds(A, g) else 0
     if kind is Not:
-        sub = _compile(f.sub)
-        return lambda A, g: not sub(A, g)
+        sub = _compile(f.sub, batch)
+        return lambda A, g: full ^ sub(A, g)
     if kind is And or kind is Or:
         items = []
         for x in f.items:  # a loop, not a generator: one frame per level
-            items.append(_compile(x))
+            items.append(_compile(x, batch))
         if len(items) == 2:
             a, b = items
             if kind is And:
-                return lambda A, g: a(A, g) and b(A, g)
-            return lambda A, g: a(A, g) or b(A, g)
-        decisive = kind is Or  # a false conjunct decides ∧, a true disjunct ∨
+                return lambda A, g: (m := a(A, g)) and m & b(A, g)
+            return lambda A, g: m if (m := a(A, g)) == full else m | b(A, g)
+        if kind is And:
+            def conjunction(A, g):
+                m = full
+                for x in items:
+                    m &= x(A, g)
+                    if not m:
+                        return 0
+                return m
+            return conjunction
 
-        def junction(A, g):
+        def disjunction(A, g):
+            m = 0
             for x in items:
-                if x(A, g) == decisive:
-                    return decisive
-            return not decisive
-        return junction
+                m |= x(A, g)
+                if m == full:
+                    return m
+            return m
+        return disjunction
     if kind is Exists or kind is Forall:
-        decisive = kind is Exists
-        block, body = f.vars, _compile(f.body)
-        if len(block) == 1:
-            (v,) = block
-
-            def quantifier(A, g):
-                g2 = dict(g)
-                for e in range(A.domain_size):
-                    g2[v] = e
-                    if body(A, g2) == decisive:
-                        return decisive
-                return not decisive
-            return quantifier
-
-        def block_quantifier(A, g):
-            g2 = dict(g)
-            for values in itertools.product(range(A.domain_size), repeat=len(block)):
-                g2.update(zip(block, values))
-                if body(A, g2) == decisive:
-                    return decisive
-            return not decisive
-        return block_quantifier
+        return _quantifier(kind is Exists, f.vars, _compile(f.body, batch), full)
     if kind is Top:
-        return lambda A, g: True
+        return lambda A, g: full
 
     def not_a_formula(A, g):
         raise FormulaError(f"not a formula: {f!r}")
     return not_a_formula
+
+
+def _membership(rel, shape, names):
+    """The closure that tests whether an atom's argument tuple is in its
+    relation."""
+    if len(names) == 1:  # the common case: one lookup, no tuple building
+        (n,) = names
+        if shape[0]:
+            return lambda A, g: (g[n],) in A.relations[rel]
+        return lambda A, g: (A.constants[n],) in A.relations[rel]
+    if len(names) > 1 and (all(shape) or not any(shape)):
+        get = operator.itemgetter(*names)  # a tuple, keys read in order
+        if shape[0]:
+            return lambda A, g: get(g) in A.relations[rel]
+        return lambda A, g: get(A.constants) in A.relations[rel]
+    pairs = tuple(zip(shape, names))
+    return lambda A, g: tuple([g[n] if is_var else A.constants[n]
+                               for is_var, n in pairs]) in A.relations[rel]
+
+
+def _quantifier(existential: bool, block: tuple, body, full: int):
+    # ∃ is the OR of the body's instances and ∀ their AND; each stops once
+    # the mask is decided.  g2 is private to one evaluation.
+    if len(block) == 1:
+        (v,) = block
+        if existential:
+            def exists(A, g):
+                g2, m = dict(g), 0
+                for e in range(A.domain_size):
+                    g2[v] = e
+                    m |= body(A, g2)
+                    if m == full:
+                        return m
+                return m
+            return exists
+
+        def forall(A, g):
+            g2, m = dict(g), full
+            for e in range(A.domain_size):
+                g2[v] = e
+                m &= body(A, g2)
+                if not m:
+                    return 0
+            return m
+        return forall
+
+    if existential:
+        def exists_block(A, g):
+            g2, m = dict(g), 0
+            for values in itertools.product(range(A.domain_size), repeat=len(block)):
+                g2.update(zip(block, values))
+                m |= body(A, g2)
+                if m == full:
+                    return m
+            return m
+        return exists_block
+
+    def forall_block(A, g):
+        g2, m = dict(g), full
+        for values in itertools.product(range(A.domain_size), repeat=len(block)):
+            g2.update(zip(block, values))
+            m &= body(A, g2)
+            if not m:
+                return 0
+        return m
+    return forall_block
+
+
+def _mask_atom(rel, shape, names, batch: _Batch):
+    """An atom of the batched relation or with batched constants.  With
+    batched constants its mask is the OR, over every combination of their
+    values, of the combination's mask and the atom's truth at it."""
+    pairs = tuple(zip(shape, names))
+    batched = [not is_var and n in batch.consts for is_var, n in pairs]
+    if not any(batched):  # one tuple for the whole block: its mask is in the table
+        return lambda A, g: A.relations[rel][tuple([g[n] if is_var else A.constants[n]
+                                                    for is_var, n in pairs])]
+    distinct = list(dict.fromkeys(n for (_, n), b in zip(pairs, batched) if b))
+    fills = []  # per combination: its mask, and the arguments it fixes
+    for values in itertools.product(range(len(batch.consts[distinct[0]])),
+                                    repeat=len(distinct)):
+        where = batch.full
+        for n, e in zip(distinct, values):
+            where &= batch.consts[n][e]
+        at = dict(zip(distinct, values))
+        fills.append((where, [(i, at[n]) for i, (_, n) in enumerate(pairs) if batched[i]]))
+    full, in_table = batch.full, rel == batch.rel
+
+    def atom(A, g):
+        table, m = A.relations[rel], 0
+        args = [None if b else g[n] if is_var else A.constants[n]
+                for (is_var, n), b in zip(pairs, batched)]
+        for where, fill in fills:
+            for i, e in fill:
+                args[i] = e
+            t = tuple(args)
+            m |= where & (table[t] if in_table else full if t in table else 0)
+        return m
+    return atom
 
 
 def _trusted_structure(n: int, relations: dict, constants: dict) -> Structure:
@@ -227,10 +357,13 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
     """The structures of enumerate_structures(sig, n) that satisfy every
     sentence, in the same order.
 
-    Each top-level conjunct of a sentence is evaluated once per assignment of
-    the symbols up to the last one it mentions, and a failing conjunct skips
-    every completion of that prefix.  Every sentence is checked up front as
-    evaluate checks it: a symbol outside sig or a free variable raises before
+    The symbols before the block are assigned one at a time, and each
+    top-level conjunct whose last symbol is among them is evaluated once per
+    assignment of the symbols up to that one: a failing conjunct skips every
+    completion of that prefix.  The conjuncts whose last symbol lies in the
+    block are evaluated once per chunk, as masks, and the survivors are the
+    set bits of their AND.  Every sentence is checked up front as evaluate
+    checks it: a symbol outside sig or a free variable raises before
     anything is enumerated.
     """
     if n < 1:
@@ -238,55 +371,145 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
     rel_names = sorted(sig.relations)
     const_names = sorted(sig.constants)
     names = rel_names + const_names
-    rel_position = {r: i for i, r in enumerate(rel_names)}
-    const_position = {c: len(rel_names) + i for i, c in enumerate(const_names)}
-    # checks[i + 1] holds the conjuncts whose last symbol is names[i];
+    # the block: the trailing constants that fit in _BLOCK_BITS and, if all
+    # of them fit, the c lowest tuples of the last relation
+    m = 0
+    while m < len(const_names) and n ** (m + 1) <= _BLOCK_BITS:
+        m += 1
+    combos = n ** m
+    rel = rel_names[-1] if rel_names and m == len(const_names) else None
+    if rel is None:
+        arity, c, start = 0, 0, len(names) - m
+    else:
+        arity, start = sig.arities[rel], len(rel_names) - 1
+        c = min(n ** arity, (_BLOCK_BITS // combos).bit_length() - 1)
+    full, tuple_masks, const_masks, values = _block_masks(n, c, m)
+    block_consts = const_names[len(const_names) - m:]
+    batch = _Batch(full, rel, dict(zip(block_consts, const_masks)))
+
+    position = {x: i for i, x in enumerate(names)}
+    # checks[i + 1] holds the conjuncts whose last symbol is names[i] < start;
     # checks[0] those that mention no symbol at all
-    checks: list = [[] for _ in range(len(names) + 1)]
+    checks: list = [[] for _ in range(start + 1)]
+    in_block: list = []
     for phi in sentences:
         _check_evaluable(signature_of(phi), sig.relations, sig.constants)
         for conjunct in _conjuncts(phi):
             r = signature_of(conjunct)
-            last = max([rel_position[x] for x in r.relations]
-                       + [const_position[x] for x in r.constants], default=-1)
-            checks[last + 1].append(_compile(conjunct))
+            last = max([position[x] for x in r.relations] + [position[x] for x in r.constants],
+                       default=-1)
+            if last >= start:
+                in_block.append(_compile(conjunct, batch))
+            else:
+                checks[last + 1].append(_compile(conjunct))
 
-    pools = [_relation_options(n, sig.arities[r]) for r in rel_names] + \
-            [range(n)] * len(const_names)
-    relations = {r: pools[i][0] for i, r in enumerate(rel_names)}
-    constants = dict.fromkeys(const_names, 0)
-    targets = [relations] * len(rel_names) + [constants] * len(const_names)
+    relations = dict.fromkeys(rel_names, frozenset())
+    constants = dict.fromkeys(const_names[:len(const_names) - m], 0)  # the block's come last
     partial = _trusted_structure(n, relations, constants)  # mutated in place
     no_vars: dict = {}  # closures copy an assignment before binding into it
     if not all(holds(partial, no_vars) for holds in checks[0]):
         return
-    if not names:
-        yield _trusted_structure(n, {}, {})
-        return
-    last = len(names) - 1
+
+    if rel is not None:
+        univ, lows = _low_subsets(n, arity, c)
+        relations[rel] = low_table = dict(zip(univ, tuple_masks))  # the c lowest tuples
+    tails = [dict(zip(block_consts, v)) for v in values]  # the block constants' values
 
     def fill(i: int):
-        target, name, check = targets[i], names[i], checks[i + 1]
-        for value in pools[i]:
-            target[name] = value
-            for holds in check:
-                if not holds(partial, no_vars):
-                    break
+        if i < start:
+            name, check = names[i], checks[i + 1]
+            if i < len(rel_names):
+                target, pool = relations, _relation_options(n, sig.arities[name])
             else:
-                if i == last:
-                    yield _trusted_structure(n, dict(relations), dict(constants))
+                target, pool = constants, range(n)
+            for value in pool:
+                target[name] = value
+                for holds in check:
+                    if not holds(partial, no_vars):
+                        break
                 else:
                     yield from fill(i + 1)
+            return
+        # the block, one chunk per subset of the last relation's high tuples:
+        # the contiguous range of its options that share them
+        for high in (_high_subsets(univ, c) if rel is not None else (None,)):
+            if rel is not None and c < len(univ):
+                table = dict(low_table)
+                for t in univ[c:]:
+                    table[t] = full if t in high else 0
+                relations[rel] = table
+            survivors = full
+            for holds in in_block:
+                survivors &= holds(partial, no_vars)
+                if not survivors:
+                    break
+            bits = bin(survivors)[:1:-1]  # bit b at index b
+            b = bits.find("1")
+            while b >= 0:
+                option, j = divmod(b, combos)
+                rels = relations.copy()
+                if rel is not None:
+                    rels[rel] = lows[option] | high if high else lows[option]
+                yield _trusted_structure(n, rels, {**constants, **tails[j]})
+                b = bits.find("1", b + 1)
 
     yield from fill(0)
 
 
-def _relation_options(n: int, arity: int) -> list:
-    """Every interpretation of one relation over {0..n-1}: subsets of the
-    sorted tuple universe in binary-counter order (bit i = i-th tuple)."""
-    univ = sorted(itertools.product(range(n), repeat=arity))
-    return [frozenset(t for i, t in enumerate(univ) if mask >> i & 1)
-            for mask in range(1 << len(univ))]
+def _relation_options(n: int, arity: int):
+    """Every interpretation of one relation over {0..n-1}, lazily: subsets
+    of the sorted tuple universe in binary-counter order (bit i = i-th
+    tuple).  The subsets of the lowest tuples come from a cache; the higher
+    tuples count in an outer loop."""
+    c = min(n ** arity, _BLOCK_BITS.bit_length() - 1)
+    univ, lows = _low_subsets(n, arity, c)
+    if c == len(univ):
+        return lows
+    return (low | high for high in _high_subsets(univ, c) for low in lows)
+
+
+@functools.lru_cache(maxsize=16)
+def _low_subsets(n: int, arity: int, c: int) -> tuple:
+    """The sorted tuple universe of an arity-ary relation over {0..n-1}, and
+    the 2^c subsets of its c lowest tuples in binary-counter order."""
+    univ = tuple(itertools.product(range(n), repeat=arity))  # sorted
+    return univ, tuple(frozenset(t for i, t in enumerate(univ[:c]) if mask >> i & 1)
+                       for mask in range(1 << c))
+
+
+def _high_subsets(univ: tuple, c: int):
+    """The subsets of univ[c:] in binary-counter order, the empty set first."""
+    high = univ[c:]
+    if not high:
+        return _NO_TUPLES
+    return (frozenset(t for i, t in enumerate(high) if mask >> i & 1)
+            for mask in range(1 << len(high)))
+
+
+_NO_TUPLES = (frozenset(),)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_masks(n: int, c: int, m: int) -> tuple:
+    """The masks of a block of 2^c relation options by K = n^m constant
+    value combinations, where bit o·K + j stands for option o and the j-th
+    combination (rightmost constant fastest).
+
+    Returns ``full``, the mask of each of the c lowest tuples (set where
+    bit i of o is), each constant's n value masks, and the K combinations.
+    Each mask is one run of bits repeated with a fixed period.
+    """
+    K = n ** m
+    full = (1 << (K << c)) - 1
+
+    def periodic(run: int, offset: int, period: int) -> int:
+        # bits offset..offset+run-1 of every period-bit stretch of the block
+        return (((1 << run) - 1) << offset) * (full // ((1 << period) - 1))
+
+    tuple_masks = tuple(periodic(K << i, K << i, K << (i + 1)) for i in range(c))
+    weights = [n ** (m - 1 - p) for p in range(m)]
+    const_masks = tuple(tuple(periodic(w, e * w, n * w) for e in range(n)) for w in weights)
+    return full, tuple_masks, const_masks, tuple(itertools.product(range(n), repeat=m))
 
 
 def _conjuncts(phi) -> list:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from craig.cli import main
-from craig.models import structure_from_json
+from craig.models import evaluate, structure_from_json
 from craig.parser import parse
 
 
@@ -88,7 +88,11 @@ def test_check_interpolant_not_entailed(data_dir, capsys):
     code, out, _ = run(capsys, "check-interpolant", str(data_dir / "example1.fol"),
                        "--theta", "forall x. Cat(x)")
     assert code == 1
-    assert out == "not-entailed: countermodel found for phi -> theta\n"
+    verdict, model = out.splitlines()
+    assert verdict == "not-entailed: countermodel found for phi -> theta"
+    A = structure_from_json(model)
+    assert evaluate(A, parse("(exists x. Cat(x)) & forall x. Cat(x) -> Big(x) & Green(x)"))
+    assert not evaluate(A, parse("forall x. Cat(x)"))
 
 
 def test_check_interpolant_budget(data_dir, capsys):

@@ -17,6 +17,16 @@ The cases:
 - every ``enumerate_shared_formulas`` candidate of size <= 5 for the first
   ``SEARCH_SLICE`` instances of ``corpus(42, 50, small=True)``, on both
   screen lists ``search_interpolant`` builds.
+
+The mask closures ``_compile(f, batch)`` returns for a block of structures
+are checked the same way: bit b of the mask must be ``_eval``'s truth in the
+b-th structure of the block, for every block the compiler can be given (no
+relation or any one relation with any number of its lowest tuples batched,
+with any set of batched constants), every assignment of the symbols outside
+the block and every assignment of the free variables.  The test builds its
+own masks and block structures from the definition of the bit order; the
+masks ``_block_masks`` caches are checked against them.  The cases are the
+``formulas()`` strategy and the hand-written shapes at sizes <= 2.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from craig.corpus import corpus
 from craig.formulas import And, Atom, Const, Not, Or, Var, signature_of
 from craig.interpolation import _SCREEN_CAP, enumerate_shared_formulas
 from craig.models import (
-    _compile, _eval, count_structures, enumerate_structures, evaluate,
+    Structure, _Batch, _block_masks, _compile, _eval, _trusted_structure,
+    count_structures, enumerate_structures, evaluate,
 )
 from craig.parser import parse
 from test_formulas import formulas
@@ -93,6 +104,97 @@ HAND_WRITTEN = (
 def test_compiled_matches_interpreted_on_other_shapes():
     for text in HAND_WRITTEN:
         _agrees_everywhere(parse(text))
+
+
+MASK_SHAPES = (
+    "R(c, d) | !R(d, c) & R(c, c)",
+    "forall x. R(x, c) -> R(c, x) | Q(d)",
+    "exists x. R(x, k) & !R(k, x) & Q(c)",
+    "Z | R(c, k) & !Z",
+    "(Z -> Y) & forall x y. R(x, y) | !R(y, x)",
+    "forall x. exists y. R(x, y) & (Q(y) | !Z)",
+    "Q(c) & !Q(d) & (Q(k) | Q(c))",
+)
+
+
+def _subsets(items) -> list:
+    """Every subset of items, in binary-counter order (bit i = items[i])."""
+    return [frozenset(t for i, t in enumerate(items) if mask >> i & 1)
+            for mask in range(1 << len(items))]
+
+
+def _universe(n: int, arity: int) -> list:
+    return list(itertools.product(range(n), repeat=arity))
+
+
+def _layouts(sig, n: int):
+    """Every block over sig at size n: (batched relation or None, how many of
+    its lowest tuples are batched, batched constants)."""
+    consts = sorted(sig.constants)
+    chosen = [[x for i, x in enumerate(consts) if k >> i & 1] for k in range(1 << len(consts))]
+    for rel in [None] + sorted(sig.relations):
+        for c in range(n ** sig.arities[rel] + 1) if rel else [0]:
+            for batched in chosen:
+                yield rel, c, batched
+
+
+def _masks_agree(f, max_size: int = 2) -> None:
+    sig = signature_of(f)
+    for n in range(1, max_size + 1):
+        assignments = _assignments(sig.free_vars, n)
+        truth: dict = {}  # (relations, constants, assignment index) -> _eval
+        for rel, c, batched in _layouts(sig, n):
+            # bit b stands for (o, j): option o of the c batched tuples and
+            # the j-th combination of the batched constants' values
+            combos = list(itertools.product(range(n), repeat=len(batched)))
+            bits = [(o, j) for o in range(1 << c) for j in range(len(combos))]
+            full = (1 << len(bits)) - 1
+            univ = _universe(n, sig.arities[rel]) if rel else []
+            tuple_masks = [sum(1 << b for b, (o, _) in enumerate(bits) if o >> i & 1)
+                           for i in range(c)]
+            const_masks = {x: tuple(sum(1 << b for b, (_, j) in enumerate(bits)
+                                        if combos[j][p] == e) for e in range(n))
+                           for p, x in enumerate(batched)}
+            assert _block_masks(n, c, len(batched)) == (
+                full, tuple(tuple_masks), tuple(const_masks.values()), tuple(combos))
+            holds = _compile(f, _Batch(full, rel, const_masks))
+            others = sorted(sig.relations - {rel})
+            fixed = [x for x in sorted(sig.constants) if x not in batched]
+            for values in itertools.product(
+                    *[_subsets(_universe(n, sig.arities[r])) for r in others],
+                    _subsets(univ[c:]), itertools.product(range(n), repeat=len(fixed))):
+                *rel_values, high, const_values = values
+                relations = dict(zip(others, rel_values))
+                constants = dict(zip(fixed, const_values))  # batched ones absent
+                if rel:
+                    table = dict(zip(univ, tuple_masks))
+                    table.update((t, full if t in high else 0) for t in univ[c:])
+                    relations[rel] = table
+                partial = _trusted_structure(n, relations, constants)
+                for index, g in enumerate(assignments):
+                    mask = holds(partial, dict(g))
+                    assert 0 <= mask <= full, (f, rel, c, batched)
+                    for b, (o, j) in enumerate(bits):
+                        rels, consts = dict(relations), dict(constants)
+                        if rel:
+                            rels[rel] = frozenset(t for i, t in enumerate(univ[:c])
+                                                  if o >> i & 1) | high
+                        consts.update(zip(batched, combos[j]))
+                        key = (tuple(sorted(rels.items())), tuple(sorted(consts.items())), index)
+                        if key not in truth:
+                            truth[key] = _eval(Structure(n, rels, consts), f, dict(g))
+                        assert (mask >> b & 1) == truth[key], (f, rel, c, batched, key)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(formulas())
+def test_masks_match_interpreted_on_generated_formulas(phi):
+    _masks_agree(phi)
+
+
+def test_masks_match_interpreted_on_other_shapes():
+    for text in HAND_WRITTEN + MASK_SHAPES:
+        _masks_agree(parse(text))
 
 
 def test_compiled_raises_for_a_non_formula_only_when_reached():

@@ -143,6 +143,16 @@ def test_verify_signature_violation(example1):
     assert "Green" in verdict.details
 
 
+def test_verify_not_entailed_carries_its_countermodel(example1):
+    phi, psi, _, _ = example1
+    theta = parse("forall x. Cat(x)")
+    verdict = verify_interpolant(phi, psi, theta, 10_000)
+    assert verdict.kind == Verdict.NOT_ENTAILED
+    assert evaluate(verdict.structure, phi) and not evaluate(verdict.structure, theta)
+    assert verify_interpolant(phi, psi, parse("exists x. Big(x) & Cat(x)"),
+                              10_000).structure is None
+
+
 def test_verify_budget(example1):
     phi, psi, theta1, _ = example1
     verdict = verify_interpolant(phi, psi, theta1, 1)

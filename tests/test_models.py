@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 
 import pytest
 
@@ -116,6 +118,34 @@ def test_find_model_rejects_open_formulas_before_enumerating():
     for phi in (open_atom, And((open_atom, BOTTOM)), And((BOTTOM, open_atom))):
         with pytest.raises(PartialAssignmentError, match=r"assignment misses \['x'\]"):
             find_model([phi], 2)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("ternary", ["T", "A"])
+def test_find_model_with_a_ternary_relation_at_size_3(ternary):
+    # 2^27 interpretations of the ternary relation: they must not be built
+    # before the first model, whether the relation comes last (T) or first (A)
+    small = [parse("exists x. P(x) & Q(x)"), parse("exists y. P(y) & !Q(y)"),
+             parse("exists z. !P(z)")]
+    sentences = small + [parse(f"exists x y z. {ternary}(x, y, z)")]
+    first = next(A for A in enumerate_structures(signature_of(*small), 3)
+                 if all(evaluate(A, s) for s in small))
+    with _time_limit(5):
+        assert find_model(sentences, 2) is None
+        A = find_model(sentences, 3)
+    assert A.key() == Structure(3, {**first.relations, ternary: {(0, 0, 0)}}).key()
 
 
 def test_evaluate_isomorphism_invariance():

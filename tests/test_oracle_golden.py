@@ -17,8 +17,9 @@ failing prefixes were skipped.  It records:
 
 The differential test compares ``satisfying_structures`` with a filter of
 ``enumerate_structures`` through ``evaluate``, structure by structure and in
-order, for the sentence sets of the first ``DIFFERENTIAL_SLICE`` instances
-and the files, at every domain size up to 3.  The last test checks that the
+order, for the sentence sets of the first ``DIFFERENTIAL_SLICE`` instances,
+the files and ``CHUNK_SETS``, at every domain size up to 3, under the default
+block bound and under each of ``SMALL_BOUNDS``.  The last test checks that the
 interpolant screens still raise ``evaluate``'s error for a candidate that
 ``evaluate`` would reject.
 
@@ -34,7 +35,7 @@ import re
 
 import pytest
 
-from craig import interpolation
+from craig import interpolation, models
 from craig.corpus import corpus
 from craig.definability import Theory, padoa_counterexample
 from craig.errors import CraigError
@@ -44,7 +45,7 @@ from craig.models import (
     enumerate_structures, evaluate, find_model, satisfying_structures,
     structure_to_json,
 )
-from craig.parser import parse_problem, print_formula
+from craig.parser import parse, parse_problem, print_formula
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle-golden.json"
@@ -65,6 +66,19 @@ PADOA = (
     ("tests/data/tallest.fol", "Tallest", ["Taller-than"]),
     ("bench/cli/pq-theory.fol", "P", ["Q"]),
     ("bench/cli/pq-theory.fol", "P", []),
+)
+
+
+# Block bounds far below the default, so that at sizes <= 3 the block is one
+# structure (1), holds only constants (8: two or more constants at size 3),
+# or splits the last relation into many chunks (8 and 64).
+SMALL_BOUNDS = (1, 8, 64)
+# Sentence sets (" ;; " between sentences) with three constants, with a 0-ary
+# relation last, and with relations only (a binary one last).
+CHUNK_SETS = (
+    "exists x. P(x) & !P(c) ;; P(d) | !P(k) ;; P(c) -> P(k)",
+    "Z | R(c, k) ;; !Z | exists x. R(x, c) & !R(k, x)",
+    "exists x. R(x, x) ;; forall x. exists y. R(x, y) & !R(y, x) | Q(x)",
 )
 
 
@@ -124,14 +138,19 @@ def test_golden_has_models_and_misses():
         assert any(v is None for v in values) and any(v is not None for v in values), kind
 
 
-def test_pruned_enumeration_matches_filtered_enumeration():
-    for name, phis in sentence_sets(DIFFERENTIAL_SLICE).items():
+def test_pruned_enumeration_matches_filtered_enumeration(monkeypatch):
+    sets = sentence_sets(DIFFERENTIAL_SLICE)
+    sets.update((text, [parse(x) for x in text.split(" ;; ")]) for text in CHUNK_SETS)
+    for name, phis in sets.items():
         sig = signature_of(*phis)
         for n in range(1, MAX_SIZE + 1):
             want = [A.key() for A in enumerate_structures(sig, n)
                     if all(evaluate(A, p) for p in phis)]
-            got = [A.key() for A in satisfying_structures(sig, n, phis)]
-            assert got == want, (name, n)
+            for bound in (models._BLOCK_BITS,) + SMALL_BOUNDS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "_BLOCK_BITS", bound)
+                    got = [A.key() for A in satisfying_structures(sig, n, phis)]
+                assert got == want, (name, n, bound)
 
 
 def _bad_candidates():

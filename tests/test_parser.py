@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craig.corpus import SignaturePool, _random_formula
 from craig.errors import ParseError
-from craig.formulas import And, Atom, BOTTOM, Const, Exists, Not, TOP, Var
+from craig.formulas import (
+    And, Atom, BOTTOM, Const, Exists, Forall, Not, Or, TOP, Top, Var,
+)
 from craig.parser import parse, parse_problem, print_formula
 
 import random
@@ -132,3 +135,27 @@ def test_identifier_outside_binder_scope_is_constant():
 def test_problem_file_arity_consistency_across_lines():
     with pytest.raises(ParseError):
         parse_problem("[left]\nR(a, b)\nR(a)\n")
+
+
+# Tokens of the grammar (and a few it rejects), so that generated strings
+# parse often enough to exercise the round trip and not only the lexer.
+FUZZ_TOKENS = (
+    "exists", "forall", "∀", "∃", "x", "y", "c", "c0", "P", "Q", "R", "Z",
+    "Taller-than", "true", "false", "⊤", "(", ")", ",", ".", "&", "|", "!",
+    "¬", "~", "->", "→", "=", "f", "#", "\n", "[", "1",
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map(" ".join),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map("".join),
+))
+def test_parse_returns_a_formula_or_raises_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError:
+        return
+    assert isinstance(f, (Atom, And, Or, Not, Exists, Forall, Top))
+    assert parse(print_formula(f)) == f
