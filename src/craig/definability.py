@@ -15,7 +15,7 @@ from .errors import (
     FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent, NotValid,
 )
 from .formulas import (
-    And, Atom, Const, Forall, Not, Or, SignatureReport, Var, abstract_constant,
+    And, Atom, Const, Forall, Not, Or, Var, abstract_constant,
     fresh_names, is_sentence, map_atoms, signature_of, simplify,
     substitute_constants, variable_names,
 )
@@ -77,35 +77,25 @@ class Definition:
     variables: tuple
 
 
-def padoa_counterexample(sigma: Theory, relation: str, tau, max_size: int,
-                         extra_arities: dict | None = None):
+def padoa_counterexample(sigma: Theory, relation: str, tau, max_size: int):
     """Two models of the theory agreeing on tau but not on the relation.
 
-    Deterministic: structures enumerated smallest domain first, each compared
-    against the first model seen with its tau-reduct; returns the first pair.
-    extra_arities supplies arities for symbols absent from the theory (for
-    instance the empty theory, where any relation is trivially undefined).
+    Deterministic: one satisfying_structures call enumerates the models of
+    the theory, smallest domain first; each is compared against the first
+    model seen with its domain size and tau-reduct, and the first pair
+    found is returned.
     """
     tau = sorted(tau)
     sig = sigma.signature()
-    if extra_arities:
-        arities = dict(sig.arities)
-        for name, arity in extra_arities.items():
-            if arities.setdefault(name, arity) != arity:
-                raise FormulaError(f"conflicting arity for {name}")
-        sig = SignatureReport(sig.relations | frozenset(extra_arities), arities,
-                              sig.constants, sig.relsig_pos, sig.relsig_neg,
-                              sig.free_vars)
     _check_beth_inputs(sig, relation, tau)
-    for n in range(1, max_size + 1):
-        seen: dict = {}
-        for A in satisfying_structures(sig, n, sigma.sentences):
-            key = tuple((t, tuple(sorted(A.relations[t]))) for t in tau)
-            first = seen.get(key)
-            if first is None:
-                seen[key] = A
-            elif first.relations[relation] != A.relations[relation]:
-                return (first, A)
+    seen: dict = {}
+    for A in satisfying_structures(sig, range(1, max_size + 1), sigma.sentences):
+        key = (A.domain_size, tuple((t, tuple(sorted(A.relations[t]))) for t in tau))
+        first = seen.get(key)
+        if first is None:
+            seen[key] = A
+        elif first.relations[relation] != A.relations[relation]:
+            return (first, A)
     return None
 
 

@@ -321,10 +321,10 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
     shared_consts = sorted(sig_phi.constants & sig_psi.constants)
 
     def screen(sentence, sig):
-        sizes = range(1, screen_size + 1)
-        if any(count_structures(sig, n) > _SCREEN_CAP for n in sizes):
+        # the count grows with the size, so the largest size decides
+        if screen_size >= 1 and count_structures(sig, screen_size) > _SCREEN_CAP:
             return None
-        return [A for n in sizes for A in satisfying_structures(sig, n, [sentence])]
+        return list(satisfying_structures(sig, range(1, screen_size + 1), [sentence]))
 
     phi_models = screen(phi, sig_phi)
     psi_antimodels = screen(Not(psi), sig_psi)

@@ -19,15 +19,19 @@ with the c low tuples at option o and the batched constants at their j-th
 value combination (K = n^#batched constants, rightmost fastest), so
 ascending bits are enumeration order.
 
-Each sentence is split into top-level conjuncts.  A conjunct whose last
-symbol comes before the block is evaluated once per prefix, as soon as that
-symbol is assigned: its truth is the same for every completion, so a failing
-conjunct skips them all.  A conjunct whose last symbol lies in the block is
-evaluated once per chunk as a mask, and the chunk's survivors are the set
-bits of the AND of those masks, in ascending order.  The survivors of both
-come out in enumeration order, which is why ``find_model`` and
-``padoa_counterexample`` return the same first models as a filter over every
-structure would.  ``enumerate_structures`` is the case with no sentences.
+One call covers every domain size: ``satisfying_structures`` analyses its
+sentences once (checks them, splits them into top-level conjuncts and finds
+each conjunct's last symbol), and per size builds only the block, its masks
+and the compiled conjuncts.  A conjunct whose last symbol comes before the
+block is evaluated once per prefix, as soon as that symbol is assigned: its
+truth is the same for every completion, so a failing conjunct skips them
+all.  A conjunct whose last symbol lies in the block is evaluated once per
+chunk as a mask, and the chunk's survivors are the set bits of the AND of
+those masks, in ascending order.  The survivors of both come out in
+enumeration order, which is why ``find_model`` and ``padoa_counterexample``
+(each one call over the sizes 1..max) return the same first models as a
+filter over every structure would.  ``enumerate_structures`` is the
+one-size call with no sentences.
 
 Compile once, evaluate many.  Where one formula meets many structures (each
 conjunct of ``satisfying_structures``, each interpolant-search candidate on
@@ -35,7 +39,8 @@ its screens) ``_compile`` translates it once into nested closures, so node
 dispatch, atom argument shapes and quantifier loops are fixed before the
 first structure.  The closures return masks over a batch of structures: ∧,
 ∨ and ¬ are ``&``, ``|`` and ``^``, ∃ and ∀ are the OR and AND of their
-instances, and a scalar use (the candidate screens, the per-prefix checks)
+instances, a block of k quantified variables is k nested one-variable
+quantifiers, and a scalar use (the candidate screens, the per-prefix checks)
 is a batch of one structure.  ``evaluate`` keeps the ``_eval`` interpreter,
 for two reasons: for one formula on one structure, compiling and running
 costs about twice as much as interpreting (corpus formulas, size 1 and 2
@@ -176,11 +181,13 @@ def _compile(f, batch: _Batch = _SCALAR):
     Over ``_SCALAR`` the mask is 0 or 1 (or a bool, a one-bit mask) with
     the truth value ``_eval(structure, f, assignment)`` returns, and the
     closure raises what ``_eval`` raises at the same point.  Connectives and
-    quantifier blocks stop where ``_eval`` does: ∧ and ∀ at the all-false
-    mask, ∨ and ∃ at the all-true one, and a node that is not a formula
-    raises ``FormulaError`` when evaluation reaches it, not at compile time.
-    An atom with no batched symbol is 0 or ``full``.  Compiling and running
-    each recurse once per nesting level, no deeper than ``_eval``.
+    quantifiers stop where ``_eval`` does: ∧ and ∀ at the all-false mask, ∨
+    and ∃ at the all-true one, and a node that is not a formula raises
+    ``FormulaError`` when evaluation reaches it, not at compile time.  A
+    quantifier block of k variables runs as k nested one-variable
+    quantifiers, which visit its instances in ``_eval``'s order.  An atom
+    with no batched symbol is 0 or ``full``.  Compiling recurses once per
+    nesting level and running once per level and per block variable.
     """
     kind = type(f)
     full = batch.full
@@ -224,7 +231,11 @@ def _compile(f, batch: _Batch = _SCALAR):
             return m
         return disjunction
     if kind is Exists or kind is Forall:
-        return _quantifier(kind is Exists, f.vars, _compile(f.body, batch), full)
+        # a block of k variables is k nested quantifiers, the first outermost
+        holds = _compile(f.body, batch)
+        for v in reversed(f.vars):
+            holds = _quantifier(kind is Exists, v, holds, full)
+        return holds
     if kind is Top:
         return lambda A, g: full
 
@@ -251,52 +262,29 @@ def _membership(rel, shape, names):
                                for is_var, n in pairs]) in A.relations[rel]
 
 
-def _quantifier(existential: bool, block: tuple, body, full: int):
+def _quantifier(existential: bool, v: str, body, full: int):
     # ∃ is the OR of the body's instances and ∀ their AND; each stops once
     # the mask is decided.  g2 is private to one evaluation.
-    if len(block) == 1:
-        (v,) = block
-        if existential:
-            def exists(A, g):
-                g2, m = dict(g), 0
-                for e in range(A.domain_size):
-                    g2[v] = e
-                    m |= body(A, g2)
-                    if m == full:
-                        return m
-                return m
-            return exists
-
-        def forall(A, g):
-            g2, m = dict(g), full
+    if existential:
+        def exists(A, g):
+            g2, m = dict(g), 0
             for e in range(A.domain_size):
                 g2[v] = e
-                m &= body(A, g2)
-                if not m:
-                    return 0
-            return m
-        return forall
-
-    if existential:
-        def exists_block(A, g):
-            g2, m = dict(g), 0
-            for values in itertools.product(range(A.domain_size), repeat=len(block)):
-                g2.update(zip(block, values))
                 m |= body(A, g2)
                 if m == full:
                     return m
             return m
-        return exists_block
+        return exists
 
-    def forall_block(A, g):
+    def forall(A, g):
         g2, m = dict(g), full
-        for values in itertools.product(range(A.domain_size), repeat=len(block)):
-            g2.update(zip(block, values))
+        for e in range(A.domain_size):
+            g2[v] = e
             m &= body(A, g2)
             if not m:
                 return 0
         return m
-    return forall_block
+    return forall
 
 
 def _mask_atom(rel, shape, names, batch: _Batch):
@@ -348,28 +336,40 @@ def enumerate_structures(sig: SignatureReport, n: int) -> Iterator[Structure]:
     relation the tuple universe is sorted lexicographically and subsets are
     emitted in binary-counter order (bit i = i-th tuple); the rightmost symbol
     varies fastest.  The count is prod_R 2^(n^arity(R)) * n^#constants.
-    This is satisfying_structures with no sentences.
+    This is satisfying_structures of the one size n with no sentences.
     """
-    yield from satisfying_structures(sig, n, ())
+    yield from satisfying_structures(sig, (n,), ())
 
 
-def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[Structure]:
-    """The structures of enumerate_structures(sig, n) that satisfy every
-    sentence, in the same order.
+def satisfying_structures(sig: SignatureReport, sizes, sentences) -> Iterator[Structure]:
+    """For each n in sizes, in the order given, the structures of
+    enumerate_structures(sig, n) that satisfy every sentence, in its order.
 
-    The symbols before the block are assigned one at a time, and each
-    top-level conjunct whose last symbol is among them is evaluated once per
-    assignment of the symbols up to that one: a failing conjunct skips every
-    completion of that prefix.  The conjuncts whose last symbol lies in the
-    block are evaluated once per chunk, as masks, and the survivors are the
-    set bits of their AND.  Every sentence is checked up front as evaluate
-    checks it: a symbol outside sig or a free variable raises before
-    anything is enumerated.
+    Every sentence is checked as evaluate checks it before anything is
+    enumerated, even for no sizes: a symbol outside sig or a free variable
+    raises.  Sentences are split into top-level conjuncts once per call; per
+    size, a conjunct is evaluated once per prefix that assigns its last
+    symbol, or once per chunk, as a mask, when that symbol is in the block.
     """
+    rel_names, const_names = sorted(sig.relations), sorted(sig.constants)
+    position = {x: i for i, x in enumerate(rel_names + const_names)}
+    conjuncts = []  # (position of its last symbol, -1 for none; conjunct)
+    for phi in sentences:
+        _check_evaluable(signature_of(phi), sig.relations, sig.constants)
+        for conjunct in _conjuncts(phi):
+            r = signature_of(conjunct)
+            conjuncts.append((max([position[x] for x in (*r.relations, *r.constants)],
+                                  default=-1), conjunct))
+    for n in sizes:
+        yield from _satisfying(sig, n, rel_names, const_names, conjuncts)
+
+
+def _satisfying(sig: SignatureReport, n: int, rel_names: list, const_names: list,
+                conjuncts: list) -> Iterator[Structure]:
+    # one size of satisfying_structures: the block, its masks and the
+    # compiled conjuncts are all that depend on n
     if n < 1:
         raise FormulaError("domain must be non-empty")
-    rel_names = sorted(sig.relations)
-    const_names = sorted(sig.constants)
     names = rel_names + const_names
     # the block: the trailing constants that fit in _BLOCK_BITS and, if all
     # of them fit, the c lowest tuples of the last relation
@@ -387,21 +387,15 @@ def satisfying_structures(sig: SignatureReport, n: int, sentences) -> Iterator[S
     block_consts = const_names[len(const_names) - m:]
     batch = _Batch(full, rel, dict(zip(block_consts, const_masks)))
 
-    position = {x: i for i, x in enumerate(names)}
     # checks[i + 1] holds the conjuncts whose last symbol is names[i] < start;
     # checks[0] those that mention no symbol at all
     checks: list = [[] for _ in range(start + 1)]
     in_block: list = []
-    for phi in sentences:
-        _check_evaluable(signature_of(phi), sig.relations, sig.constants)
-        for conjunct in _conjuncts(phi):
-            r = signature_of(conjunct)
-            last = max([position[x] for x in r.relations] + [position[x] for x in r.constants],
-                       default=-1)
-            if last >= start:
-                in_block.append(_compile(conjunct, batch))
-            else:
-                checks[last + 1].append(_compile(conjunct))
+    for last, conjunct in conjuncts:
+        if last >= start:
+            in_block.append(_compile(conjunct, batch))
+        else:
+            checks[last + 1].append(_compile(conjunct))
 
     relations = dict.fromkeys(rel_names, frozenset())
     constants = dict.fromkeys(const_names[:len(const_names) - m], 0)  # the block's come last
@@ -541,16 +535,14 @@ def count_structures(sig: SignatureReport, n: int) -> int:
 def find_model(phis: list, max_size: int):
     """Smallest-domain structure satisfying every sentence, or None.
 
-    Deterministic: sizes ascending, and within a size the first structure of
-    enumerate_structures that satisfies every sentence; blocks of structures
-    that a conjunct already refutes on their prefix are skipped unvisited.
-    A formula with free variables raises PartialAssignmentError.
+    Deterministic: the first structure of one satisfying_structures call
+    over the sizes 1..max_size, ascending, so within a size the first
+    structure of enumerate_structures that satisfies every sentence.  A
+    formula with free variables raises PartialAssignmentError, also when
+    max_size is below 1.
     """
-    sig = signature_of(*phis)
-    for n in range(1, max_size + 1):
-        for A in satisfying_structures(sig, n, phis):
-            return A
-    return None
+    return next(satisfying_structures(signature_of(*phis), range(1, max_size + 1), phis),
+                None)
 
 
 def structure_to_json(A: Structure) -> str:

@@ -42,8 +42,9 @@ until the first split and again once the last pending child is entered.
 Search order, node ids and fresh constants are those of a search that
 copied the branch at every split.
 
-The budget counts rule applications (created tableau nodes, closures
-included).  No completeness promise is made within a finite budget.
+The budget counts rule applications: one per ∧, ∀ or ∃ step that adds a
+node, one per closure, and one per split, however many children the split
+creates.  No completeness promise is made within a finite budget.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ The cases:
   assignment of its free variables;
 - hand-written formulas for the shapes that strategy never builds: n-ary
   connectives, multi-variable blocks, mixed and 0-ary atoms, and a subterm
-  that is not a formula;
+  that is not a formula (inside a multi-variable block too, where the
+  instance that raises first shows the order the block visits);
 - every ``enumerate_shared_formulas`` candidate of size <= 5 for the first
   ``SEARCH_SLICE`` instances of ``corpus(42, 50, small=True)``, on both
   screen lists ``search_interpolant`` builds.
@@ -36,7 +37,7 @@ import itertools
 from hypothesis import given, settings
 
 from craig.corpus import corpus
-from craig.formulas import And, Atom, Const, Not, Or, Var, signature_of
+from craig.formulas import And, Atom, Const, Exists, Forall, Not, Or, Var, signature_of
 from craig.interpolation import _SCREEN_CAP, enumerate_shared_formulas
 from craig.models import (
     Structure, _Batch, _block_masks, _compile, _eval, _trusted_structure,
@@ -203,6 +204,13 @@ def test_compiled_raises_for_a_non_formula_only_when_reached():
     for f in (Not(junk), And((Atom("P", (Const("c"),)), junk)),
               Or((Atom("P", (Const("c"),)), junk)), Or((Not(Atom("P", (Var("x"),))), junk))):
         _assert_agrees(f, [A], [{"x": 0}, {"x": 1}])
+    # a block body that decides at an instance where R and Q hold and raises
+    # where R fails: the outcome shows which instance the block reaches first
+    R, Q = Atom("R", (Var("x"), Var("y"))), Atom("Q", (Var("y"),))
+    body = Or((And((R, Q)), And((Not(R), junk))))
+    structures = list(enumerate_structures(signature_of(R, Q), 2))
+    for f in (Exists(("x", "y"), body), Forall(("x", "y"), Not(body))):
+        _assert_agrees(f, structures, [{}])
 
 
 def _screen(sentence, sig) -> list:

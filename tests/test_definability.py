@@ -112,10 +112,16 @@ def test_padoa_tallest_pair_matches_paper(tallest_theory):
 def test_padoa_absent_when_explicitly_defined():
     sigma = Theory((parse("forall x. P(x) -> Q(x)"), parse("forall x. Q(x) -> P(x)")))
     assert padoa_counterexample(sigma, "P", ["Q"], 3) is None
+    # P is everything: models of two sizes with Q empty agree on Q, not on P,
+    # but are no Padoa pair
+    sigma = Theory((parse("forall x. P(x) & (Q(x) | !Q(x))"),))
+    assert padoa_counterexample(sigma, "P", ["Q"], 3) is None
 
 
 def test_padoa_empty_theory():
-    pair = padoa_counterexample(Theory(()), "P", [], 3, extra_arities={"P": 1})
+    # a theory that mentions P without constraining it says no more than
+    # the empty theory, so P is undefined already at size 1
+    pair = padoa_counterexample(Theory((parse("forall x. P(x) | !P(x)"),)), "P", [], 3)
     assert pair is not None
     A, B = pair
     assert A.domain_size == 1

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from craig.errors import FormulaError
 from craig.formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    abstract_constant, fresh_constant, is_nnf, signature_of, simplify,
-    substitute_constant, to_nnf,
+    abstract_constant, free_vars, fresh_constant, is_nnf, signature_of, simplify,
+    substitute_constant, to_nnf, walk,
 )
 from craig.models import enumerate_structures, evaluate
 from craig.parser import parse
@@ -223,3 +223,23 @@ def test_simplify_units_and_flattening():
 def test_simplify_drops_vacuous_quantifier():
     f = Forall(("z",), parse("exists x. P(x)"))
     assert simplify(f) == parse("exists x. P(x)")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(formulas())
+def test_simplify_equivalent_idempotent_and_normal(phi):
+    for v in sorted(signature_of(phi).free_vars):
+        phi = substitute_constant(phi, v, "e")
+    s = simplify(phi)
+    assert simplify(s) == s
+    for f in walk(s):
+        if isinstance(f, (And, Or)):
+            for g in f.items:
+                assert type(g) is not type(f), s
+                assert g != TOP and g != BOTTOM, s
+        if isinstance(f, (Exists, Forall)):
+            assert set(f.vars) <= free_vars(f.body), s
+    sig = signature_of(phi)
+    for n in (1, 2):
+        for A in enumerate_structures(sig, n):
+            assert evaluate(A, s) == evaluate(A, phi)

@@ -112,12 +112,14 @@ def test_find_model_results_satisfy_inputs():
 
 
 def test_find_model_rejects_open_formulas_before_enumerating():
-    # whichever conjunct pruning would check first, a free variable raises
+    # whichever conjunct pruning would check first, a free variable raises,
+    # also when there is no size to search
     from craig.formulas import BOTTOM, And, Atom, Var
     open_atom = Atom("P", (Var("x"),))
     for phi in (open_atom, And((open_atom, BOTTOM)), And((BOTTOM, open_atom))):
-        with pytest.raises(PartialAssignmentError, match=r"assignment misses \['x'\]"):
-            find_model([phi], 2)
+        for max_size in (0, 2):
+            with pytest.raises(PartialAssignmentError, match=r"assignment misses \['x'\]"):
+                find_model([phi], max_size)
 
 
 @contextlib.contextmanager

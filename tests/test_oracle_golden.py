@@ -149,7 +149,7 @@ def test_pruned_enumeration_matches_filtered_enumeration(monkeypatch):
             for bound in (models._BLOCK_BITS,) + SMALL_BOUNDS:
                 with monkeypatch.context() as patch:
                     patch.setattr(models, "_BLOCK_BITS", bound)
-                    got = [A.key() for A in satisfying_structures(sig, n, phis)]
+                    got = [A.key() for A in satisfying_structures(sig, [n], phis)]
                 assert got == want, (name, n, bound)
 
 
