@@ -12,8 +12,8 @@ import sys
 # RecursionError (in to_nnf of its raw interpolant, during verification);
 # hashing stops at 496 nested negations (9,996 at this limit); parse, to_nnf,
 # print_formula and simplify stop at 985 nested negations and 164 nested
-# parentheses (19,985 and 3,330).  The tests and benchmark workloads pass
-# without the raise.
+# parentheses (19,985 and 3,330).  tests/test_deep_nesting.py pins depths
+# that only the raise makes reachable: each of its cases fails without it.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent, NotValid,
+    FormulaError, ImplicitDefinabilityRefuted, JointlyConsistent, NonSentenceError,
+    NotValid,
 )
 from .formulas import (
     And, Atom, Const, Forall, Not, Or, Var, abstract_constant,
-    fresh_names, is_sentence, map_atoms, signature_of, simplify,
-    substitute_constants, variable_names,
+    fresh_names, is_sentence, map_atoms, signature_of, simplify, variable_names,
 )
 from .interpolation import interpolant_from_labeled, reprove
 from .models import Structure, satisfying_structures
@@ -35,7 +35,7 @@ class Theory:
         object.__setattr__(self, "sentences", tuple(self.sentences))
         for s in self.sentences:
             if not is_sentence(s):
-                raise FormulaError(f"theory member has free variables: {s!r}")
+                raise NonSentenceError(f"theory member has free variables: {s!r}")
 
     def signature(self):
         return signature_of(*self.sentences)
@@ -118,9 +118,9 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     definability and no definition can exist.  The tuple is frozen as fresh
     constants for the tableau, the interpolant of the primed-copy implication
     is extracted, and the constants are abstracted back to variables.  The
-    biconditional is re-proved before returning.  A countermodel of the
-    primed-copy implication is a Padoa pair too: its unprimed reduct and its
-    primed copy renamed back.
+    biconditional is re-proved at the frozen tuple before returning.  A
+    countermodel of the primed-copy implication is a Padoa pair too: its
+    unprimed reduct and its primed copy renamed back.
     """
     tau = sorted(tau)
     sig = sigma.signature()
@@ -153,22 +153,17 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
     variables = fresh_names("x", variable_names(theta), arity)
+    phi = theta
     for c, v in zip(frozen, variables):
-        theta = abstract_constant(theta, c, v)
-    if signature_of(theta).symbols() - set(tau):
+        phi = abstract_constant(phi, c, v)
+    if signature_of(phi).symbols() - set(tau):
         raise FormulaError("internal error: definition leaks symbols outside tau")
 
-    _reprove_biconditional(sigma, relation, theta, tuple(variables), budget)
-    return Definition(theta, tuple(variables))
-
-
-def _reprove_biconditional(sigma: Theory, relation: str, phi, variables, budget: int):
-    consts = fresh_names("c", signature_of(*sigma.sentences, phi).constants,
-                         len(variables))
-    grounded = substitute_constants(phi, dict(zip(variables, consts)))
-    head = Atom(relation, tuple(Const(c) for c in consts))
-    reprove([("R -> definition", [*sigma.sentences, head, Not(grounded)]),
-             ("definition -> R", [*sigma.sentences, grounded, Not(head)])], budget)
+    # the biconditional, re-proved at the frozen tuple: theta is phi(c⃗)
+    head = Atom(relation, args)
+    reprove([("R -> definition", [*sigma.sentences, head, Not(theta)]),
+             ("definition -> R", [*sigma.sentences, theta, Not(head)])], budget)
+    return Definition(phi, tuple(variables))
 
 
 def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
@@ -194,8 +189,6 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     which shows phi is not monotone in R; NotProvedWithinBudget means the
     budget ran out.
     """
-    if not is_sentence(phi):
-        raise FormulaError("monotone_rewrite expects a sentence")
     sig = signature_of(phi)
     if relation in sig.relations:
         arity = sig.arities[relation]

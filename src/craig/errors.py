@@ -31,7 +31,7 @@ class PartialAssignmentError(CraigError):
     """Assignment does not cover every free variable."""
 
 
-class NonSentenceError(CraigError):
+class NonSentenceError(FormulaError):
     """Operation requires sentences (no free variables)."""
 
 

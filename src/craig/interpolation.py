@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauError
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    _abstract_constant, fresh_names, is_sentence, signature_of,
-    substitute_constants, variable_names,
+    _abstract_constant, fresh_names, signature_of, variable_names,
 )
 from .models import (
     Structure, _check_evaluable, _compile, count_structures, satisfying_structures,
 )
 from .tableau import (
-    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Node, Root,
+    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Root,
     Satisfiable, Unknown, labeled, prove, refute,
 )
 
@@ -39,19 +38,6 @@ class AnnotatedTableau:
 
     def root_interpolant(self):
         return self.interpolants[self.tableau.root.id]
-
-
-def side_sentences(node: Node, label: str) -> list:
-    """Sentences with the given label introduced at the node or above it."""
-    out = []
-    n = node
-    while n is not None:
-        for ls in n.introduced:
-            if ls.label == label:
-                out.append(ls.formula)
-        n = n.parent
-    out.reverse()
-    return out
 
 
 def _leaf_interpolant(evidence: tuple):
@@ -154,23 +140,10 @@ class Verdict:
         return self.kind == Verdict.VERIFIED
 
 
-def _freeze_free_vars(formulas: list) -> list:
-    """Close formulas by mapping each free variable to one fresh constant."""
-    sig = signature_of(*formulas)
-    if not sig.free_vars:
-        return list(formulas)
-    free = sorted(sig.free_vars)
-    mapping = dict(zip(free, fresh_names("c", sig.constants, len(free))))
-    return [substitute_constants(f, mapping) for f in formulas]
-
-
 def entails(phi, psi, budget: int):
-    """Tableau check of phi ⊨ psi; free variables are frozen uniformly.
-
-    Returns the prover outcome for the set {phi, ¬psi}.
-    """
-    frozen_phi, frozen_psi = _freeze_free_vars([phi, psi])
-    return prove(labeled([frozen_phi], [Not(frozen_psi)]), budget)
+    """Tableau check of phi ⊨ psi for sentences: the prover outcome for the
+    set {phi, ¬psi}."""
+    return prove(labeled([phi], [Not(psi)]), budget)
 
 
 def reprove(claims, budget: int) -> None:
@@ -190,7 +163,8 @@ def reprove(claims, budget: int) -> None:
 
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
-    """Exact syntactic signature checks plus two tableau entailment checks."""
+    """Exact syntactic signature checks plus two tableau entailment checks
+    (sentences only: the prover rejects an open input)."""
     sig_phi, sig_psi, sig_theta = signature_of(phi), signature_of(psi), signature_of(theta)
     bad_rels = sorted(sig_theta.relations - (sig_phi.relations & sig_psi.relations))
     if bad_rels:
@@ -200,10 +174,6 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
     if bad_consts:
         return Verdict(Verdict.SIGNATURE_VIOLATION,
                        f"constants not shared: {', '.join(bad_consts)}")
-    bad_vars = sorted(sig_theta.free_vars - (sig_phi.free_vars & sig_psi.free_vars))
-    if bad_vars:
-        return Verdict(Verdict.SIGNATURE_VIOLATION,
-                       f"free variables not shared: {', '.join(bad_vars)}")
     for name, (a, b) in (("phi -> theta", (phi, theta)),
                          ("theta -> psi", (theta, psi))):
         outcome = entails(a, b, budget)
@@ -227,8 +197,6 @@ def craig_interpolant(phi, psi, budget: int):
 
 def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
-    if not is_sentence(phi) or not is_sentence(psi):
-        raise FormulaError("craig_interpolant expects sentences")
     theta, annotated = interpolant_from_labeled(labeled([phi], [Not(psi)]), budget)
     verdict = verify_interpolant(phi, psi, theta, budget)
     if verdict.kind in (Verdict.SIGNATURE_VIOLATION, Verdict.NOT_ENTAILED):

@@ -85,6 +85,8 @@ class Structure:
                 for name, tuples in self.relations.items()}
         object.__setattr__(self, "relations", rels)
         for name, tuples in rels.items():
+            if len({len(t) for t in tuples}) > 1:
+                raise FormulaError(f"relation {name} has tuples of different lengths")
             for t in tuples:
                 if any(not (0 <= e < self.domain_size) for e in t):
                     raise FormulaError(f"tuple {t} of {name} outside domain")
@@ -102,9 +104,18 @@ class Structure:
 
 
 def evaluate(structure: Structure, phi, assignment: dict | None = None) -> bool:
-    """Tarskian truth of phi in the structure under the assignment."""
+    """Tarskian truth of phi in the structure under the assignment.
+
+    phi must use each relation at the arity of its interpretation; an empty
+    interpretation has no arity to compare and is not checked."""
     g = dict(assignment or {})
-    _check_evaluable(signature_of(phi), structure.relations, structure.constants, g)
+    report = signature_of(phi)
+    _check_evaluable(report, structure.relations, structure.constants, g)
+    for rel, arity in report.arities.items():
+        t = next(iter(structure.relations[rel]), None)
+        if t is not None and len(t) != arity:
+            raise FormulaError(f"relation {rel} has arity {len(t)} in the "
+                               f"structure but {arity} in the formula")
     return _eval(structure, phi, g)
 
 

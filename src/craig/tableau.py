@@ -372,13 +372,12 @@ class _BranchState:
 
 
 class _Prover:
-    def __init__(self, inputs, budget: int):
+    def __init__(self, inputs, budget: int, constants):
         self.inputs = tuple(inputs)
         self.budget = budget
         self.applications = 0
         self.next_id = 0
-        # raises on a relation used with two arities
-        self.avoid = signature_of(*(ls.formula for ls in self.inputs)).constants
+        self.avoid = constants  # the inputs' constants, in first-occurrence order
         self.fresh_index = 0
 
     def fresh(self) -> str:
@@ -502,20 +501,23 @@ def prove(inputs, budget: int):
     """Run the tableau on labeled NNF sentences.
 
     Returns Closed (the input set is unsatisfiable), Satisfiable (with a
-    verified finite model) or Unknown (budget exhausted).  Inputs that use
-    one relation with two arities raise FormulaError.
+    verified finite model) or Unknown (budget exhausted).  This is the one
+    check of prover inputs, so every proving entry point takes sentences.
+    Inputs that use one relation with two arities raise FormulaError; after
+    that, the first input that is open raises NonSentenceError (a
+    FormulaError) and the first that is not in NNF raises NotNNFError.
     """
     if budget <= 0:
         raise FormulaError("budget must be positive")
-    norm = []
-    for s in inputs:
-        ls = s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
-        if not is_sentence(ls.formula):
+    norm = [s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
+            for s in inputs]
+    sig = signature_of(*(ls.formula for ls in norm))  # raises on an arity clash
+    for ls in norm:
+        if sig.free_vars and not is_sentence(ls.formula):
             raise NonSentenceError(f"free variables in input: {ls.formula!r}")
         if not is_nnf(ls.formula):
             raise NotNNFError(f"input not in NNF: {ls.formula!r}")
-        norm.append(ls)
-    return _Prover(norm, budget).run()
+    return _Prover(norm, budget, sig.constants).run()
 
 
 def refute(inputs, budget: int) -> ClosedTableau:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaError, NotSplittable
-from .formulas import Not, is_sentence, signature_of, simplify
+from .errors import FormulaError, NonSentenceError, NotSplittable
+from .formulas import Not, signature_of, simplify
 from .definability import Theory
 from .interpolation import interpolant_from_labeled, reprove
 from .tableau import labeled
@@ -80,7 +80,6 @@ def split_theory(sigma: Theory, sigma_sig, tau_sig):
 
 def weak_interpolant(sigma: Theory, phi, psi, budget: int):
     """θ with Σ ⊨ phi→θ, Σ ⊨ θ→psi, sig(θ) ⊆ (sig(phi)∩sig(psi)) ∪ sig(Σ)."""
-    _check_sentences(phi, psi)
     inputs = labeled([*sigma.sentences, phi], [Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
     allowed = ((signature_of(phi).symbols() & signature_of(psi).symbols())
@@ -93,24 +92,20 @@ def weak_interpolant(sigma: Theory, phi, psi, budget: int):
 
 def strong_interpolant(sigma: Theory, phi, psi, budget: int):
     """θ as above but with sig(θ) ⊆ sig(phi) ∩ sig(psi); needs a split."""
-    _check_sentences(phi, psi)
-    split = split_theory(sigma, signature_of(phi).symbols(),
-                         signature_of(psi).symbols())
+    sig_phi, sig_psi = signature_of(phi), signature_of(psi)
+    if sig_phi.free_vars or sig_psi.free_vars:  # checked before the split decides
+        raise NonSentenceError("theory interpolation expects sentences")
+    split = split_theory(sigma, sig_phi.symbols(), sig_psi.symbols())
     if split is None:
         raise NotSplittable(
             "the theory is not (sig(phi), sig(psi))-splittable")
     inputs = labeled([*split.sigma1.sentences, phi], [*split.sigma2.sentences, Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
-    allowed = signature_of(phi).symbols() & signature_of(psi).symbols()
+    allowed = sig_phi.symbols() & sig_psi.symbols()
     if signature_of(theta).symbols() - allowed:
         raise FormulaError("internal error: strong interpolant leaks symbols")
     _reprove_under_theory(sigma, phi, psi, theta, budget)
     return theta
-
-
-def _check_sentences(phi, psi):
-    if not is_sentence(phi) or not is_sentence(psi):
-        raise FormulaError("theory interpolation expects sentences")
 
 
 def _reprove_under_theory(sigma: Theory, phi, psi, theta, budget: int):

@@ -360,6 +360,27 @@ def _truncated_structure(tmp_path, data_dir):
     return ["eval", str(structure), "--formula", "exists x. P(x)"]
 
 
+def _eval_on(tmp_path, relations: dict, formula: str):
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({"domain": 2, "relations": relations,
+                                     "constants": {}}))
+    return ["eval", str(structure), "--formula", formula]
+
+
+# R is binary in the structure; an empty relation carries no arity and is
+# not checked
+def _unary_use_of_binary_exists(tmp_path, data_dir):
+    return _eval_on(tmp_path, {"R": [[0, 1]]}, "exists x. R(x)")
+
+
+def _unary_use_of_binary_forall(tmp_path, data_dir):
+    return _eval_on(tmp_path, {"R": [[0, 1]]}, "forall x. !R(x)")
+
+
+def _mixed_tuple_lengths(tmp_path, data_dir):
+    return _eval_on(tmp_path, {"R": [[0], [0, 1]]}, "exists x. R(x)")
+
+
 def _bad_method_position(tmp_path, data_dir):
     return ["accpart", str(data_dir / "structure.json"), "--methods", "P:a"]
 
@@ -393,7 +414,8 @@ def _unknown_option(tmp_path, data_dir):
                                   _truncated_structure, _bad_method_position,
                                   _zero_model_size, _negative_padoa_size,
                                   _zero_size_option, _zero_candidate_size,
-                                  _unknown_option],
+                                  _unknown_option, _unary_use_of_binary_exists,
+                                  _unary_use_of_binary_forall, _mixed_tuple_lengths],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one

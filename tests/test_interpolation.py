@@ -10,12 +10,25 @@ from craig.formulas import (
 from craig.interpolation import (
     Verdict, craig_interpolant, entails, enumerate_shared_formulas,
     interpolant_from_labeled, lyndon_check, propagate, reprove,
-    search_interpolant, side_sentences, verify_interpolant,
+    search_interpolant, verify_interpolant,
 )
 from craig.models import enumerate_structures, evaluate
 
 from craig.parser import parse, print_formula
 from craig.tableau import Closed, LabeledSentence, prove
+
+
+def side_sentences(node, label: str) -> list:
+    """Sentences with the given label introduced at the node or above it."""
+    out = []
+    n = node
+    while n is not None:
+        for ls in n.introduced:
+            if ls.label == label:
+                out.append(ls.formula)
+        n = n.parent
+    out.reverse()
+    return out
 
 
 def _prove_fig2(fig2_inputs):

@@ -46,6 +46,21 @@ def test_evaluate_missing_symbol():
         evaluate(Structure(1), parse("P(c)"))
 
 
+def test_evaluate_rejects_a_use_at_another_arity():
+    A = Structure(2, {"R": {(0, 1)}, "S": set()})
+    for f in ("exists x. R(x)", "forall x. !R(x)", "exists x y z. R(x, y, z)"):
+        with pytest.raises(FormulaError, match="relation R has arity 2"):
+            evaluate(A, parse(f))
+    # an empty interpretation has no arity to compare against
+    assert evaluate(A, parse("forall x. !S(x)"))
+    assert not evaluate(A, parse("exists x y. S(x, y)"))
+
+
+def test_structure_rejects_mixed_tuple_lengths():
+    with pytest.raises(FormulaError, match="tuples of different lengths"):
+        Structure(2, {"R": {(0,), (0, 1)}})
+
+
 def test_evaluate_partial_assignment():
     from craig.formulas import And, Atom, Exists, Var
     A = Structure(1, {"P": {(0,)}})

@@ -6,6 +6,7 @@ from craig.errors import (
     BranchNotSaturatedError, FormulaError, NonSentenceError, NotNNFError,
 )
 from craig.formulas import Atom, Var, to_nnf
+from craig.interpolation import propagate
 from craig.models import evaluate, find_model
 from craig.parser import parse, print_formula
 from craig.tableau import (
@@ -162,6 +163,28 @@ def test_trace_golden(fig2_inputs):
   * B(c0) ^R  [or]
   x  clash: B(c0) ^R / !B(c0) ^L
 """
+
+
+@pytest.mark.parametrize("left, right, expected", [
+    ("false", "P(a)", """\
+* false ^L  [input]
+* P(a) ^R  [input]
+  [interpolant false]
+x  bottom: false ^L
+  [interpolant false]
+"""),
+    ("P(a)", "false", """\
+* P(a) ^L  [input]
+* false ^R  [input]
+  [interpolant true]
+x  bottom: false ^R
+  [interpolant true]
+"""),
+], ids=["bottom-left", "bottom-right"])
+def test_trace_bottom_closure(left, right, expected):
+    # a bottom leaf gives false when L-labeled and true when R-labeled
+    out = prove(_labeled([left], [right]), 10)
+    assert render_trace(out.tableau, propagate(out.tableau).interpolants) == expected
 
 
 # --------------------------------------------------------- branch models
