@@ -2,9 +2,11 @@
 Padoa counterexamples, Robinson separators and monotone rewriting.
 
 All constructions follow the same pattern: build a valid implication whose
-Craig interpolant has the wanted shape, extract it, then re-prove the claimed
-properties with the tableau.  Compactness steps are replaced by the finite
-theories these functions require.
+Craig interpolant has the wanted shape, extract it, then pass it to
+``interpolation.certify``, which checks its signature (tau for Beth, the
+shared one for Robinson, the input's for monotone rewriting) and re-proves
+the claimed properties with the tableau.  Compactness steps are replaced by
+the finite theories these functions require.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .formulas import (
     And, Atom, Const, Forall, Not, Or, Var, abstract_constant,
     fresh_names, is_sentence, map_atoms, signature_of, simplify, variable_names,
 )
-from .interpolation import interpolant_from_labeled, reprove
+from .interpolation import certify, interpolant_from_labeled
 from .models import Structure, satisfying_structures
 from .tableau import labeled
 
@@ -156,13 +158,12 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     phi = theta
     for c, v in zip(frozen, variables):
         phi = abstract_constant(phi, c, v)
-    if signature_of(phi).symbols() - set(tau):
-        raise FormulaError("internal error: definition leaks symbols outside tau")
 
     # the biconditional, re-proved at the frozen tuple: theta is phi(c⃗)
     head = Atom(relation, args)
-    reprove([("R -> definition", [*sigma.sentences, head, Not(theta)]),
-             ("definition -> R", [*sigma.sentences, theta, Not(head)])], budget)
+    certify(phi, tau, [
+        ("R -> definition", [*sigma.sentences, head, Not(theta)]),
+        ("definition -> R", [*sigma.sentences, theta, Not(head)])], budget)
     return Definition(phi, tuple(variables))
 
 
@@ -175,9 +176,9 @@ def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
         raise JointlyConsistent("the theories admit a common model",
                                 *e.witnesses) from e
     theta = simplify(theta)
-    reprove([("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
-             ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
-    return theta
+    return certify(theta, sigma1.signature().symbols() & sigma2.signature().symbols(),
+                   [("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
+                    ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
 
 
 def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
@@ -209,11 +210,7 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
                        f"(countermodel with {primed} for the enlarged {relation})",
                        *e.witnesses) from e
     theta = simplify(theta)
-    out_sig = signature_of(theta)
-    if relation in out_sig.relsig_neg:
+    if relation in signature_of(theta).relsig_neg:
         raise FormulaError("internal error: rewrite kept a negative occurrence")
-    if primed in out_sig.relations:
-        raise FormulaError("internal error: primed symbol leaked into the rewrite")
-    reprove([("phi -> theta", [phi, Not(theta)]),
-             ("theta -> phi", [theta, Not(phi)])], budget)
-    return theta
+    return certify(theta, sig.symbols(), [("phi -> theta", [phi, Not(theta)]),
+                                          ("theta -> phi", [theta, Not(phi)])], budget)

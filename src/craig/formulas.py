@@ -178,12 +178,14 @@ def signature_of(*phis) -> SignatureReport:
     constants, polarities and free variables.
 
     This is the one place that collects a formula set's constants or free
-    variables, and the only arity check.  Constants and free variables come
-    in first-occurrence (preorder) order.  Polarity is negation-depth
-    parity; top contributes no symbols; a variable is free if it occurs free
-    in some formula.  A relation used with two arities, in one formula or
-    across several, raises FormulaError.  Iterative, with exact type dispatch
-    as in map_atoms: nesting depth is not bounded by the recursion limit.
+    variables; it checks the arities of built formulas, as the parser's
+    registry does while reading and models._check_evaluable does against a
+    structure.  Constants and free variables come in first-occurrence
+    (preorder) order.  Polarity is negation-depth parity; top contributes no
+    symbols; a variable is free if it occurs free in some formula.  A relation
+    used with two arities, in one formula or across several, raises
+    FormulaError.  Iterative, with exact type dispatch as in map_atoms:
+    nesting depth is not bounded by the recursion limit.
     """
     arities: dict = {}
     constants: dict = {}

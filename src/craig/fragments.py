@@ -1,14 +1,15 @@
 """Syntactic fragment membership flags and the CIP status table.
 
-Membership checks are purely syntactic over the surface tree:
+Membership checks are purely syntactic (guardedness reads the NNF):
 
 * quantifier-free: no quantifier at all;
 * relativized (given a set of unary relativizers): every quantifier is a
   single-variable ``exists x. U(x) & ...`` or ``forall x. U(x) -> ...``;
 * two-variable: at most two distinct variable names after a canonical
   minimal-renaming pass (raw name counting is not renaming-invariant);
-* guarded: every quantifier block carries an atom containing all free
-  variables of its scope;
+* guarded: every quantifier body with two or more free variables has an
+  atom conjunct (∃) or negated-atom disjunct (∀) containing them all; one
+  free variable x is guarded by x = x (Andréka, van Benthem & Németi 1998);
 * unary-negation: every negation's scope has at most one free variable;
 * guarded-negation: every negation unary or guarded by a sibling atom in an
   enclosing conjunction (best effort; self-guardedness is not modeled).
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
 from .formulas import (
-    And, Atom, Exists, Forall, Not, Or, Top, Var, free_vars, fresh_names,
+    And, Atom, Exists, Forall, Not, Or, Top, Var, free_vars, fresh_names, to_nnf,
     variable_names, walk,
 )
 
@@ -106,24 +107,22 @@ def _is_relativized(phi, relativizers) -> bool:
     return True
 
 
-def _guard_candidates(body):
-    """Atoms that can serve as the guard of a quantified body."""
-    if isinstance(body, Atom):
-        return [body]
-    if isinstance(body, And):
-        return [g for g in body.items if isinstance(g, Atom)]
-    if isinstance(body, Not) and isinstance(body.sub, And):
-        return [g for g in body.sub.items if isinstance(g, Atom)]
-    if isinstance(body, Or):
-        negated = [g.sub for g in body.items if isinstance(g, Not)]
-        return [g for g in negated if isinstance(g, Atom)]
-    return []
+def _guards(q):
+    """Atoms that can guard the body of an NNF quantifier: for ∃ the body if
+    it is an atom, else its atom conjuncts; for ∀ the atom of a negated-atom
+    body, else the atoms of its negated-atom disjuncts."""
+    body = q.body
+    if isinstance(q, Exists):
+        items = body.items if isinstance(body, And) else (body,)
+        return [g for g in items if isinstance(g, Atom)]
+    items = body.items if isinstance(body, Or) else (body,)
+    return [g.sub for g in items if isinstance(g, Not) and isinstance(g.sub, Atom)]
 
 
 def _is_guarded(phi) -> bool:
-    for q in _quantifiers(phi):
+    for q in _quantifiers(to_nnf(phi)):
         need = free_vars(q.body)
-        if not any(need <= free_vars(g) for g in _guard_candidates(q.body)):
+        if len(need) > 1 and not any(need <= free_vars(g) for g in _guards(q)):
             return False
     return True
 

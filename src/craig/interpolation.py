@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import FormulaError, NotProvedWithinBudget, NotValid, OpenTableauError
+from .errors import (FormulaError, NonSentenceError, NotProvedWithinBudget, NotValid,
+                     OpenTableauError)
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
     _abstract_constant, fresh_names, signature_of, variable_names,
@@ -146,12 +147,15 @@ def entails(phi, psi, budget: int):
     return prove(labeled([phi], [Not(psi)]), budget)
 
 
-def reprove(claims, budget: int) -> None:
-    """Re-prove each (name, sentences) claim that the sentences are jointly
-    unsatisfiable; raise NotProvedWithinBudget for the first that does not
-    close, and FormulaError for one that has a countermodel, since a claim
-    the construction made must be valid.  Labels play no role in the search,
-    so every input is L."""
+def certify(theta, allowed, claims, budget: int):
+    """Every construction's post-condition check; returns theta.  A symbol of
+    theta outside allowed, or a (name, sentences) claim whose sentences have
+    a model, is a FormulaError (an internal error); a claim the tableau does
+    not refute within budget is NotProvedWithinBudget.  Labels play no role
+    in the search, so every input is L."""
+    leaked = sorted(signature_of(theta).symbols() - set(allowed))
+    if leaked:
+        raise FormulaError(f"internal error: {', '.join(leaked)} outside the signature")
     for name, sentences in claims:
         try:
             refute(labeled(sentences, ()), budget)
@@ -160,6 +164,7 @@ def reprove(claims, budget: int) -> None:
         except NotProvedWithinBudget as e:
             raise NotProvedWithinBudget(f"could not re-prove {name}: {e}",
                                         e.budget_spent) from e
+    return theta
 
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
@@ -189,8 +194,8 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
 def craig_interpolant(phi, psi, budget: int):
     """Craig interpolant for ⊨ phi -> psi via {nnf(phi)^L, nnf(¬psi)^R}.
 
-    The result is emitted un-simplified and passes verify_interpolant before
-    being returned.
+    The result is emitted un-simplified and passes certify before being
+    returned.
     """
     return _verified_interpolant(phi, psi, budget)[0]
 
@@ -198,13 +203,9 @@ def craig_interpolant(phi, psi, budget: int):
 def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
     theta, annotated = interpolant_from_labeled(labeled([phi], [Not(psi)]), budget)
-    verdict = verify_interpolant(phi, psi, theta, budget)
-    if verdict.kind in (Verdict.SIGNATURE_VIOLATION, Verdict.NOT_ENTAILED):
-        raise FormulaError(f"internal error: extracted interpolant fails "
-                           f"verification ({verdict.kind}: {verdict.details})")
-    if verdict.kind == Verdict.ENTAILMENT_UNKNOWN:
-        raise NotProvedWithinBudget(
-            f"interpolant verification incomplete: {verdict.details}")
+    certify(theta, signature_of(phi).symbols() & signature_of(psi).symbols(),
+            [("phi -> theta", [phi, Not(theta)]), ("theta -> psi", [theta, Not(psi)])],
+            budget)
     return theta, annotated
 
 
@@ -284,6 +285,8 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
     of budget: a later verified candidate would not be the first.
     """
     sig_phi, sig_psi = signature_of(phi), signature_of(psi)
+    if sig_phi.free_vars or sig_psi.free_vars:  # checked before the screens run
+        raise NonSentenceError("interpolant search expects sentences")
     arities = signature_of(phi, psi).arities  # raises on an arity clash
     shared_rels = {r: arities[r] for r in sorted(sig_phi.relations & sig_psi.relations)}
     shared_consts = sorted(sig_phi.constants & sig_psi.constants)
@@ -303,11 +306,11 @@ def search_interpolant(phi, psi, max_size: int, budget: int,
         # raises nothing, so the checks still raise first.
         report, holds = signature_of(theta), _compile(theta)
         if phi_models:
-            _check_evaluable(report, sig_phi.relations, sig_phi.constants)
+            _check_evaluable(report, sig_phi.arities, sig_phi.constants)
             if not all(holds(A, {}) for A in phi_models):
                 continue
         if psi_antimodels:
-            _check_evaluable(report, sig_psi.relations, sig_psi.constants)
+            _check_evaluable(report, sig_psi.arities, sig_psi.constants)
             if any(holds(A, {}) for A in psi_antimodels):
                 continue
         verdict = verify_interpolant(phi, psi, theta, budget)

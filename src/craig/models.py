@@ -109,22 +109,17 @@ def evaluate(structure: Structure, phi, assignment: dict | None = None) -> bool:
     phi must use each relation at the arity of its interpretation; an empty
     interpretation has no arity to compare and is not checked."""
     g = dict(assignment or {})
-    report = signature_of(phi)
-    _check_evaluable(report, structure.relations, structure.constants, g)
-    for rel, arity in report.arities.items():
-        t = next(iter(structure.relations[rel]), None)
-        if t is not None and len(t) != arity:
-            raise FormulaError(f"relation {rel} has arity {len(t)} in the "
-                               f"structure but {arity} in the formula")
+    arities = {r: next(map(len, ts), None) for r, ts in structure.relations.items()}
+    _check_evaluable(signature_of(phi), arities, structure.constants, g)
     return _eval(structure, phi, g)
 
 
-def _check_evaluable(report: SignatureReport, relations, constants, variables=()) -> None:
-    """Raise evaluate's error unless a structure interpreting these relation
-    and constant names, under an assignment of these variable names, can
-    evaluate a formula with this signature."""
+def _check_evaluable(report: SignatureReport, arities, constants, variables=()) -> None:
+    """Raise evaluate's error unless a structure with relations of these
+    arities (None for an empty one, which shows none), these constants and an
+    assignment of these variables can evaluate a formula with this signature."""
     for rel in sorted(report.relations):
-        if rel not in relations:
+        if rel not in arities:
             raise MissingSymbolError(f"structure does not interpret relation {rel}")
     for c in sorted(report.constants):
         if c not in constants:
@@ -132,6 +127,10 @@ def _check_evaluable(report: SignatureReport, relations, constants, variables=()
     missing = report.free_vars - set(variables)
     if missing:
         raise PartialAssignmentError(f"assignment misses {sorted(missing)}")
+    for rel, arity in report.arities.items():
+        if arities[rel] not in (None, arity):
+            raise FormulaError(f"relation {rel} has arity {arities[rel]} in the "
+                               f"structure but {arity} in the formula")
 
 
 def _eval(A: Structure, f, g: dict) -> bool:
@@ -366,7 +365,7 @@ def satisfying_structures(sig: SignatureReport, sizes, sentences) -> Iterator[St
     position = {x: i for i, x in enumerate(rel_names + const_names)}
     conjuncts = []  # (position of its last symbol, -1 for none; conjunct)
     for phi in sentences:
-        _check_evaluable(signature_of(phi), sig.relations, sig.constants)
+        _check_evaluable(signature_of(phi), sig.arities, sig.constants)
         for conjunct in _conjuncts(phi):
             r = signature_of(conjunct)
             conjuncts.append((max([position[x] for x in (*r.relations, *r.constants)],

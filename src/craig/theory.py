@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .errors import FormulaError, NonSentenceError, NotSplittable
 from .formulas import Not, signature_of, simplify
 from .definability import Theory
-from .interpolation import interpolant_from_labeled, reprove
+from .interpolation import certify, interpolant_from_labeled
 from .tableau import labeled
 
 
@@ -84,10 +84,9 @@ def weak_interpolant(sigma: Theory, phi, psi, budget: int):
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
     allowed = ((signature_of(phi).symbols() & signature_of(psi).symbols())
                | sigma.signature().symbols())
-    if signature_of(theta).symbols() - allowed:
-        raise FormulaError("internal error: weak interpolant leaks symbols")
-    _reprove_under_theory(sigma, phi, psi, theta, budget)
-    return theta
+    return certify(theta, allowed, [
+        ("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
+        ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)
 
 
 def strong_interpolant(sigma: Theory, phi, psi, budget: int):
@@ -101,13 +100,6 @@ def strong_interpolant(sigma: Theory, phi, psi, budget: int):
             "the theory is not (sig(phi), sig(psi))-splittable")
     inputs = labeled([*split.sigma1.sentences, phi], [*split.sigma2.sentences, Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
-    allowed = sig_phi.symbols() & sig_psi.symbols()
-    if signature_of(theta).symbols() - allowed:
-        raise FormulaError("internal error: strong interpolant leaks symbols")
-    _reprove_under_theory(sigma, phi, psi, theta, budget)
-    return theta
-
-
-def _reprove_under_theory(sigma: Theory, phi, psi, theta, budget: int):
-    reprove([("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
-             ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)
+    return certify(theta, sig_phi.symbols() & sig_psi.symbols(), [
+        ("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
+        ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)

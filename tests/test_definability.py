@@ -212,5 +212,5 @@ def test_explicit_definition_rejects_symbols_outside_tau(tallest_theory, monkeyp
     leak = Atom("Tallest", (Const("c0"),))  # c0 stands for the defined tuple
     monkeypatch.setattr(definability, "interpolant_from_labeled",
                         lambda inputs, budget: (leak, None))
-    with pytest.raises(FormulaError, match="outside tau"):
+    with pytest.raises(FormulaError, match="Tallest outside the signature"):
         explicit_definition(tallest_theory, "Tallest", ["Taller-than"], 1000)

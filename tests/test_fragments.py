@@ -3,13 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from craig.corpus import SignaturePool, _random_formula
 from craig.errors import UnknownFragmentError
+from craig.formulas import to_nnf
 from craig.fragments import (
     HAS, LACKS, NOT_APPLICABLE, canonical_rename, cip_status, classify,
 )
 from craig.parser import parse
+from test_formulas import formulas
 
 
 def test_classify_guarded_two_variable_example():
@@ -66,6 +69,22 @@ def test_canonical_rename_structure():
 
 def test_unguarded_quantifier():
     assert not classify(parse("exists x y. P(x) & Q(y)")).guarded
+    # an atom guards an ∃ body; a ∀ body needs a negated one
+    assert not classify(parse("forall x y. R(x,y)")).guarded
+    assert classify(parse("forall x y. !R(x,y) | S(y,x)")).guarded
+
+
+def test_one_free_variable_is_self_guarded():
+    # x = x guards a body whose only free variable is x, also under !
+    assert classify(parse("exists v0. !R(v0, k)")).guarded
+    assert classify(parse("!(forall v0. R(v0, k))")).guarded
+    assert classify(parse("forall x. P(x) | exists y. Q(y)")).guarded
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(formulas())
+def test_guardedness_is_read_on_the_nnf(f):
+    assert classify(f).guarded == classify(to_nnf(f)).guarded
 
 
 def test_unary_negation_flag():

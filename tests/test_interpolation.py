@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import pytest
 
+from craig import definability, interpolation, theory
 from craig.corpus import corpus
+from craig.definability import (
+    Theory, explicit_definition, monotone_rewrite, robinson_separator,
+)
 from craig.errors import FormulaError, NotProvedWithinBudget, NotValid
 from craig.formulas import (
-    BOTTOM, TOP, Not, RESERVED_CONSTANT, signature_of, simplify, to_nnf,
+    BOTTOM, TOP, Atom, Const, Not, RESERVED_CONSTANT, signature_of, simplify, to_nnf,
 )
 from craig.interpolation import (
-    Verdict, craig_interpolant, entails, enumerate_shared_formulas,
-    interpolant_from_labeled, lyndon_check, propagate, reprove,
-    search_interpolant, verify_interpolant,
+    Verdict, certify, craig_interpolant, entails, enumerate_shared_formulas,
+    interpolant_from_labeled, lyndon_check, propagate, search_interpolant,
+    verify_interpolant,
 )
 from craig.models import enumerate_structures, evaluate
 
 from craig.parser import parse, print_formula
 from craig.tableau import Closed, LabeledSentence, prove
+from craig.theory import strong_interpolant, weak_interpolant
 
 
 def side_sentences(node, label: str) -> list:
@@ -135,7 +140,36 @@ def test_reprove_countermodel_is_internal_error():
     # a claim the construction made has a model: the construction is wrong,
     # and no budget would have re-proved it
     with pytest.raises(FormulaError, match="internal error"):
-        reprove([("P(c) is contradictory", [parse("P(c)")])], 1000)
+        certify(TOP, (), [("P(c) is contradictory", [parse("P(c)")])], 1000)
+
+
+def _leaking_constructions(tallest):
+    """Each construction, called on inputs for which the theta beside it
+    passes every re-proof the construction makes, and the symbol of theta
+    outside the signature the construction may use."""
+    r, padded, empty = parse("R(a)"), parse("R(a) & (Z | !Z)"), Theory(())
+    sigma1, sigma2 = Theory((parse("P(a)"), parse("Q(a)"))), Theory((parse("!P(a)"),))
+    return {
+        "craig": (lambda: craig_interpolant(r, r, 1000), padded, "Z"),
+        "beth": (lambda: explicit_definition(tallest, "Tallest", ["Taller-than"], 1000),
+                 Atom("Tallest", (Const("c0"),)), "Tallest"),  # c0: the defined tuple
+        "robinson": (lambda: robinson_separator(sigma1, sigma2, 1000),
+                     parse("P(a) & Q(a)"), "Q"),
+        "monotone": (lambda: monotone_rewrite(r, "R", 1000), padded, "Z"),
+        "weak": (lambda: weak_interpolant(empty, r, r, 1000), padded, "Z"),
+        "strong": (lambda: strong_interpolant(empty, r, r, 1000), padded, "Z"),
+    }
+
+
+@pytest.mark.parametrize("name", ["craig", "beth", "robinson", "monotone", "weak",
+                                  "strong"])
+def test_every_construction_rejects_a_leaked_symbol(name, tallest_theory, monkeypatch):
+    call, theta, leak = _leaking_constructions(tallest_theory)[name]
+    for module in (interpolation, definability, theory):
+        monkeypatch.setattr(module, "interpolant_from_labeled",
+                            lambda inputs, budget: (theta, None))
+    with pytest.raises(FormulaError, match=f"internal error: {leak} outside the signature"):
+        call()
 
 
 def test_craig_budget_exhaustion():
@@ -190,6 +224,14 @@ def test_extracted_interpolants_verified_and_lyndon_on_sample():
         assert lyndon_check(inst.phi, inst.psi, theta)
         for c in signature_of(theta).constants:
             assert not RESERVED_CONSTANT.match(c), (inst.index, c)
+
+
+def test_negated_interpolant_interpolates_the_contrapositive():
+    # duality: theta interpolates phi -> psi, so !theta interpolates !psi -> !phi
+    for inst in corpus(42, 150):
+        theta = craig_interpolant(inst.phi, inst.psi, 20_000)
+        verdict = verify_interpolant(Not(inst.psi), Not(inst.phi), Not(theta), 20_000)
+        assert verdict.kind == Verdict.VERIFIED, (inst.index, verdict)
 
 
 def test_enumerate_shared_formulas_canonical_and_closed():

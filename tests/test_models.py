@@ -10,7 +10,7 @@ from craig.errors import FormulaError, MissingSymbolError, PartialAssignmentErro
 from craig.formulas import signature_of
 from craig.models import (
     Structure, apply_permutation, count_structures, enumerate_structures,
-    evaluate, find_model, structure_from_json,
+    evaluate, find_model, satisfying_structures, structure_from_json,
     structure_to_json, substructure,
 )
 from craig.parser import parse
@@ -54,6 +54,10 @@ def test_evaluate_rejects_a_use_at_another_arity():
     # an empty interpretation has no arity to compare against
     assert evaluate(A, parse("forall x. !S(x)"))
     assert not evaluate(A, parse("exists x y. S(x, y)"))
+    # the oracle makes the same check against the signature it enumerates
+    with pytest.raises(FormulaError, match="relation R has arity 1"):
+        list(satisfying_structures(signature_of(parse("R(a)")), [1],
+                                   [parse("exists x y. R(x, y)")]))
 
 
 def test_structure_rejects_mixed_tuple_lengths():

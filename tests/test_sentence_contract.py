@@ -1,4 +1,6 @@
-"""Every proving entry point takes sentences, and ``prove`` is the one check.
+"""Every proving entry point takes sentences; ``prove`` checks every input
+that reaches it, and ``search_interpolant`` checks its own before its model
+screens run.
 
 An open formula reaching any of them raises FormulaError (NonSentenceError
 is one), whichever argument it is passed as; none of them closes it by
@@ -13,7 +15,9 @@ from hypothesis import assume, given, settings
 from craig.definability import Theory, monotone_rewrite
 from craig.errors import FormulaError, NonSentenceError, NotNNFError
 from craig.formulas import Atom, Var, signature_of
-from craig.interpolation import craig_interpolant, entails, verify_interpolant
+from craig.interpolation import (
+    craig_interpolant, entails, search_interpolant, verify_interpolant,
+)
 from craig.parser import parse
 from craig.tableau import LabeledSentence, labeled, prove
 from craig.theory import strong_interpolant, weak_interpolant
@@ -36,6 +40,7 @@ def _entry_points(phi, other):
         "weak_interpolant": lambda: weak_interpolant(EMPTY, other, phi, BUDGET),
         "strong_interpolant": lambda: strong_interpolant(EMPTY, phi, other, BUDGET),
         "monotone_rewrite": lambda: monotone_rewrite(phi, "P", BUDGET, arity=1),
+        "search_interpolant": lambda: search_interpolant(phi, other, 2, BUDGET),
     }
 
 
