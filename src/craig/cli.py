@@ -11,6 +11,7 @@ go to stderr; stdout carries only the machine-readable result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,7 +276,11 @@ def cmd_find_model(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use.  It keeps no
+    per-call state (parse_args returns a fresh Namespace), so every call of
+    main shares it; callers must not modify it."""
     top = argparse.ArgumentParser(
         prog="craig",
         description="Tableau proving and constructive interpolation for "
@@ -292,64 +297,57 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the closed-tableau trace")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = cmd("prove", cmd_prove, help="refute [left]^L ∪ [right]^R by tableau")
+    cmd = sub.add_parser
+    p = cmd("prove", help="refute [left]^L ∪ [right]^R by tableau")
     p.add_argument("file")
-    p = cmd("interpolate", cmd_interpolate,
-            help="Craig interpolant for [left] -> [right]")
+    p = cmd("interpolate", help="Craig interpolant for [left] -> [right]")
     p.add_argument("file")
-    p = cmd("check-interpolant", cmd_check_interpolant,
-            help="verify a candidate interpolant")
+    p = cmd("check-interpolant", help="verify a candidate interpolant")
     p.add_argument("file")
     p.add_argument("--theta", required=True)
-    p = cmd("lyndon", cmd_lyndon, help="Lyndon polarity check for a candidate")
+    p = cmd("lyndon", help="Lyndon polarity check for a candidate")
     p.add_argument("file")
     p.add_argument("--theta", required=True)
-    p = cmd("search-interpolant", cmd_search_interpolant,
+    p = cmd("search-interpolant",
             help="brute-force interpolant search over the shared signature")
     p.add_argument("file")
     p.add_argument("--max-size", type=int, default=8)
-    p = cmd("beth", cmd_beth, help="explicit definition of --define from --tau")
+    p = cmd("beth", help="explicit definition of --define from --tau")
     p.add_argument("file")
     p.add_argument("--define", required=True)
     p.add_argument("--tau", default="")
-    p = cmd("padoa", cmd_padoa, help="Padoa counterexample pair search")
+    p = cmd("padoa", help="Padoa counterexample pair search")
     p.add_argument("file")
     p.add_argument("--define", required=True)
     p.add_argument("--tau", default="")
-    p = cmd("robinson", cmd_robinson,
-            help="separator for jointly unsatisfiable [left], [right]")
+    p = cmd("robinson", help="separator for jointly unsatisfiable [left], [right]")
     p.add_argument("file")
-    p = cmd("theory-interpolate", cmd_theory_interpolate,
+    p = cmd("theory-interpolate",
             help="weak/strong interpolant under the [theory] section")
     p.add_argument("file")
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    p = cmd("split", cmd_split, help="(sigma, tau)-split of the [theory] section")
+    p = cmd("split", help="(sigma, tau)-split of the [theory] section")
     p.add_argument("file")
     p.add_argument("--sigma", default="")
     p.add_argument("--tau", default="")
-    p = cmd("monotone-rewrite", cmd_monotone_rewrite,
+    p = cmd("monotone-rewrite",
             help="rewrite [left] without negative occurrences of --relation")
     p.add_argument("file")
     p.add_argument("--relation", required=True)
     p.add_argument("--arity", type=int, default=None)
-    p = cmd("bindpatt", cmd_bindpatt, help="binding-pattern extraction")
+    p = cmd("bindpatt", help="binding-pattern extraction")
     p.add_argument("--formula", required=True)
-    p = cmd("accpart", cmd_accpart, help="accessible part of a structure")
+    p = cmd("accpart", help="accessible part of a structure")
     p.add_argument("structure")
     p.add_argument("--methods", default="")
     p.add_argument("--tuple", default="")
-    p = cmd("classify", cmd_classify, help="syntactic fragment report")
+    p = cmd("classify", help="syntactic fragment report")
     p.add_argument("--formula", required=True)
     p.add_argument("--relativizers", default="")
-    p = cmd("eval", cmd_eval, help="evaluate a formula in a structure")
+    p = cmd("eval", help="evaluate a formula in a structure")
     p.add_argument("structure")
     p.add_argument("--formula", required=True)
-    p = cmd("find-model", cmd_find_model, help="smallest finite model of all sentences")
+    p = cmd("find-model", help="smallest finite model of all sentences")
     p.add_argument("file")
     return top
 
@@ -361,7 +359,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up on each call, not bound into the cached parser, so a
+        # replaced cmd_* function (a tracer's wrapper, a test double) runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Refuted as e:
         for structure in e.witnesses:
             print(structure_to_json(structure))

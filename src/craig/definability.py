@@ -188,10 +188,16 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     and re-proves equivalence with phi.  NotValid carries a finite
     countermodel of that implication (phi holds, R ⊆ R', phi[R/R'] fails),
     which shows phi is not monotone in R; NotProvedWithinBudget means the
-    budget ran out.
+    budget ran out.  FormulaError if the arity is negative or differs from
+    the relation's arity in phi.
     """
     sig = signature_of(phi)
+    if arity is not None and arity < 0:
+        raise FormulaError(f"arity of {relation} must be non-negative, got {arity}")
     if relation in sig.relations:
+        if arity not in (None, sig.arities[relation]):
+            raise FormulaError(f"relation {relation} has arity {sig.arities[relation]} "
+                               f"in the sentence, not {arity}")
         arity = sig.arities[relation]
     elif arity is None:
         raise FormulaError(f"relation {relation} does not occur in the sentence; "

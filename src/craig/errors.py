@@ -15,11 +15,15 @@ class FormulaError(CraigError):
 
 
 class ParseError(CraigError):
+    """Unparsable input; ``str(e)`` is ``line:column: reason`` when located
+    (``line: reason`` without a column)."""
+
     def __init__(self, message: str, line: int = 0, column: int = 0):
+        self.reason = message
         self.line = line
         self.column = column
         if line:
-            message = f"{line}:{column}: {message}"
+            message = f"{line}:{column}: {message}" if column else f"{line}: {message}"
         super().__init__(message)
 
 

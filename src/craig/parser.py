@@ -6,11 +6,18 @@ quantifiers extend maximally to the right.  ASCII keywords are
 as aliases.  Identifiers bound by an enclosing quantifier parse as variables,
 unbound lowercase identifiers as constants, capitalized identifiers as
 relation symbols.  ``a -> b`` desugars to ``!(a & !b)``.
+
+The tokenizer is one ``findall`` scan whose alternatives tile the text; a
+lexeme's kind is a dict lookup, or else its first character decides
+(identifier, skipped blank or comment, unexpected character).  Tokens are
+plain ``(kind, text, offset)`` tuples, and a line and column are computed
+from the offset only when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -19,56 +26,47 @@ from .formulas import (
     RESERVED_CONSTANT, free_vars,
 )
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<arrow>->|→)
-  | (?P<and>&|∧)
-  | (?P<or>\||∨)
-  | (?P<not>!|¬|~)
-  | (?P<forall>forall\b|∀)
-  | (?P<exists>exists\b|∃)
-  | (?P<true>true\b|⊤)
-  | (?P<false>false\b|⊥)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<eq>=)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z_][A-Za-z0-9_']*)*)
-    """,
-    re.VERBOSE,
-)
+# One scan tiles the text: every alternative consumes at least one character
+# and the final ``.`` takes anything else.  The keywords come before the
+# identifier so that ``forall-x`` and ``true'`` split where they always have.
+_LEXEME = re.compile(
+    r"[ \t\r]+|#[^\n]*|\n|->|(?:forall|exists|true|false)\b"
+    r"|[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z_][A-Za-z0-9_']*)*|.")
+
+_KIND = {
+    "->": "arrow", "→": "arrow", "&": "and", "∧": "and", "|": "or", "∨": "or",
+    "!": "not", "¬": "not", "~": "not", "forall": "forall", "∀": "forall",
+    "exists": "exists", "∃": "exists", "true": "true", "⊤": "true",
+    "false": "false", "⊥": "false", "(": "lpar", ")": "rpar", ",": "comma",
+    ".": "dot", "=": "eq",
+}
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_SKIPPED = frozenset(" \t\r\n#")
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(msg: str, text: str, pos: int) -> ParseError:
+    """ParseError at offset pos, located by 1-based line and column."""
+    return ParseError(msg, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text: str) -> list:
+    """(kind, text, offset) tokens, ending with an ``eof`` token."""
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lex = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(_Tok(kind, lex, line, col))
-            col += len(lex)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    pos = 0
+    for lex in _LEXEME.findall(text):
+        kind = _KIND.get(lex)
+        if kind is None:
+            first = lex[0]
+            if first in _IDENT_START:
+                kind = "ident"
+            elif first in _SKIPPED:
+                pos += len(lex)
+                continue
+            else:
+                raise _error(f"unexpected character {first!r}", text, pos)
+        toks.append((kind, lex, pos))
+        pos += len(lex)
+    toks.append(("eof", "", pos))
     return toks
 
 
@@ -79,35 +77,36 @@ class _Parser:
     problem file.
     """
 
-    def __init__(self, toks: list, arities: dict):
-        self.toks = toks
+    def __init__(self, text: str, arities: dict):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
         self.arities = arities
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        """Kind of the next token."""
+        return self.toks[self.i][0]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text!r}", t.line, t.col)
+    def expect(self, kind: str) -> tuple:
+        if self.peek() != kind:
+            self.error(f"expected {kind}, found {self.toks[self.i][1]!r}")
         return self.next()
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def error(self, msg: str, tok: tuple | None = None):
+        """Raise msg at tok, by default at the next token."""
+        raise _error(msg, self.text, (tok or self.toks[self.i])[2])
 
     def parse_formula(self, bound: frozenset):
         return self.implication(bound)
 
     def implication(self, bound):
         left = self.disjunction(bound)
-        if self.peek().kind == "arrow":
+        if self.peek() == "arrow":
             self.next()
             right = self.implication(bound)
             return Not(And((left, Not(right))))
@@ -115,123 +114,113 @@ class _Parser:
 
     def disjunction(self, bound):
         items = [self.conjunction(bound)]
-        while self.peek().kind == "or":
+        while self.peek() == "or":
             self.next()
             items.append(self.conjunction(bound))
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def conjunction(self, bound):
         items = [self.unary(bound)]
-        while self.peek().kind == "and":
+        while self.peek() == "and":
             self.next()
             items.append(self.unary(bound))
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def unary(self, bound):
-        t = self.peek()
-        if t.kind == "not":
+        kind = self.peek()
+        if kind == "not":
             self.next()
             return Not(self.unary(bound))
-        if t.kind in ("forall", "exists"):
+        if kind in ("forall", "exists"):
             return self.quantified(bound)
         return self.primary(bound)
 
     def quantified(self, bound):
         q = self.next()
         names = []
-        while self.peek().kind == "ident":
+        while self.peek() == "ident":
             tok = self.next()
-            name = tok.text
+            name = tok[1]
             if name[0].isupper():
-                raise ParseError(f"quantified variable {name!r} must be lowercase",
-                                 tok.line, tok.col)
+                self.error(f"quantified variable {name!r} must be lowercase", tok)
             if RESERVED_CONSTANT.match(name):
-                raise ParseError(f"{name!r} is in the reserved fresh-constant namespace",
-                                 tok.line, tok.col)
+                self.error(f"{name!r} is in the reserved fresh-constant namespace", tok)
             if name in names:
-                raise ParseError(f"duplicate variable {name!r} in quantifier block",
-                                 tok.line, tok.col)
+                self.error(f"duplicate variable {name!r} in quantifier block", tok)
             names.append(name)
         if not names:
             self.error("quantifier needs at least one variable")
         self.expect("dot")
         body = self.parse_formula(bound | frozenset(names))
-        cls = Forall if q.kind == "forall" else Exists
+        cls = Forall if q[0] == "forall" else Exists
         return cls(tuple(names), body)
 
     def primary(self, bound):
-        t = self.peek()
-        if t.kind == "true":
+        kind = self.peek()
+        if kind == "true":
             self.next()
             return TOP
-        if t.kind == "false":
+        if kind == "false":
             self.next()
             return BOTTOM
-        if t.kind == "lpar":
+        if kind == "lpar":
             self.next()
             f = self.parse_formula(bound)
             self.expect("rpar")
             return f
-        if t.kind == "ident":
+        if kind == "ident":
             return self.atom(bound)
-        if t.kind == "eq":
+        if kind == "eq":
             self.error("equality atoms are not supported")
-        self.error(f"expected a formula, found {t.text!r}")
+        self.error(f"expected a formula, found {self.toks[self.i][1]!r}")
 
     def atom(self, bound):
         head = self.next()
-        name = head.text
+        name = head[1]
         if not name[0].isupper():
-            if self.peek().kind == "lpar":
-                raise ParseError(f"function symbols are not supported: {name!r}",
-                                 head.line, head.col)
-            if self.peek().kind == "eq":
-                raise ParseError("equality atoms are not supported", head.line, head.col)
-            raise ParseError(
-                f"relation symbols are capitalized; {name!r} looks like a term",
-                head.line, head.col)
+            if self.peek() == "lpar":
+                self.error(f"function symbols are not supported: {name!r}", head)
+            if self.peek() == "eq":
+                self.error("equality atoms are not supported", head)
+            self.error(f"relation symbols are capitalized; {name!r} looks like a term",
+                       head)
         args = []
-        if self.peek().kind == "lpar":
+        if self.peek() == "lpar":
             self.next()
-            if self.peek().kind != "rpar":
+            if self.peek() != "rpar":
                 args.append(self.term(bound))
-                while self.peek().kind == "comma":
+                while self.peek() == "comma":
                     self.next()
                     args.append(self.term(bound))
             self.expect("rpar")
-        if self.peek().kind == "eq":
-            raise ParseError("equality atoms are not supported",
-                             self.peek().line, self.peek().col)
+        if self.peek() == "eq":
+            self.error("equality atoms are not supported")
         seen = self.arities.setdefault(name, len(args))
         if seen != len(args):
-            raise ParseError(
-                f"relation {name} used with arity {len(args)}, expected {seen}",
-                head.line, head.col)
+            self.error(f"relation {name} used with arity {len(args)}, expected {seen}",
+                       head)
         return Atom(name, tuple(args))
 
     def term(self, bound):
         t = self.expect("ident")
-        name = t.text
+        name = t[1]
         if name[0].isupper():
-            raise ParseError(f"relation symbol {name!r} used as a term", t.line, t.col)
-        if self.peek().kind == "lpar":
-            raise ParseError(f"function symbols are not supported: {name!r}",
-                             t.line, t.col)
+            self.error(f"relation symbol {name!r} used as a term", t)
+        if self.peek() == "lpar":
+            self.error(f"function symbols are not supported: {name!r}", t)
         if name in bound:
             return Var(name)
         if RESERVED_CONSTANT.match(name):
-            raise ParseError(f"{name!r} is in the reserved fresh-constant namespace",
-                             t.line, t.col)
+            self.error(f"{name!r} is in the reserved fresh-constant namespace", t)
         return Const(name)
 
 
 def parse(text: str, arities: dict | None = None):
     """Parse a single formula."""
-    toks = _tokenize(text)
-    p = _Parser(toks, {} if arities is None else arities)
+    p = _Parser(text, {} if arities is None else arities)
     f = p.parse_formula(frozenset())
-    if p.peek().kind != "eof":
-        p.error(f"trailing input {p.peek().text!r}")
+    if p.peek() != "eof":
+        p.error(f"trailing input {p.toks[p.i][1]!r}")
     return f
 
 
@@ -290,27 +279,31 @@ def parse_problem(text: str) -> ProblemFile:
     pf = ProblemFile()
     section = "left"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if not line:
             continue
+        indent = len(body) - len(body.lstrip())
         m = _SECTION.match(line)
         if m:
             section = m.group(1)
             continue
         if section == "options":
             if "=" not in line:
-                raise ParseError("options are key=value lines", lineno, 1)
+                raise ParseError("options are key=value lines", lineno, indent + 1)
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in ("budget", "max-model-size"):
-                raise ParseError(f"unknown option {key!r}", lineno, 1)
+                raise ParseError(f"unknown option {key!r}", lineno, indent + 1)
             pf.options[key] = val
             continue
         try:
             f = parse(line, pf.arities)
         except ParseError as e:
-            raise ParseError(f"line {lineno}: {e}") from e
+            # e is located in the one-line text; report the file's line and
+            # the column in the raw line
+            raise ParseError(e.reason, lineno, indent + e.column) from e
         if free_vars(f):
             raise ParseError(
-                f"line {lineno}: free variables {sorted(free_vars(f))} (sentences required)")
+                f"free variables {sorted(free_vars(f))} (sentences required)", lineno)
         getattr(pf, section).append(f)
     return pf

@@ -410,12 +410,27 @@ def _unknown_option(tmp_path, data_dir):
     return ["prove", str(problem)]
 
 
+def _monotone_rewrite_with_arity(tmp_path, relation: str, arity: str):
+    problem = tmp_path / "monotone.fol"
+    problem.write_text("[left]\nexists x. R(x)\n")  # R is unary
+    return ["monotone-rewrite", str(problem), "--relation", relation, "--arity", arity]
+
+
+def _arity_contradicts_sentence(tmp_path, data_dir):
+    return _monotone_rewrite_with_arity(tmp_path, "R", "5")
+
+
+def _negative_arity(tmp_path, data_dir):
+    return _monotone_rewrite_with_arity(tmp_path, "Zed", "-1")
+
+
 @pytest.mark.parametrize("argv", [_malformed_option, _directory,
                                   _truncated_structure, _bad_method_position,
                                   _zero_model_size, _negative_padoa_size,
                                   _zero_size_option, _zero_candidate_size,
                                   _unknown_option, _unary_use_of_binary_exists,
-                                  _unary_use_of_binary_forall, _mixed_tuple_lengths],
+                                  _unary_use_of_binary_forall, _mixed_tuple_lengths,
+                                  _arity_contradicts_sentence, _negative_arity],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one
@@ -432,3 +447,69 @@ def test_beth_rejects_zero_model_size(data_dir, capsys):
                          "--tau", "Tallest")
     assert code == 3 and out == ""
     assert "max-model-size must be positive" in err
+
+
+def _fresh_process(*argv):
+    import os, pathlib, subprocess, sys
+    import craig
+    src = str(pathlib.Path(craig.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env)
+
+
+def test_repeated_main_calls_match_fresh_processes(data_dir, monkeypatch):
+    # main builds its parser once per process; no call may see another's
+    # options, and usage errors and --help print where the caller redirects
+    import contextlib, io
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    example1, fig2 = str(data_dir / "example1.fol"), str(data_dir / "fig2.fol")
+    sequence = (["no-such-command"], ["check-interpolant", example1], ["--help"],
+                ["--simplify", "interpolate", example1], ["interpolate", example1],
+                ["--budget", "1", "prove", fig2], ["prove", fig2])
+    in_process = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    for argv, result in zip(sequence, in_process):
+        proc = _fresh_process("-m", "craig.cli", *argv)
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [3, 3, 0, 0, 0, 2, 0]
+    assert in_process[4][1] == "exists x0. false | Big(x0) & Cat(x0)\n"  # unsimplified
+
+
+BUILD_COUNT = """
+import argparse, contextlib, io
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from craig.cli import main
+at_import = built
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["classify", "--formula", "P(a)"], ["no-such-command"], ["--help"]):
+        main(argv)
+print(at_import, built)
+"""
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    # a count, not a timing: one build is the top-level parser and its 16
+    # subcommand parsers
+    proc = _fresh_process("-c", BUILD_COUNT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(1 + 16)]
+
+
+def test_main_calls_the_current_command_function(monkeypatch, capsys):
+    # the parser is cached, so the command must be looked up on each call:
+    # a tracer or a test may have replaced it since the parser was built
+    from craig import cli
+    assert run(capsys, "classify", "--formula", "P(a)")[0] == 0
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: 42)
+    assert run(capsys, "classify", "--formula", "P(a)")[0] == 42

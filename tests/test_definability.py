@@ -214,3 +214,20 @@ def test_explicit_definition_rejects_symbols_outside_tau(tallest_theory, monkeyp
                         lambda inputs, budget: (leak, None))
     with pytest.raises(FormulaError, match="Tallest outside the signature"):
         explicit_definition(tallest_theory, "Tallest", ["Taller-than"], 1000)
+
+
+@pytest.mark.parametrize("relation, arity, message", [
+    ("R", 5, "relation R has arity 1 in the sentence, not 5"),
+    ("R", 0, "relation R has arity 1 in the sentence, not 0"),
+    ("R", -1, "arity of R must be non-negative, got -1"),
+    ("Zed", -1, "arity of Zed must be non-negative, got -1"),
+])
+def test_monotone_rewrite_rejects_a_contradicting_arity(relation, arity, message):
+    with pytest.raises(FormulaError, match=message):
+        monotone_rewrite(parse("exists x. R(x)"), relation, 1000, arity=arity)
+
+
+def test_monotone_rewrite_accepts_the_sentences_arity():
+    phi = parse("exists x. R(x)")
+    assert monotone_rewrite(phi, "R", 10_000, arity=1) == \
+        monotone_rewrite(phi, "R", 10_000)

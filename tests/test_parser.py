@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,8 @@ from craig.errors import ParseError
 from craig.formulas import (
     And, Atom, BOTTOM, Const, Exists, Forall, Not, Or, TOP, Top, Var,
 )
-from craig.parser import parse, parse_problem, print_formula
+from craig import parser
+from craig.parser import _tokenize, parse, parse_problem, print_formula
 
 import random
 
@@ -137,6 +141,29 @@ def test_problem_file_arity_consistency_across_lines():
         parse_problem("[left]\nR(a, b)\nR(a)\n")
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("[left]\n   P(a) @ Q\n", 2, 9, "unexpected character '@'"),
+    ("# header\n[right]\n\tQ(c) &  # dangling\n", 3, 8, "expected a formula, found ''"),
+    ("P(a)\n  [left]  \n \t R(a, b)  & R(a)\n", 3, 15,
+     "relation R used with arity 1, expected 2"),
+    ("[options]\n  budget\n", 2, 3, "options are key=value lines"),
+])
+def test_problem_file_errors_are_located_in_the_file(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
+def test_problem_file_free_variable_error_names_the_line(monkeypatch):
+    # the grammar never yields a free variable, so stand in an open formula
+    monkeypatch.setattr(parser, "parse", lambda text, arities: Atom("P", (Var("x"),)))
+    with pytest.raises(ParseError) as exc:
+        parse_problem("[left]\nP(c)\n")
+    assert (exc.value.line, exc.value.column) == (2, 0)
+    assert str(exc.value) == "2: free variables ['x'] (sentences required)"
+
+
 # Tokens of the grammar (and a few it rejects), so that generated strings
 # parse often enough to exercise the round trip and not only the lexer.
 FUZZ_TOKENS = (
@@ -159,3 +186,92 @@ def test_parse_returns_a_formula_or_raises_parse_error(text):
         return
     assert isinstance(f, (Atom, And, Or, Not, Exists, Forall, Top))
     assert parse(print_formula(f)) == f
+
+
+# The named-group tokenizer that the one-scan tokenizer replaced, kept as the
+# reference: it tracks line and column as it goes.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<arrow>->|→)
+  | (?P<and>&|∧)
+  | (?P<or>\||∨)
+  | (?P<not>!|¬|~)
+  | (?P<forall>forall\b|∀)
+  | (?P<exists>exists\b|∃)
+  | (?P<true>true\b|⊤)
+  | (?P<false>false\b|⊥)
+  | (?P<lpar>\()
+  | (?P<rpar>\))
+  | (?P<comma>,)
+  | (?P<dot>\.)
+  | (?P<eq>=)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:-[A-Za-z_][A-Za-z0-9_']*)*)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _Tok:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _reference_tokenize(text: str) -> list:
+    toks = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        lex = m.group()
+        if kind == "newline":
+            line += 1
+            col = 1
+        else:
+            if kind not in ("ws", "comment"):
+                toks.append(_Tok(kind, lex, line, col))
+            col += len(lex)
+        pos = m.end()
+    toks.append(_Tok("eof", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenize, located, text):
+    try:
+        return [located(tok, text) for tok in tokenize(text)]
+    except ParseError as e:
+        return str(e), e.line, e.column
+
+
+def _at_offset(tok, text):
+    kind, lexeme, offset = tok
+    return (kind, lexeme, text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+LEXER_PIECES = (
+    "->", "→", "&", "∧", "|", "∨", "!", "¬", "~", "∀", "∃", "⊤", "⊥", "(", ")",
+    ",", ".", "=", "-", "'", "_", "forall", "exists", "true", "false",
+    "forall-x", "forallx", "forall_", "true'", "false-", "exist", "x", "c0",
+    "P", "Taller-than", "a'b", "x-", "é", "\x0b", "\t", "\r", " ", "\n",
+    "# note", "#", "9", "@",
+)
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(LEXER_PIECES), max_size=20).map("".join),
+    st.lists(st.sampled_from(LEXER_PIECES), max_size=12).map(" ".join),
+    st.text(alphabet="".join(LEXER_PIECES), max_size=30),
+))
+def test_tokenizer_matches_the_reference(text):
+    # same (kind, text, line, column) list, or the same located error
+    assert _tokens_or_error(_tokenize, _at_offset, text) == _tokens_or_error(
+        _reference_tokenize, lambda t, _: (t.kind, t.text, t.line, t.col), text)
