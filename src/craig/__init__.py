@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import sys
 
-# The parser, to_nnf, print_formula, simplify and formula hashing recurse
-# once or twice per nesting level.  At the default limit of 1,000,
-# craig_interpolant on the implication chain of length 500 raises
-# RecursionError (in to_nnf of its raw interpolant, during verification);
-# hashing stops at 496 nested negations (9,996 at this limit); parse, to_nnf,
-# print_formula and simplify stop at 985 nested negations and 164 nested
-# parentheses (19,985 and 3,330).  tests/test_deep_nesting.py pins depths
-# that only the raise makes reachable: each of its cases fails without it.
+# The parser, to_nnf, print_formula and simplify recurse once or twice per
+# nesting level, and == between two distinct, equal trees three times.  At
+# the default limit of 1,000, craig_interpolant on the implication chain of
+# length 500 raises RecursionError (in to_nnf of its raw interpolant, during
+# verification); parse, to_nnf, print_formula and simplify stop at about 985
+# nested negations and 164 nested parentheses (19,985 and 3,330), and == at
+# 332.  Hashing does not recurse: a formula node's hash is computed once, at
+# construction.
+# tests/test_deep_nesting.py pins depths that only the raise makes reachable:
+# each of its in-process cases fails without it.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 

@@ -3,7 +3,9 @@
 Formulas are equality-free and function-free: atoms apply a relation symbol
 to variables and constants, the connectives are top, conjunction,
 disjunction, negation and (multi-variable) quantifier blocks, and falsity is
-encoded as ``Not(Top)``.  Everything is immutable and hashable.
+encoded as ``Not(Top)``.  Everything is immutable and hashable; each formula
+node's hash is computed once, at construction, so hashing never re-walks a
+subtree.
 """
 
 from __future__ import annotations
@@ -34,68 +36,125 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Base of the formula nodes: hashing, equality and pickling.
+
+    Each node's ``__init__`` checks its fields, sets them and stores
+    ``_h = hash(self._fields())``, written out inline; a formula child holds
+    its own cached hash, so ``hash()`` is O(1) and never recurses, and its
+    value is the one the dataclass-generated ``__hash__`` would compute.
+    ``==`` is True at once on identity, False at once on differing hashes,
+    and compares fields only otherwise (recursing only into distinct, equal
+    subtrees).  Unpickling rebuilds a node through its constructor, so a
+    cached hash never outlives its process.
+    """
+
+    __slots__ = ("_h",)
+
+    def __hash__(self):
+        return self._h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._h == other._h and self._fields() == other._fields()
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+
+# The dataclass decorator supplies repr, match args, slots and immutability;
+# the hand-written __init__ sets each field once and hashes without a
+# __post_init__ call, since node construction is on the prover's hot path.
+_node = dataclass(frozen=True, eq=False, slots=True, init=False)
+_set = object.__setattr__
+
+
+@_node
+class Atom(_Node):
     rel: str
     args: tuple = ()
 
-    def __post_init__(self):
-        if not self.rel:
+    def __init__(self, rel, args=()):
+        if not rel:
             raise FormulaError("relation symbol must be non-empty")
-        object.__setattr__(self, "args", tuple(self.args))
-        for t in self.args:
+        args = tuple(args)
+        for t in args:
             if not isinstance(t, (Var, Const)):
                 raise FormulaError(f"atom argument must be a variable or constant, got {t!r}")
+        _set(self, "rel", rel)
+        _set(self, "args", args)
+        _set(self, "_h", hash((rel, args)))
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+@_node
+class Top(_Node):
+    def __init__(self):
+        _set(self, "_h", hash(()))
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     items: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) < 2:
+    def __init__(self, items=()):
+        items = tuple(items)
+        if len(items) < 2:
             raise FormulaError("And needs at least two conjuncts (use conj() to collapse)")
+        _set(self, "items", items)
+        _set(self, "_h", hash((items,)))
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     items: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) < 2:
+    def __init__(self, items=()):
+        items = tuple(items)
+        if len(items) < 2:
             raise FormulaError("Or needs at least two disjuncts (use disj() to collapse)")
+        _set(self, "items", items)
+        _set(self, "_h", hash((items,)))
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     sub: object
 
+    def __init__(self, sub):
+        _set(self, "sub", sub)
+        _set(self, "_h", hash((sub,)))
 
-@dataclass(frozen=True)
-class Exists:
+
+@_node
+class Exists(_Node):
     vars: tuple
     body: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        _check_block(self.vars)
+    def __init__(self, vars, body):
+        vars = tuple(vars)
+        _check_block(vars)
+        _set(self, "vars", vars)
+        _set(self, "body", body)
+        _set(self, "_h", hash((vars, body)))
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     vars: tuple
     body: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        _check_block(self.vars)
+    def __init__(self, vars, body):
+        vars = tuple(vars)
+        _check_block(vars)
+        _set(self, "vars", vars)
+        _set(self, "body", body)
+        _set(self, "_h", hash((vars, body)))
 
 
 Formula = Atom | Top | And | Or | Not | Exists | Forall

@@ -275,10 +275,12 @@ _SECTION = re.compile(r"^\[(left|right|theory|options)\]\s*$")
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file: '#' comments, one sentence per line, sections
     [left] [right] [theory] [options].  Sentences before any header go to
-    [left]."""
+    [left].  Lines end at ``\n`` only (a trailing ``\r`` is blank), so line
+    numbers match the file's ``\n`` count, and a form feed or other
+    ``str.splitlines`` boundary inside a line is an unexpected character."""
     pf = ProblemFile()
     section = "left"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         line = body.strip()
         if not line:

@@ -410,6 +410,12 @@ def _unknown_option(tmp_path, data_dir):
     return ["prove", str(problem)]
 
 
+def _form_feed_inside_a_line(tmp_path, data_dir):
+    problem = tmp_path / "form-feed.fol"
+    problem.write_text("[left]\nP(a)\x0cQ(b)\n[right]\n!P(a)\n")
+    return ["prove", str(problem)]
+
+
 def _monotone_rewrite_with_arity(tmp_path, relation: str, arity: str):
     problem = tmp_path / "monotone.fol"
     problem.write_text("[left]\nexists x. R(x)\n")  # R is unary
@@ -430,7 +436,8 @@ def _negative_arity(tmp_path, data_dir):
                                   _zero_size_option, _zero_candidate_size,
                                   _unknown_option, _unary_use_of_binary_exists,
                                   _unary_use_of_binary_forall, _mixed_tuple_lengths,
-                                  _arity_contradicts_sentence, _negative_arity],
+                                  _arity_contradicts_sentence, _negative_arity,
+                                  _form_feed_inside_a_line],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one

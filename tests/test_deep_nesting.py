@@ -1,14 +1,21 @@
 """Nesting depths the package must handle.
 
 ``craig/__init__.py`` raises the recursion limit at import because the
-parser, ``to_nnf``, ``print_formula``, ``simplify`` and formula hashing
-recurse once or twice per nesting level.  Each case below fails at the
-default limit of 1,000, so these tests pin what the raise buys; a change
-that makes those walkers iterative and deletes the raise must keep them
-passing.
+parser, ``to_nnf``, ``print_formula`` and ``simplify`` recurse once or twice
+per nesting level, and so does ``==`` between two distinct, equal deep
+trees.  Each case below that runs in this process fails at the default limit
+of 1,000, so these tests pin what the raise buys; a change that makes those
+walkers iterative and deletes the raise must keep them passing.  Hashing does
+not recurse: every formula node computes its hash once, at construction, and
+the subprocess case pins that at the default limit.
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
 
 from craig.cli import main
 from craig.formulas import Atom, Const, Not, conj, signature_of
@@ -43,3 +50,26 @@ def test_print_parse_round_trip_of_5000_negations():
 
 def test_parse_inside_1000_parentheses():
     assert parse("(" * 1_000 + "P(a)" + ")" * 1_000) == P_A
+
+
+def test_hashing_does_not_recurse_at_the_default_limit():
+    # the limit is lowered after the import, which raises it
+    code = """
+import sys
+import craig
+from craig.formulas import And, Atom, Const, Not
+sys.setrecursionlimit(1000)
+p = Atom("P", (Const("a"),))
+q = Atom("Q", (Const("b"),))
+negations, conjunctions = p, p
+for _ in range(50_000):
+    negations = Not(negations)
+    conjunctions = And((q, conjunctions))
+for f in (negations, conjunctions):
+    assert hash(f) == hash(f) and f in {f} and f in {q, f}
+print("ok")
+"""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

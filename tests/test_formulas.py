@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from craig.errors import FormulaError
 from craig.formulas import (
-    BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    abstract_constant, free_vars, fresh_constant, is_nnf, signature_of, simplify,
-    substitute_constant, to_nnf, walk,
+    BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
+    abstract_constant, free_vars, fresh_constant, is_nnf, map_atoms, signature_of,
+    simplify, substitute_constant, to_nnf, walk,
 )
 from craig.models import enumerate_structures, evaluate
-from craig.parser import parse
+from craig.parser import parse, print_formula
 
 
 def test_nnf_de_morgan():
@@ -243,3 +248,52 @@ def test_simplify_equivalent_idempotent_and_normal(phi):
     for n in (1, 2):
         for A in enumerate_structures(sig, n):
             assert evaluate(A, s) == evaluate(A, phi)
+
+
+def _rebuilt(f):
+    """A distinct copy of f made by fresh constructor calls: the print/parse
+    round trip where it holds, else a map_atoms rebuild with fresh atoms."""
+    g = parse(print_formula(f))
+    if repr(g) != repr(f):  # free variables print as names and parse as constants
+        g = map_atoms(f, lambda a, _bound: Atom(a.rel, a.args))
+    if g is f:  # TOP: parse returns the shared constant and map_atoms keeps it
+        g = Top()
+    return g
+
+
+@settings(max_examples=400, derandomize=True)
+@given(formulas(max_depth=2), formulas(max_depth=2))
+def test_hash_and_eq_agree_with_the_structural_reference(f, g):
+    # repr spells out the whole tree, so equal reprs are the reference for ==
+    same = repr(f) == repr(g)
+    copy_f, copy_g = _rebuilt(f), _rebuilt(g)
+    for h, copy in ((f, copy_f), (g, copy_g)):
+        assert copy is not h
+        assert copy == h and hash(copy) == hash(h)
+    for a, b in ((f, g), (copy_f, g), (f, copy_g), (copy_f, copy_g)):
+        assert (a == b) is same and (a != b) is not same
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+def test_a_pickled_formula_is_rehashed_where_it_is_loaded(tmp_path):
+    # string hashes differ between the two hash seeds, so a pickled cached
+    # hash would no longer match a fresh parse in the loading process
+    texts = ["forall x. P(x) -> exists y. R(x, y) & !Q(c)", "P(a) | Z", "true"]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    dumped = tmp_path / "formulas.pickle"
+    dump = ("import pickle, sys; from craig.parser import parse; "
+            f"pickle.dump([parse(t) for t in {texts!r}], open(sys.argv[1], 'wb'))")
+    load = ("import pickle, sys; from craig.parser import parse\n"
+            f"fresh = [parse(t) for t in {texts!r}]\n"
+            "loaded = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "index = {f: i for i, f in enumerate(fresh)}\n"
+            "for i, (f, g) in enumerate(zip(loaded, fresh)):\n"
+            "    assert f == g and hash(f) == hash(g) and index[f] == i, (f, g)\n"
+            "print('ok')\n")
+    for code, seed in ((dump, "1"), (load, "2")):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(dumped)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

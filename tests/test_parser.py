@@ -155,6 +155,32 @@ def test_problem_file_errors_are_located_in_the_file(text, line, column, message
     assert str(exc.value) == f"{line}:{column}: {message}"
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_problem_file_lines_end_at_newline_only(separator):
+    # str.splitlines would break the line here and read two sentences
+    with pytest.raises(ParseError) as exc:
+        parse_problem(f"P(a){separator}Q(b)\n")
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    assert exc.value.reason == f"unexpected character {separator!r}"
+    # inside a comment it is skipped, and later lines keep the file's \n count
+    with pytest.raises(ParseError) as exc:
+        parse_problem(f"# one{separator}two\nP(a)\n[right]\n Q(c) @\n")
+    assert (exc.value.line, exc.value.column) == (4, 7)
+
+
+def test_crlf_problem_files_parse_as_lf():
+    lf = ("# comment\n[left]\nP(a) & Q(a)  # trailing\n\n[right]\n"
+          "forall x. P(x) -> R(x)\n[theory]\nR(a)\n[options]\nbudget = 12\n")
+    assert parse_problem(lf.replace("\n", "\r\n")) == parse_problem(lf)
+    for text in ("[left]\n   P(a) @ Q\n", "[options]\n  budget\n"):
+        with pytest.raises(ParseError) as lf_error:
+            parse_problem(text)
+        with pytest.raises(ParseError) as crlf_error:
+            parse_problem(text.replace("\n", "\r\n"))
+        assert str(crlf_error.value) == str(lf_error.value)
+
+
 def test_problem_file_free_variable_error_names_the_line(monkeypatch):
     # the grammar never yields a free variable, so stand in an open formula
     monkeypatch.setattr(parser, "parse", lambda text, arities: Atom("P", (Var("x"),)))
