@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import sys
 
-# The parser, to_nnf, print_formula and simplify recurse once or twice per
-# nesting level, and == between two distinct, equal trees three times.  At
-# the default limit of 1,000, craig_interpolant on the implication chain of
-# length 500 raises RecursionError (in to_nnf of its raw interpolant, during
-# verification); parse, to_nnf, print_formula and simplify stop at about 985
-# nested negations and 164 nested parentheses (19,985 and 3,330), and == at
-# 332.  Hashing does not recurse: a formula node's hash is computed once, at
-# construction.
+# The parser, print_formula and simplify recurse once or twice per nesting
+# level, to_nnf once or twice per ∧/∨/∃/∀ level, and == between two
+# distinct, equal trees three times.  At the default limit of 1,000,
+# craig_interpolant on the implication chain of length 500 raises
+# RecursionError (in to_nnf of its raw interpolant, during verification);
+# parse, print_formula and simplify stop at about 985 nested negations and
+# 164 nested parentheses (19,985 and 3,330), and == at 332.  Hashing does not
+# recurse: a formula node's hash is computed once, at construction.  Nor does
+# to_nnf on a chain of negations: it flips a polarity instead.
 # tests/test_deep_nesting.py pins depths that only the raise makes reachable:
 # each of its in-process cases fails without it.
 if sys.getrecursionlimit() < 20000:

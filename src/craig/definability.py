@@ -11,6 +11,7 @@ the finite theories these functions require.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -136,7 +137,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     primed = _primed_map(sig.relations, sig.relations)
     sigma_primed = [rename_relations(s, primed) for s in sigma.sentences]
     arity = sig.arities[relation]
-    frozen = fresh_names("c", sig.constants, arity)
+    frozen = tuple(itertools.islice(fresh_names("c", sig.constants), arity))
     args = tuple(Const(c) for c in frozen)
 
     left = [*sigma.sentences, Atom(relation, args)]
@@ -154,7 +155,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
             Structure(n, {r: rels[primed[r]] for r in sig.relations})) from e
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
-    variables = fresh_names("x", variable_names(theta), arity)
+    variables = tuple(itertools.islice(fresh_names("x", variable_names(theta)), arity))
     phi = theta
     for c, v in zip(frozen, variables):
         phi = abstract_constant(phi, c, v)
@@ -164,7 +165,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     certify(phi, tau, [
         ("R -> definition", [*sigma.sentences, head, Not(theta)]),
         ("definition -> R", [*sigma.sentences, theta, Not(head)])], budget)
-    return Definition(phi, tuple(variables))
+    return Definition(phi, variables)
 
 
 def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):

@@ -10,6 +10,7 @@ subtree.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -297,33 +298,27 @@ def to_nnf(phi) -> object:
     """Negation normal form: negations pushed down to atoms (or top).
 
     Multi-variable quantifier blocks are preserved; the transform is
-    idempotent and equivalence-preserving.
+    idempotent and equivalence-preserving.  Negation chains cost no frame.
     """
-    if isinstance(f := phi, (Atom, Top)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(to_nnf(g) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(to_nnf(g) for g in f.items))
-    if isinstance(f, Exists):
-        return Exists(f.vars, to_nnf(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.vars, to_nnf(f.body))
-    if isinstance(f, Not):
-        s = f.sub
-        if isinstance(s, (Atom, Top)):
-            return f
-        if isinstance(s, Not):
-            return to_nnf(s.sub)
-        if isinstance(s, And):
-            return Or(tuple(to_nnf(Not(g)) for g in s.items))
-        if isinstance(s, Or):
-            return And(tuple(to_nnf(Not(g)) for g in s.items))
-        if isinstance(s, Exists):
-            return Forall(s.vars, to_nnf(Not(s.body)))
-        if isinstance(s, Forall):
-            return Exists(s.vars, to_nnf(Not(s.body)))
-    raise FormulaError(f"not a formula: {phi!r}")
+    return _nnf(phi, False)
+
+
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}  # what a negation makes of each
+
+
+def _nnf(f, negated: bool):
+    # one case per node kind (exact types, as in map_atoms); a Not flips the polarity
+    while type(f) is Not:
+        f, negated = f.sub, not negated
+    kind = type(f)
+    if kind is Atom or kind is Top:
+        return Not(f) if negated else f
+    if kind not in _DUAL:
+        raise FormulaError(f"not a formula: {f!r}")
+    out = _DUAL[kind] if negated else kind
+    if kind is And or kind is Or:
+        return out(tuple([_nnf(g, negated) for g in f.items]))
+    return out(f.vars, _nnf(f.body, negated))
 
 
 def is_nnf(phi) -> bool:
@@ -442,20 +437,17 @@ def variable_names(phi) -> set:
     return names
 
 
-def fresh_names(prefix: str, taken, n: int) -> list:
-    """The n lowest-index names <prefix><i> not in taken, ascending."""
-    out: list = []
-    i = 0
-    while len(out) < n:
+def fresh_names(prefix: str, taken) -> Iterator[str]:
+    """Every name <prefix><i> not in taken, by ascending i, without end: the
+    one fresh-name supply (take one with next, a few with itertools.islice)."""
+    for i in itertools.count():
         if f"{prefix}{i}" not in taken:
-            out.append(f"{prefix}{i}")
-        i += 1
-    return out
+            yield f"{prefix}{i}"
 
 
 def fresh_constant(avoid: Iterable) -> str:
     """Lowest-index c<i> not in avoid (a set of constant names)."""
-    return fresh_names("c", set(avoid), 1)[0]
+    return next(fresh_names("c", set(avoid)))
 
 
 def simplify(phi) -> object:

@@ -21,6 +21,7 @@ carry no membership check at all, so they are always "not-applicable" there).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
@@ -181,11 +182,11 @@ def canonical_rename(phi):
         if isinstance(f, (Exists, Forall)):
             outer_free = free_vars(f.body) - set(f.vars)
             blocked = {env.get(x, x) for x in outer_free}
-            fresh = fresh_names("v", blocked, len(f.vars))
+            fresh = tuple(itertools.islice(fresh_names("v", blocked), len(f.vars)))
             env2 = {**env, **dict(zip(f.vars, fresh))}
             body = rec(f.body, env2)
             cls = Exists if isinstance(f, Exists) else Forall
-            return cls(tuple(fresh), body)
+            return cls(fresh, body)
         raise UnknownFragmentError(f"not a formula: {f!r}")
 
     return rec(phi, {})

@@ -58,7 +58,7 @@ def _quantifier_case(theta, c: str, l_consts: frozenset, r_consts: frozenset):
         # on both sides c is shared and may stay; on neither, the signature
         # invariant already keeps c out of theta
         return theta
-    x = fresh_names("x", variable_names(theta), 1)[0]
+    x = next(fresh_names("x", variable_names(theta)))
     body = _abstract_constant(theta, c, x)  # x is fresh: no second occurs check
     return Exists((x,), body) if not in_r else Forall((x,), body)
 

@@ -37,9 +37,10 @@ Compile once, evaluate many.  Where one formula meets many structures (each
 conjunct of ``satisfying_structures``, each interpolant-search candidate on
 its screens) ``_compile`` translates it once into nested closures, so node
 dispatch, atom argument shapes and quantifier loops are fixed before the
-first structure.  The closures return masks over a batch of structures: ∧,
-∨ and ¬ are ``&``, ``|`` and ``^``, ∃ and ∀ are the OR and AND of their
-instances, a block of k quantified variables is k nested one-variable
+first structure, one closure per connective.  The closures return masks
+over a batch of structures: ∧, ∨ and ¬ are ``&``, ``|`` and ``^``, ∃ and ∀
+are the OR and AND of their instances, a k-item ∧ or ∨ is k − 1 nested
+binary ones, a block of k quantified variables is k nested one-variable
 quantifiers, and a scalar use (the candidate screens, the per-prefix checks)
 is a batch of one structure.  ``evaluate`` keeps the ``_eval`` interpreter,
 for two reasons: for one formula on one structure, compiling and running
@@ -196,8 +197,10 @@ def _compile(f, batch: _Batch = _SCALAR):
     ``FormulaError`` when evaluation reaches it, not at compile time.  A
     quantifier block of k variables runs as k nested one-variable
     quantifiers, which visit its instances in ``_eval``'s order.  An atom
-    with no batched symbol is 0 or ``full``.  Compiling recurses once per
-    nesting level and running once per level and per block variable.
+    with no batched symbol is 0 or ``full``.  A k-item ∧ or ∨ is its binary
+    closure folded from the left, ``((a·b)·c)…``.  Compiling recurses once
+    per nesting level; running recurses once per level, per block variable,
+    and per item of an ∧ or ∨ after the first.
     """
     kind = type(f)
     full = batch.full
@@ -214,32 +217,10 @@ def _compile(f, batch: _Batch = _SCALAR):
         sub = _compile(f.sub, batch)
         return lambda A, g: full ^ sub(A, g)
     if kind is And or kind is Or:
-        items = []
-        for x in f.items:  # a loop, not a generator: one frame per level
-            items.append(_compile(x, batch))
-        if len(items) == 2:
-            a, b = items
-            if kind is And:
-                return lambda A, g: (m := a(A, g)) and m & b(A, g)
-            return lambda A, g: m if (m := a(A, g)) == full else m | b(A, g)
-        if kind is And:
-            def conjunction(A, g):
-                m = full
-                for x in items:
-                    m &= x(A, g)
-                    if not m:
-                        return 0
-                return m
-            return conjunction
-
-        def disjunction(A, g):
-            m = 0
-            for x in items:
-                m |= x(A, g)
-                if m == full:
-                    return m
-            return m
-        return disjunction
+        holds = _compile(f.items[0], batch)
+        for x in f.items[1:]:  # a loop, not a generator: one frame per level
+            holds = _connective(kind is And, holds, _compile(x, batch), full)
+        return holds
     if kind is Exists or kind is Forall:
         # a block of k variables is k nested quantifiers, the first outermost
         holds = _compile(f.body, batch)
@@ -270,6 +251,13 @@ def _membership(rel, shape, names):
     pairs = tuple(zip(shape, names))
     return lambda A, g: tuple([g[n] if is_var else A.constants[n]
                                for is_var, n in pairs]) in A.relations[rel]
+
+
+def _connective(conjunction: bool, a, b, full: int):
+    # ∧ and ∨ evaluate a first and skip b once a decides the mask
+    if conjunction:
+        return lambda A, g: (m := a(A, g)) and m & b(A, g)
+    return lambda A, g: m if (m := a(A, g)) == full else m | b(A, g)
 
 
 def _quantifier(existential: bool, v: str, body, full: int):

@@ -269,7 +269,8 @@ class ProblemFile:
     arities: dict = field(default_factory=dict)
 
 
-_SECTION = re.compile(r"^\[(left|right|theory|options)\]\s*$")
+_BLANK = " \t\r"  # the only blanks a problem-file line may start or end with
+_SECTION = re.compile(r"^\[(left|right|theory|options)\]$")  # matched on a stripped line
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -277,15 +278,16 @@ def parse_problem(text: str) -> ProblemFile:
     [left] [right] [theory] [options].  Sentences before any header go to
     [left].  Lines end at ``\n`` only (a trailing ``\r`` is blank), so line
     numbers match the file's ``\n`` count, and a form feed or other
-    ``str.splitlines`` boundary inside a line is an unexpected character."""
+    ``str.splitlines`` boundary is an unexpected character, at a line's ends
+    too: only spaces, tabs and ``\r`` are blank there."""
     pf = ProblemFile()
     section = "left"
     for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
-        line = body.strip()
+        line = body.strip(_BLANK)
         if not line:
             continue
-        indent = len(body) - len(body.lstrip())
+        indent = len(body) - len(body.lstrip(_BLANK))
         m = _SECTION.match(line)
         if m:
             section = m.group(1)
@@ -293,7 +295,7 @@ def parse_problem(text: str) -> ProblemFile:
         if section == "options":
             if "=" not in line:
                 raise ParseError("options are key=value lines", lineno, indent + 1)
-            key, val = (s.strip() for s in line.split("=", 1))
+            key, val = (s.strip(_BLANK) for s in line.split("=", 1))
             if key not in ("budget", "max-model-size"):
                 raise ParseError(f"unknown option {key!r}", lineno, indent + 1)
             pf.options[key] = val

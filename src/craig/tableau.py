@@ -59,7 +59,7 @@ from .errors import (
 )
 from .formulas import (
     BOTTOM, And, Atom, Exists, Forall, Or,
-    complement_literal, free_vars, is_literal, is_nnf, is_sentence,
+    complement_literal, free_vars, fresh_names, is_literal, is_nnf, is_sentence,
     signature_of, substitute_constant, substitute_constants, to_nnf,
 )
 from .models import Structure, evaluate
@@ -378,14 +378,7 @@ class _Prover:
         self.applications = 0
         self.next_id = 0
         self.avoid = constants  # the inputs' constants, in first-occurrence order
-        self.fresh_index = 0
-
-    def fresh(self) -> str:
-        while f"c{self.fresh_index}" in self.avoid:
-            self.fresh_index += 1
-        name = f"c{self.fresh_index}"
-        self.fresh_index += 1
-        return name
+        self.fresh = fresh_names("c", constants)  # one supply: no branch reuses a name
 
     def new_node(self, parent, introduced, rule) -> Node:
         node = Node(self.next_id, parent, tuple(introduced), rule)
@@ -442,7 +435,7 @@ class _Prover:
     def fire_exists(self, branch: _BranchState, ls: LabeledSentence):
         f = ls.formula
         used = free_vars(f.body)  # vacuous block variables mint no constants
-        mapping = {v: self.fresh() for v in f.vars if v in used}
+        mapping = {v: next(self.fresh) for v in f.vars if v in used}
         gls = LabeledSentence(substitute_constants(f.body, mapping), ls.label)
         self.applications += 1
         branch.node = self.new_node(branch.node, (gls,),
@@ -465,7 +458,7 @@ class _Prover:
             return
         # forall: peel the first block variable with one constant
         if not branch.constants:  # so no constant was tried: next_const is 0
-            branch.push(branch.constants, self.fresh())
+            branch.push(branch.constants, next(self.fresh))
         c = branch.constants[item.next_const]
         branch.assign(item, "next_const", item.next_const + 1)
         peeled = _instantiate_first(f, c)
@@ -621,9 +614,7 @@ def render_trace(tableau: ClosedTableau, interpolants: dict | None = None) -> st
             return "or"
         if isinstance(rule, ExistsRule):
             return "exists " + ", ".join(rule.constants)
-        if isinstance(rule, ForallRule):
-            return f"forall {rule.constant}"
-        return "closure"
+        return f"forall {rule.constant}"  # a ForallRule: closures never get here
 
     stack = [(tableau.root, 0)]
     while stack:

@@ -416,6 +416,12 @@ def _form_feed_inside_a_line(tmp_path, data_dir):
     return ["prove", str(problem)]
 
 
+def _form_feed_at_a_line_start(tmp_path, data_dir):
+    problem = tmp_path / "leading-form-feed.fol"
+    problem.write_text("[left]\n\x0cP(a)\n[right]\n!P(a)\n")
+    return ["prove", str(problem)]
+
+
 def _monotone_rewrite_with_arity(tmp_path, relation: str, arity: str):
     problem = tmp_path / "monotone.fol"
     problem.write_text("[left]\nexists x. R(x)\n")  # R is unary
@@ -437,7 +443,7 @@ def _negative_arity(tmp_path, data_dir):
                                   _unknown_option, _unary_use_of_binary_exists,
                                   _unary_use_of_binary_forall, _mixed_tuple_lengths,
                                   _arity_contradicts_sentence, _negative_arity,
-                                  _form_feed_inside_a_line],
+                                  _form_feed_inside_a_line, _form_feed_at_a_line_start],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one

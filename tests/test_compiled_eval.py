@@ -15,6 +15,9 @@ The cases:
   connectives, multi-variable blocks, mixed and 0-ary atoms, and a subterm
   that is not a formula (inside a multi-variable block too, where the
   instance that raises first shows the order the block visits);
+- the ``wide_formulas()`` strategy, which draws 2-4-item connectives and
+  two-variable blocks, and one ∃ over a 3,000-item ∨ (and its dual ∀ over
+  an ∧) at size 1, which the compiler runs as 2,999 nested binary closures;
 - every ``enumerate_shared_formulas`` candidate of size <= 5 for the first
   ``SEARCH_SLICE`` instances of ``corpus(42, 50, small=True)``, on both
   screen lists ``search_interpolant`` builds.
@@ -27,7 +30,8 @@ with any set of batched constants), every assignment of the symbols outside
 the block and every assignment of the free variables.  The test builds its
 own masks and block structures from the definition of the bit order; the
 masks ``_block_masks`` caches are checked against them.  The cases are the
-``formulas()`` strategy and the hand-written shapes at sizes <= 2.
+``formulas()`` and ``wide_formulas()`` strategies and the hand-written
+shapes at sizes <= 2.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ import itertools
 from hypothesis import given, settings
 
 from craig.corpus import corpus
-from craig.formulas import And, Atom, Const, Exists, Forall, Not, Or, Var, signature_of
+from craig.formulas import (
+    And, Atom, Const, Exists, Forall, Not, Or, Var, signature_of, to_nnf,
+)
 from craig.interpolation import _SCREEN_CAP, enumerate_shared_formulas
 from craig.models import (
     Structure, _Batch, _block_masks, _compile, _eval, _trusted_structure,
-    count_structures, enumerate_structures, evaluate,
+    count_structures, enumerate_structures, evaluate, find_model,
 )
 from craig.parser import parse
-from test_formulas import formulas
+from test_formulas import formulas, wide_formulas
 
 SEARCH_SLICE = 2  # 916 candidates each; the third instance alone has 2,518
 SCREEN_SIZE = 3  # search_interpolant's default screen_size
@@ -84,6 +90,12 @@ def _agrees_everywhere(f, max_size: int = 2) -> None:
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(formulas())
 def test_compiled_matches_interpreted_on_generated_formulas(phi):
+    _agrees_everywhere(phi)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(wide_formulas())
+def test_compiled_matches_interpreted_on_wide_formulas(phi):
     _agrees_everywhere(phi)
 
 
@@ -193,6 +205,12 @@ def test_masks_match_interpreted_on_generated_formulas(phi):
     _masks_agree(phi)
 
 
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(wide_formulas())
+def test_masks_match_interpreted_on_wide_formulas(phi):
+    _masks_agree(phi)
+
+
 def test_masks_match_interpreted_on_other_shapes():
     for text in HAND_WRITTEN + MASK_SHAPES:
         _masks_agree(parse(text))
@@ -211,6 +229,19 @@ def test_compiled_raises_for_a_non_formula_only_when_reached():
     structures = list(enumerate_structures(signature_of(R, Q), 2))
     for f in (Exists(("x", "y"), body), Forall(("x", "y"), Not(body))):
         _assert_agrees(f, structures, [{}])
+
+
+def test_a_3000_item_connective_runs_as_a_fold_under_the_limit():
+    # a k-item ∧ or ∨ runs as k - 1 nested binary closures: 2,999 frames
+    # here, which the import-time recursion limit covers
+    items = [Atom(f"R{i % 3}", (Var("x"), Const("k"))) if i % 2
+             else Not(Atom(f"Q{i % 3}", (Var("x"),))) for i in range(3_000)]
+    phi = Exists(("x",), Or(tuple(items)))
+    for f in (phi, to_nnf(Not(phi))):  # ∃ over an ∨, and ∀ over an ∧
+        structures = list(enumerate_structures(signature_of(f), 1))
+        _assert_agrees(f, structures, [{}])
+        first = next(A for A in structures if evaluate(A, f))
+        assert find_model([f], 1).key() == first.key()
 
 
 def _screen(sentence, sig) -> list:

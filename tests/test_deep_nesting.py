@@ -1,13 +1,15 @@
 """Nesting depths the package must handle.
 
 ``craig/__init__.py`` raises the recursion limit at import because the
-parser, ``to_nnf``, ``print_formula`` and ``simplify`` recurse once or twice
-per nesting level, and so does ``==`` between two distinct, equal deep
-trees.  Each case below that runs in this process fails at the default limit
-of 1,000, so these tests pin what the raise buys; a change that makes those
-walkers iterative and deletes the raise must keep them passing.  Hashing does
-not recurse: every formula node computes its hash once, at construction, and
-the subprocess case pins that at the default limit.
+parser, ``print_formula`` and ``simplify`` recurse once or twice per nesting
+level, ``to_nnf`` once per ∧/∨/∃/∀ level, and ``==`` between two distinct,
+equal deep trees three times per level.  Each case below that runs in this
+process fails at the default limit of 1,000, so these tests pin what the
+raise buys; a change that makes those walkers iterative and deletes the
+raise must keep them passing.  Hashing does not recurse (every formula node
+computes its hash once, at construction), and ``to_nnf`` does not recurse on
+a chain of negations (it flips a polarity instead); the subprocess cases pin
+both at the default limit.
 """
 
 from __future__ import annotations
@@ -52,13 +54,18 @@ def test_parse_inside_1000_parentheses():
     assert parse("(" * 1_000 + "P(a)" + ")" * 1_000) == P_A
 
 
-def test_hashing_does_not_recurse_at_the_default_limit():
+def _run_at_the_default_limit(code: str) -> None:
     # the limit is lowered after the import, which raises it
-    code = """
-import sys
-import craig
+    code = "import sys\nimport craig\nsys.setrecursionlimit(1000)\n" + code
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_hashing_does_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
 from craig.formulas import And, Atom, Const, Not
-sys.setrecursionlimit(1000)
 p = Atom("P", (Const("a"),))
 q = Atom("Q", (Const("b"),))
 negations, conjunctions = p, p
@@ -68,8 +75,17 @@ for _ in range(50_000):
 for f in (negations, conjunctions):
     assert hash(f) == hash(f) and f in {f} and f in {q, f}
 print("ok")
-"""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+""")
+
+
+def test_nnf_of_a_negation_chain_does_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Const, Not, to_nnf
+p = Atom("P", (Const("a"),))
+f = p
+for _ in range(50_000):
+    f = Not(f)
+assert to_nnf(f) == p
+assert to_nnf(Not(f)) == Not(p)
+print("ok")
+""")

@@ -70,6 +70,62 @@ def formulas(draw, max_depth=3):
     return build(max_depth, tuple(scope))
 
 
+@st.composite
+def wide_formulas(draw, max_depth=2):
+    """The shapes formulas() never builds: 2-4-item ∧/∨ and one- or
+    two-variable quantifier blocks, over unary P, Q and binary R."""
+    scope = draw(st.lists(st.sampled_from(["x", "y"]), unique=True))
+
+    def build(depth, scope):
+        options = ["atom"]
+        if depth > 0:
+            options += ["not", "and", "or", "exists", "forall", "top"]
+        kind = draw(st.sampled_from(options))
+        if kind == "top":
+            return TOP
+        if kind == "atom":
+            terms = st.sampled_from([Var(v) for v in scope] + [Const("c"), Const("d")])
+            if draw(st.booleans()):
+                return Atom("R", (draw(terms), draw(terms)))
+            return Atom(draw(st.sampled_from(["P", "Q"])), (draw(terms),))
+        if kind == "not":
+            return Not(build(depth - 1, scope))
+        if kind in ("and", "or"):
+            n = draw(st.integers(2, 4))
+            return (And if kind == "and" else Or)(
+                tuple([build(depth - 1, scope) for _ in range(n)]))
+        free = [v for v in ("x", "y", "z", "u", "v", "w") if v not in scope]
+        block = tuple(free[:draw(st.integers(1, 2))])
+        body = build(depth - 1, scope + block)
+        return (Exists if kind == "exists" else Forall)(block, body)
+
+    return build(max_depth, tuple(scope))
+
+
+def dual(f):
+    """De Morgan dual of an NNF formula: ∧ and ∨ swapped, ∃ and ∀ swapped,
+    and every literal complemented (atom and ¬atom, ⊤ and ⊥)."""
+    if isinstance(f, (Atom, Top)):
+        return Not(f)
+    if isinstance(f, Not):
+        return f.sub
+    if isinstance(f, (And, Or)):
+        return (Or if isinstance(f, And) else And)(tuple(map(dual, f.items)))
+    return (Forall if isinstance(f, Exists) else Exists)(f.vars, dual(f.body))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(formulas())
+def test_nnf_of_a_negation_is_the_dual_of_the_nnf(phi):
+    assert to_nnf(Not(phi)) == dual(to_nnf(phi))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(wide_formulas())
+def test_nnf_of_a_negation_is_the_dual_of_the_nnf_on_wide_formulas(phi):
+    assert to_nnf(Not(phi)) == dual(to_nnf(phi))
+
+
 @settings(max_examples=150, derandomize=True)
 @given(formulas())
 def test_nnf_idempotent(phi):

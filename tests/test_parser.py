@@ -147,6 +147,13 @@ def test_problem_file_arity_consistency_across_lines():
     ("P(a)\n  [left]  \n \t R(a, b)  & R(a)\n", 3, 15,
      "relation R used with arity 1, expected 2"),
     ("[options]\n  budget\n", 2, 3, "options are key=value lines"),
+    # only spaces, tabs and \r are blank at a line's ends; str.strip would
+    # also drop these there, while the tokenizer rejects them inside a line
+    *[case for blank in ("\x0b", "\x0c", "\x85", "\xa0", "\u2028") for case in (
+        (f"{blank}P(a)\n", 1, 1, f"unexpected character {blank!r}"),
+        (f"P(a) {blank}\n", 1, 6, f"unexpected character {blank!r}"),
+        (f"[left]\n  P(a){blank}\n", 2, 7, f"unexpected character {blank!r}"),
+        (f"[options]\n{blank}budget = 3\n", 2, 1, f"unknown option {blank + 'budget'!r}"))],
 ])
 def test_problem_file_errors_are_located_in_the_file(text, line, column, message):
     with pytest.raises(ParseError) as exc:
