@@ -28,7 +28,7 @@ from .interpolation import (
     verify_interpolant,
 )
 from .models import evaluate, find_model, structure_from_json, structure_to_json
-from .parser import parse, parse_problem, print_formula
+from .parser import parse, parse_natural, parse_problem, print_formula
 from .tableau import labeled, refute, render_trace
 from .theory import split_theory, strong_interpolant, weak_interpolant
 
@@ -56,7 +56,7 @@ def _resolve(args, problem, attr: str, option: str, fallback: int) -> int:
     if value is not None:
         return value
     if problem is not None and option in problem.options:
-        return int(problem.options[option])
+        return int(problem.options[option])  # ASCII digits: parse_problem checks
     return fallback
 
 
@@ -93,7 +93,7 @@ def _parse_methods(spec: str) -> frozenset:
             methods.add(AccessMethod(name, frozenset()))
         else:
             methods.add(AccessMethod(name, frozenset(
-                int(p) for p in positions.split(","))))
+                map(parse_natural, positions.split(",")))))
     return frozenset(methods)
 
 
@@ -241,7 +241,7 @@ def cmd_bindpatt(args) -> int:
 def cmd_accpart(args) -> int:
     structure = _load_structure(args.structure)
     methods = _parse_methods(args.methods) if args.methods else frozenset()
-    start = tuple(int(p) for p in args.tuple.split(",")) if args.tuple else ()
+    start = tuple(map(parse_natural, args.tuple.split(","))) if args.tuple else ()
     region = accessible_part(structure, methods, start)
     print(json.dumps(sorted(region)))
     return EXIT_OK

@@ -74,6 +74,7 @@ class _Node:
 # __post_init__ call, since node construction is on the prover's hot path.
 _node = dataclass(frozen=True, eq=False, slots=True, init=False)
 _set = object.__setattr__
+_new = object.__new__
 
 
 @_node
@@ -391,18 +392,118 @@ def substitute_constant(phi, x: str, c: str) -> object:
 
 def substitute_constants(phi, mapping: dict) -> object:
     """Replace every free occurrence of each variable x in mapping by the
-    constant mapping[x], in one pass."""
-    consts = {x: Const(c) for x, c in mapping.items()}
+    constant mapping[x]: compile once, run once."""
+    program = compile_substitution(phi, mapping)
+    return program.run(tuple([Const(mapping[x]) for x in program.vars]))
 
-    def sub(a, bound):
-        for t in a.args:
-            if isinstance(t, Var) and t.name in consts and t.name not in bound:
-                return Atom(a.rel, tuple(
-                    consts.get(t.name, t) if isinstance(t, Var) and t.name not in bound
-                    else t for t in a.args))
-        return a
 
-    return map_atoms(phi, sub)
+class Substitution:
+    """A formula compiled for substituting constants for the free
+    occurrences of some variables; made by compile_substitution.
+
+    ``vars`` lists the variables that occur free, in first-occurrence order
+    (preorder, arguments left to right), the order signature_of gives.
+    ``run(consts)`` takes one Const per entry of ``vars``, in that order, and
+    returns the substituted formula.  ``code`` is a flat post-order program
+    over only the nodes that contain a free occurrence; running it rebuilds
+    those nodes and reuses every other subtree as the same object.  An
+    instruction is (Atom, the atom, ((argument position, index into
+    consts), ...)), (Not, None, None), (And or Or, the items, (positions of
+    the rebuilt items, ...)) or (Exists or Forall, the block, None); each
+    rebuilds one node from the nodes rebuilt before it, taken off a stack.
+    """
+
+    __slots__ = ("formula", "vars", "code")
+
+    def __init__(self, formula, vars: tuple, code: tuple):
+        self.formula = formula
+        self.vars = vars
+        self.code = code
+
+    def run(self, consts: tuple):
+        code = self.code
+        if not code:
+            return self.formula
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        for kind, x, y in code:  # kind is the class of the node to rebuild
+            if kind is Atom:
+                args = list(x.args)
+                for i, k in y:
+                    args[i] = consts[k]
+                args = tuple(args)
+                # Atom(x.rel, args) without its checks: args are x's, with
+                # some variables replaced by constants
+                atom = _new(Atom)
+                _set(atom, "rel", x.rel)
+                _set(atom, "args", args)
+                _set(atom, "_h", hash((x.rel, args)))
+                push(atom)
+            elif kind is Not:
+                push(Not(pop()))
+            elif kind is And or kind is Or:
+                items = list(x)
+                for i in reversed(y):
+                    items[i] = pop()
+                push(kind(items))
+            else:
+                push(kind(x, pop()))
+        return stack[0]
+
+
+def compile_substitution(phi, names) -> Substitution:
+    """Compile phi once for substituting constants for the free occurrences
+    of the variables in names (any iterable of names); see Substitution.
+    A quantifier that rebinds one of them cuts it off below.  Iterative,
+    with exact type dispatch as in map_atoms."""
+    index: dict = {}    # variable -> slot in consts, by first free occurrence
+    code: list = []
+    rebuilt: list = []  # per finished subformula: whether the program rebuilds it
+    stack: list = [(phi, frozenset(names), False)]
+    while stack:
+        f, live, ready = stack.pop()
+        kind = type(f)
+        if kind is Atom:
+            slots = ()
+            for i, t in enumerate(f.args):
+                if t.__class__ is Var and t.name in live:
+                    slots += ((i, index.setdefault(t.name, len(index))),)
+            if slots:
+                code.append((Atom, f, slots))
+            rebuilt.append(bool(slots))
+        elif kind is Top:
+            rebuilt.append(False)
+        elif ready:
+            if kind is And or kind is Or:
+                n = len(f.items)
+                positions = ()
+                for i, hit in enumerate(rebuilt[-n:]):
+                    if hit:
+                        positions += (i,)
+                del rebuilt[-n:]
+                if positions:
+                    code.append((kind, f.items, positions))
+                rebuilt.append(bool(positions))
+            elif rebuilt[-1]:  # Not or a quantifier: its one child was rebuilt
+                code.append((kind, None, None) if kind is Not else (kind, f.vars, None))
+        elif kind is Not:
+            stack.append((f, live, True))
+            stack.append((f.sub, live, False))
+        elif kind is And or kind is Or:
+            stack.append((f, live, True))
+            for g in reversed(f.items):
+                stack.append((g, live, False))
+        elif kind is Exists or kind is Forall:
+            if not live.isdisjoint(f.vars):
+                live = live.difference(f.vars)
+            if live:
+                stack.append((f, live, True))
+                stack.append((f.body, live, False))
+            else:  # every variable is rebound here: nothing below is free
+                rebuilt.append(False)
+        else:
+            raise FormulaError(f"not a formula: {f!r}")
+    return Substitution(phi, tuple(index), tuple(code))
 
 
 def abstract_constant(phi, c: str, x: str) -> object:

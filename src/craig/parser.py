@@ -271,6 +271,16 @@ class ProblemFile:
 
 _BLANK = " \t\r"  # the only blanks a problem-file line may start or end with
 _SECTION = re.compile(r"^\[(left|right|theory|options)\]$")  # matched on a stripped line
+# a number is ASCII digits only; int() would also take "1_0", "٣" and blanks
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def parse_natural(text: str) -> int:
+    """The number text writes in ASCII digits; anything else raises
+    ParseError."""
+    if _NATURAL.fullmatch(text) is None:
+        raise ParseError(f"expected a number in ASCII digits, found {text!r}")
+    return int(text)
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -279,7 +289,8 @@ def parse_problem(text: str) -> ProblemFile:
     [left].  Lines end at ``\n`` only (a trailing ``\r`` is blank), so line
     numbers match the file's ``\n`` count, and a form feed or other
     ``str.splitlines`` boundary is an unexpected character, at a line's ends
-    too: only spaces, tabs and ``\r`` are blank there."""
+    too: only spaces, tabs and ``\r`` are blank there.  An [options] value is
+    a number in ASCII digits."""
     pf = ProblemFile()
     section = "left"
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -295,9 +306,14 @@ def parse_problem(text: str) -> ProblemFile:
         if section == "options":
             if "=" not in line:
                 raise ParseError("options are key=value lines", lineno, indent + 1)
-            key, val = (s.strip(_BLANK) for s in line.split("=", 1))
+            key, rest = line.split("=", 1)
+            key, val = key.strip(_BLANK), rest.strip(_BLANK)
             if key not in ("budget", "max-model-size"):
                 raise ParseError(f"unknown option {key!r}", lineno, indent + 1)
+            if _NATURAL.fullmatch(val) is None:
+                column = indent + len(line) - len(rest.lstrip(_BLANK)) + 1
+                raise ParseError(f"option {key} must be a number in ASCII digits, "
+                                 f"found {val!r}", lineno, column)
             pf.options[key] = val
             continue
         try:

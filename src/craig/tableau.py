@@ -21,7 +21,11 @@ are unaffected; the ordering only controls which closed tableau is found.
 formula and re-enters the queue; a ∀ on a constant-free branch waits for
 pending existentials and otherwise seeds one fresh constant (domains are
 non-empty).  Multi-variable ∀ blocks peel one variable per application; ∃
-blocks instantiate in one application.
+blocks instantiate in one application.  Each ∀ instance comes from its
+formula's substitution program (``formulas.compile_substitution``), compiled
+once per proof, at the formula's first instantiation, and shared by every
+branch: an instance rebuilds only the path from the body's root to the
+variable's occurrences and reuses every other subtree.
 
 Constants.  The ∀ rule tries a branch's constants oldest first.  Only inputs
 and ∃ instances bring new ones: the inputs' constants join first, in order of
@@ -58,9 +62,9 @@ from .errors import (
     NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
-    BOTTOM, And, Atom, Exists, Forall, Or,
-    complement_literal, free_vars, fresh_names, is_literal, is_nnf, is_sentence,
-    signature_of, substitute_constant, substitute_constants, to_nnf,
+    BOTTOM, And, Atom, Const, Exists, Forall, Or,
+    compile_substitution, complement_literal, fresh_names, is_literal, is_nnf,
+    is_sentence, signature_of, to_nnf,
 )
 from .models import Structure, evaluate
 
@@ -379,6 +383,9 @@ class _Prover:
         self.next_id = 0
         self.avoid = constants  # the inputs' constants, in first-occurrence order
         self.fresh = fresh_names("c", constants)  # one supply: no branch reuses a name
+        # ∀ formula -> the compiled substitution of its first block variable;
+        # a cache for this proof, shared by every branch, so never on the trail
+        self.programs: dict = {}
 
     def new_node(self, parent, introduced, rule) -> Node:
         node = Node(self.next_id, parent, tuple(introduced), rule)
@@ -434,14 +441,16 @@ class _Prover:
 
     def fire_exists(self, branch: _BranchState, ls: LabeledSentence):
         f = ls.formula
-        used = free_vars(f.body)  # vacuous block variables mint no constants
+        program = compile_substitution(f.body, f.vars)
+        used = program.vars  # vacuous block variables mint no constants
         mapping = {v: next(self.fresh) for v in f.vars if v in used}
-        gls = LabeledSentence(substitute_constants(f.body, mapping), ls.label)
+        names = [mapping[v] for v in used]  # in the order the body uses them
+        gls = LabeledSentence(program.run(tuple(map(Const, names))), ls.label)
         self.applications += 1
         branch.node = self.new_node(branch.node, (gls,),
                                     ExistsRule(ls, tuple(mapping.values())))
-        for v in used:  # in the order the body uses them
-            branch.push(branch.constants, mapping[v])
+        for c in names:
+            branch.push(branch.constants, c)
         branch.add(gls)
 
     def fire_alpha(self, branch: _BranchState, item: _AlphaItem):
@@ -461,7 +470,10 @@ class _Prover:
             branch.push(branch.constants, next(self.fresh))
         c = branch.constants[item.next_const]
         branch.assign(item, "next_const", item.next_const + 1)
-        peeled = _instantiate_first(f, c)
+        program = self.programs.get(f)
+        if program is None:
+            program = self.programs[f] = compile_substitution(f.body, f.vars[:1])
+        peeled = _instantiate_first(f, c, program)
         if peeled not in branch.formulas:
             gls = LabeledSentence(peeled, ls.label)
             self.applications += 1
@@ -552,23 +564,29 @@ def _hintikka_violation(branch: Branch):
         elif isinstance(f, Forall):
             if not consts:
                 return f"{f!r} never instantiated"
+            program = compile_substitution(f.body, f.vars[:1])
             for c in consts:
-                if _instantiate_first(f, c) not in present:
+                if _instantiate_first(f, c, program) not in present:
                     return f"{f!r} not instantiated with {c}"
     return None
 
 
 def _exists_witnessed(f: Exists, present: set, consts) -> bool:
-    for values in itertools.product(consts, repeat=len(f.vars)):
-        if substitute_constants(f.body, dict(zip(f.vars, values))) in present:
+    if not consts:  # no instance at all, even of a body that uses no variable
+        return False
+    program = compile_substitution(f.body, f.vars)
+    # only the variables the body uses range over the constants: a vacuous
+    # one changes nothing in the instance
+    for values in itertools.product(map(Const, consts), repeat=len(program.vars)):
+        if program.run(values) in present:
             return True
     return False
 
 
-def _instantiate_first(f: Forall, c: str):
+def _instantiate_first(f: Forall, c: str, program):
     """f with its first block variable instantiated to c; the rest of the
-    block stays a ∀."""
-    body = substitute_constant(f.body, f.vars[0], c)
+    block stays a ∀.  program is compile_substitution(f.body, f.vars[:1])."""
+    body = program.run((Const(c),))
     return Forall(f.vars[1:], body) if len(f.vars) > 1 else body
 
 

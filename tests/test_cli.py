@@ -453,6 +453,27 @@ def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value, column", [("1_0", 10), ("\u0663", 10), ("3\x0c", 10)])
+def test_option_values_are_ascii_digits(value, column, tmp_path, capsys):
+    # int() alone would read "1_0" as 10 and the Arabic-Indic three as 3
+    problem = tmp_path / "budget.fol"
+    problem.write_text(f"[left]\nP(c)\n[right]\n!P(c)\n[options]\nbudget = {value}\n",
+                       encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(problem))
+    assert (code, out) == (3, "")
+    assert err == (f"parse error: 6:{column}: option budget must be a number "
+                   f"in ASCII digits, found {value!r}\n")
+
+
+@pytest.mark.parametrize("flag, value, number", [("--methods", "R:1_0", "1_0"),
+                                                 ("--methods", "R:1,\u0661", "\u0661"),
+                                                 ("--tuple", "0, 1", " 1")])
+def test_accpart_numbers_are_ascii_digits(flag, value, number, data_dir, capsys):
+    code, out, err = run(capsys, "accpart", str(data_dir / "structure.json"), flag, value)
+    assert (code, out) == (3, "")
+    assert err == f"parse error: expected a number in ASCII digits, found {number!r}\n"
+
+
 def test_beth_rejects_zero_model_size(data_dir, capsys):
     # size 0 must be refused as a bad bound, not reported as a property of sigma
     code, out, err = run(capsys, "--max-model-size", "0", "beth",

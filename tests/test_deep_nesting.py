@@ -7,9 +7,10 @@ equal deep trees three times per level.  Each case below that runs in this
 process fails at the default limit of 1,000, so these tests pin what the
 raise buys; a change that makes those walkers iterative and deletes the
 raise must keep them passing.  Hashing does not recurse (every formula node
-computes its hash once, at construction), and ``to_nnf`` does not recurse on
-a chain of negations (it flips a polarity instead); the subprocess cases pin
-both at the default limit.
+computes its hash once, at construction), ``to_nnf`` does not recurse on a
+chain of negations (it flips a polarity instead), and neither compiling a
+substitution nor running it recurses (both are flat loops over an explicit
+stack); the subprocess cases pin all three at the default limit.
 """
 
 from __future__ import annotations
@@ -87,5 +88,25 @@ for _ in range(50_000):
     f = Not(f)
 assert to_nnf(f) == p
 assert to_nnf(Not(f)) == Not(p)
+print("ok")
+""")
+
+
+def test_compiled_substitution_does_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
+from craig.formulas import And, Atom, Const, Forall, Var, compile_substitution
+x, q = Atom("P", (Var("x"),)), Atom("Q", (Const("b"),))
+body = x
+for _ in range(50_000):
+    body = And((q, body))
+f = Forall(("x",), body)
+program = compile_substitution(f.body, f.vars)
+assert program.vars == ("x",)
+g = program.run((Const("a"),))
+depth = 0
+while type(g) is And:
+    assert g.items[0] is q
+    g, depth = g.items[1], depth + 1
+assert (depth, g) == (50_000, Atom("P", (Const("a"),)))
 print("ok")
 """)

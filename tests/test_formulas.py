@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from craig.errors import FormulaError
 from craig.formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
-    abstract_constant, free_vars, fresh_constant, is_nnf, map_atoms, signature_of,
-    simplify, substitute_constant, to_nnf, walk,
+    abstract_constant, compile_substitution, free_vars, fresh_constant, is_nnf,
+    map_atoms, signature_of, simplify, substitute_constant, substitute_constants,
+    to_nnf, walk,
 )
 from craig.models import enumerate_structures, evaluate
 from craig.parser import parse, print_formula
@@ -205,6 +206,80 @@ def test_substitute_shares_unchanged_subtrees():
     assert out.items[1] is right
     unchanged = Not(right)
     assert substitute_constant(unchanged, "x0", "c") is unchanged
+
+
+def reference_substitute_constants(phi, mapping: dict):
+    """The substitution as one map_atoms pass, with a callback per atom: the
+    reference the compiled substitution must agree with."""
+    consts = {x: Const(c) for x, c in mapping.items()}
+
+    def sub(a, bound):
+        for t in a.args:
+            if isinstance(t, Var) and t.name in consts and t.name not in bound:
+                return Atom(a.rel, tuple(
+                    consts.get(t.name, t) if isinstance(t, Var) and t.name not in bound
+                    else t for t in a.args))
+        return a
+
+    return map_atoms(phi, sub)
+
+
+def assert_compiled_substitution_agrees(phi, names):
+    mapping = {x: f"k{i}" for i, x in enumerate(names)}
+    program = compile_substitution(phi, names)
+    # the variables that occur free, in free_vars order
+    assert program.vars == tuple(v for v in free_vars(phi) if v in mapping)
+    out = program.run(tuple(Const(mapping[x]) for x in program.vars))
+    expected = reference_substitute_constants(phi, mapping)
+    assert out == expected
+    assert substitute_constants(phi, mapping) == expected
+    # a subtree is rebuilt exactly where the reference rebuilds it; every
+    # other subtree comes back as the same object
+    for old, new, ref in zip(walk(phi), walk(out), walk(expected)):
+        assert (new is old) == (ref is old), (old, new)
+
+
+NAMES = st.lists(st.sampled_from(["x", "y", "z", "u"]), unique=True, max_size=3)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(formulas(), NAMES)
+def test_compiled_substitution_matches_the_map_atoms_reference(phi, names):
+    assert_compiled_substitution_agrees(phi, names)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(wide_formulas(), NAMES)
+def test_compiled_substitution_matches_the_reference_on_wide_formulas(phi, names):
+    assert_compiled_substitution_agrees(phi, names)
+
+
+X, Y = Var("x"), Var("y")
+
+
+@pytest.mark.parametrize("phi, names", [
+    # ∀x … ∃x …: the inner block rebinds x, so only the outer occurrence is free
+    (Forall(("y",), And((Atom("R", (X, Y)), Exists(("x",), Atom("P", (X,)))))), ("x",)),
+    (And((Exists(("x",), Atom("P", (X,))), Atom("Q", (X,)))), ("x", "y")),
+    (Exists(("x", "y"), Atom("R", (X, Y))), ("x", "y")),
+    (Exists(("x",), Or((Atom("R", (X, Y)), Not(Atom("P", (Y,)))))), ("x", "y")),
+    # vacuous block variables: names that do not occur free, first or not
+    (Atom("R", (Y, X)), ("z", "x", "u", "y")),
+    (Not(Atom("P", (Const("c"),))), ("x",)),
+    (TOP, ("x",)),
+    # first occurrence decides the order: y before x, repeats counted once
+    (And((Atom("R", (Y, Y)), Atom("R", (X, Y)), Atom("P", (X,)))), ("x", "y")),
+])
+def test_compiled_substitution_on_shadowing_and_vacuous_variables(phi, names):
+    assert_compiled_substitution_agrees(phi, names)
+
+
+def test_compiled_substitution_runs_many_times():
+    phi = Forall(("y",), Or((Atom("R", (X, Y)), Atom("P", (Const("c"),)))))
+    program = compile_substitution(phi, ("x",))
+    for c in ("a", "b", "a"):
+        assert program.run((Const(c),)) == reference_substitute_constants(phi, {"x": c})
+    assert program.run((Const("a"),)).body.items[1] is phi.body.items[1]
 
 
 def test_substitute_and_abstract_are_iterative():
