@@ -6,6 +6,15 @@ signature violation, none, false, undefined), 2 unknown / budget exhausted,
 3 usage error or bad input of any kind (parse errors, unreadable files,
 malformed structures or options, input nested too deeply).  All diagnostics
 go to stderr; stdout carries only the machine-readable result.
+
+``main`` is the one place that reads input.  argparse checks the whole
+command line first: numbers go through ``parser.parse_natural`` (ASCII
+digits only), ``--formula`` through ``parse``, ``--methods`` through
+``_parse_methods``, and comma lists become lists.  Then ``main`` reads FILE
+(a problem file, into ``args.problem``) or STRUCT (a structure JSON, into
+``args.structure``) once and dispatches; files are not argparse types, since
+argparse would turn a decode error into its two-line usage error.  The
+``cmd_*`` handlers only call the library and print.
 """
 
 from __future__ import annotations
@@ -39,42 +48,29 @@ EXIT_USAGE = 3
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_MAX_MODEL_SIZE = 3
+DEFAULT_MAX_SIZE = 8   # search-interpolant's candidate size; [options] has no such key
 
 
-def _load_problem(path: str):
+def _read(path: str, reader):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        return reader(fh.read())
 
 
-def _load_structure(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return structure_from_json(fh.read())
-
-
-def _resolve(args, problem, attr: str, option: str, fallback: int) -> int:
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    if problem is not None and option in problem.options:
-        return int(problem.options[option])  # ASCII digits: parse_problem checks
-    return fallback
-
-
-def _positive(value: int, what: str) -> int:
-    # a bound below 1 searches nothing, and "none" would read as a verdict
+def _bound(args, option: str, default: int) -> int:
+    """The --option flag, else the problem file's [options] value, else
+    default.  A bound below 1 searches nothing, and "none" would read as a
+    verdict."""
+    value = getattr(args, option.replace("-", "_"))
+    if value is None:
+        # an [options] value is ASCII digits: parse_problem checks
+        value = int(args.problem.options.get(option, default))
     if value < 1:
-        raise ParseError(f"{what} must be positive")
+        raise ParseError(f"{option} must be positive")
     return value
 
 
-def _budget(args, problem=None) -> int:
-    return _positive(_resolve(args, problem, "budget", "budget", DEFAULT_BUDGET),
-                     "budget")
-
-
-def _max_size(args, problem=None) -> int:
-    return _positive(_resolve(args, problem, "max_model_size", "max-model-size",
-                              DEFAULT_MAX_MODEL_SIZE), "max-model-size")
+def _names(text: str) -> list:
+    return text.split(",") if text else []
 
 
 def _emit_formula(args, theta) -> None:
@@ -103,8 +99,9 @@ def _format_methods(methods) -> str:
 
 
 def cmd_prove(args) -> int:
-    problem = _load_problem(args.file)
-    tableau = refute(labeled(problem.left, problem.right), _budget(args, problem))
+    problem = args.problem
+    tableau = refute(labeled(problem.left, problem.right),
+                     _bound(args, "budget", DEFAULT_BUDGET))
     if args.trace:
         sys.stdout.write(render_trace(tableau))
     else:
@@ -114,10 +111,10 @@ def cmd_prove(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    problem = _load_problem(args.file)
-    phi = conj(problem.left)
-    psi = conj(problem.right)
-    theta, annotated = _verified_interpolant(phi, psi, _budget(args, problem))
+    phi = conj(args.problem.left)
+    psi = conj(args.problem.right)
+    theta, annotated = _verified_interpolant(phi, psi,
+                                             _bound(args, "budget", DEFAULT_BUDGET))
     if args.emit_annotated:
         sys.stdout.write(render_trace(annotated.tableau, annotated.interpolants))
     _emit_formula(args, theta)
@@ -125,10 +122,10 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_check_interpolant(args) -> int:
-    problem = _load_problem(args.file)
+    problem = args.problem
     theta = parse(args.theta, problem.arities)
     verdict = verify_interpolant(conj(problem.left), conj(problem.right), theta,
-                                 _budget(args, problem))
+                                 _bound(args, "budget", DEFAULT_BUDGET))
     print(verdict.kind + (f": {verdict.details}" if verdict.details else ""))
     if verdict.structure is not None:
         print(structure_to_json(verdict.structure))
@@ -140,7 +137,7 @@ def cmd_check_interpolant(args) -> int:
 
 
 def cmd_lyndon(args) -> int:
-    problem = _load_problem(args.file)
+    problem = args.problem
     theta = parse(args.theta, problem.arities)
     ok = lyndon_check(conj(problem.left), conj(problem.right), theta)
     print("true" if ok else "false")
@@ -148,11 +145,12 @@ def cmd_lyndon(args) -> int:
 
 
 def cmd_search_interpolant(args) -> int:
-    problem = _load_problem(args.file)
+    problem = args.problem
     theta = search_interpolant(conj(problem.left), conj(problem.right),
-                               _positive(args.max_size, "max-size"),
-                               _budget(args, problem),
-                               screen_size=_max_size(args, problem))
+                               _bound(args, "max-size", DEFAULT_MAX_SIZE),
+                               _bound(args, "budget", DEFAULT_BUDGET),
+                               screen_size=_bound(args, "max-model-size",
+                                                  DEFAULT_MAX_MODEL_SIZE))
     if theta is None:
         print("none")
         return EXIT_NEGATIVE
@@ -161,21 +159,19 @@ def cmd_search_interpolant(args) -> int:
 
 
 def cmd_beth(args) -> int:
-    problem = _load_problem(args.file)
-    sigma = Theory(tuple(problem.theory), args.file)
-    tau = args.tau.split(",") if args.tau else []
-    definition = explicit_definition(sigma, args.define, tau, _budget(args, problem),
-                                     max_counterexample_size=_max_size(args, problem))
+    sigma = Theory(args.problem.theory)
+    definition = explicit_definition(
+        sigma, args.define, args.tau, _bound(args, "budget", DEFAULT_BUDGET),
+        max_counterexample_size=_bound(args, "max-model-size", DEFAULT_MAX_MODEL_SIZE))
     print(f"# variables: {', '.join(definition.variables) or '(none)'}")
     _emit_formula(args, definition.formula)
     return EXIT_OK
 
 
 def cmd_padoa(args) -> int:
-    problem = _load_problem(args.file)
-    sigma = Theory(tuple(problem.theory), args.file)
-    tau = args.tau.split(",") if args.tau else []
-    pair = padoa_counterexample(sigma, args.define, tau, _max_size(args, problem))
+    sigma = Theory(args.problem.theory)
+    pair = padoa_counterexample(sigma, args.define, args.tau,
+                                _bound(args, "max-model-size", DEFAULT_MAX_MODEL_SIZE))
     if pair is None:
         print("none")
         return EXIT_NEGATIVE
@@ -185,29 +181,26 @@ def cmd_padoa(args) -> int:
 
 
 def cmd_robinson(args) -> int:
-    problem = _load_problem(args.file)
-    sigma1 = Theory(tuple(problem.left), "sigma1")
-    sigma2 = Theory(tuple(problem.right), "sigma2")
-    _emit_formula(args, robinson_separator(sigma1, sigma2, _budget(args, problem)))
+    sigma1 = Theory(tuple(args.problem.left), "sigma1")
+    sigma2 = Theory(tuple(args.problem.right), "sigma2")
+    _emit_formula(args, robinson_separator(sigma1, sigma2,
+                                           _bound(args, "budget", DEFAULT_BUDGET)))
     return EXIT_OK
 
 
 def cmd_theory_interpolate(args) -> int:
-    problem = _load_problem(args.file)
-    sigma = Theory(tuple(problem.theory), args.file)
-    phi = conj(problem.left)
-    psi = conj(problem.right)
+    sigma = Theory(args.problem.theory)
+    phi = conj(args.problem.left)
+    psi = conj(args.problem.right)
     interpolant = strong_interpolant if args.mode == "strong" else weak_interpolant
-    _emit_formula(args, interpolant(sigma, phi, psi, _budget(args, problem)))
+    _emit_formula(args, interpolant(sigma, phi, psi,
+                                    _bound(args, "budget", DEFAULT_BUDGET)))
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    problem = _load_problem(args.file)
-    sigma = Theory(tuple(problem.theory), args.file)
-    sigma_sig = set(args.sigma.split(",")) if args.sigma else set()
-    tau_sig = set(args.tau.split(",")) if args.tau else set()
-    result = split_theory(sigma, sigma_sig, tau_sig)
+    sigma = Theory(args.problem.theory)
+    result = split_theory(sigma, set(args.sigma), set(args.tau))
     if result is None:
         print("none")
         return EXIT_NEGATIVE
@@ -221,16 +214,14 @@ def cmd_split(args) -> int:
 
 
 def cmd_monotone_rewrite(args) -> int:
-    problem = _load_problem(args.file)
-    theta = monotone_rewrite(conj(problem.left), args.relation,
-                             _budget(args, problem), arity=args.arity)
+    theta = monotone_rewrite(conj(args.problem.left), args.relation,
+                             _bound(args, "budget", DEFAULT_BUDGET), arity=args.arity)
     _emit_formula(args, theta)
     return EXIT_OK
 
 
 def cmd_bindpatt(args) -> int:
-    phi = parse(args.formula)
-    result = bind_patt(phi)
+    result = bind_patt(args.formula)
     if not result.defined:
         print("undefined")
         return EXIT_NEGATIVE
@@ -239,18 +230,13 @@ def cmd_bindpatt(args) -> int:
 
 
 def cmd_accpart(args) -> int:
-    structure = _load_structure(args.structure)
-    methods = _parse_methods(args.methods) if args.methods else frozenset()
-    start = tuple(map(parse_natural, args.tuple.split(","))) if args.tuple else ()
-    region = accessible_part(structure, methods, start)
+    region = accessible_part(args.structure, args.methods, args.tuple)
     print(json.dumps(sorted(region)))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    phi = parse(args.formula)
-    relativizers = args.relativizers.split(",") if args.relativizers else []
-    report = classify(phi, relativizers)
+    report = classify(args.formula, args.relativizers)
     for name, value in report.flags().items():
         print(f"{name}: {'yes' if value else 'no'}")
     for name in sorted(report.cip):
@@ -259,16 +245,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    structure = _load_structure(args.structure)
-    result = evaluate(structure, parse(args.formula))
+    result = evaluate(args.structure, args.formula)
     print("true" if result else "false")
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
 def cmd_find_model(args) -> int:
-    problem = _load_problem(args.file)
+    problem = args.problem
     sentences = problem.left + problem.right + problem.theory
-    model = find_model(sentences, _max_size(args, problem))
+    model = find_model(sentences, _bound(args, "max-model-size", DEFAULT_MAX_MODEL_SIZE))
     if model is None:
         print("none")
         return EXIT_NEGATIVE
@@ -285,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="craig",
         description="Tableau proving and constructive interpolation for "
                     "equality-free, function-free first-order logic.")
-    top.add_argument("--budget", type=int, default=None,
+    top.add_argument("--budget", type=parse_natural, default=None,
                      help="rule-application budget (default 100000)")
-    top.add_argument("--max-model-size", type=int, default=None,
+    top.add_argument("--max-model-size", type=parse_natural, default=None,
                      help="bound for finite-model search/screens (default 3)")
     top.add_argument("--simplify", action="store_true",
                      help="normalize emitted formulas (flatten, drop units)")
@@ -311,15 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("search-interpolant",
             help="brute-force interpolant search over the shared signature")
     p.add_argument("file")
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--max-size", type=parse_natural, default=None)
     p = cmd("beth", help="explicit definition of --define from --tau")
     p.add_argument("file")
     p.add_argument("--define", required=True)
-    p.add_argument("--tau", default="")
+    p.add_argument("--tau", type=_names, default="")
     p = cmd("padoa", help="Padoa counterexample pair search")
     p.add_argument("file")
     p.add_argument("--define", required=True)
-    p.add_argument("--tau", default="")
+    p.add_argument("--tau", type=_names, default="")
     p = cmd("robinson", help="separator for jointly unsatisfiable [left], [right]")
     p.add_argument("file")
     p = cmd("theory-interpolate",
@@ -328,40 +313,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
     p = cmd("split", help="(sigma, tau)-split of the [theory] section")
     p.add_argument("file")
-    p.add_argument("--sigma", default="")
-    p.add_argument("--tau", default="")
+    p.add_argument("--sigma", type=_names, default="")
+    p.add_argument("--tau", type=_names, default="")
     p = cmd("monotone-rewrite",
             help="rewrite [left] without negative occurrences of --relation")
     p.add_argument("file")
     p.add_argument("--relation", required=True)
-    p.add_argument("--arity", type=int, default=None)
+    p.add_argument("--arity", type=parse_natural, default=None)
     p = cmd("bindpatt", help="binding-pattern extraction")
-    p.add_argument("--formula", required=True)
+    p.add_argument("--formula", type=parse, required=True)
     p = cmd("accpart", help="accessible part of a structure")
     p.add_argument("structure")
-    p.add_argument("--methods", default="")
-    p.add_argument("--tuple", default="")
+    p.add_argument("--methods", type=_parse_methods, default="")
+    p.add_argument("--tuple", type=lambda text: tuple(map(parse_natural, _names(text))),
+                   default="")
     p = cmd("classify", help="syntactic fragment report")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--relativizers", default="")
+    p.add_argument("--formula", type=parse, required=True)
+    p.add_argument("--relativizers", type=_names, default="")
     p = cmd("eval", help="evaluate a formula in a structure")
     p.add_argument("structure")
-    p.add_argument("--formula", required=True)
+    p.add_argument("--formula", type=parse, required=True)
     p = cmd("find-model", help="smallest finite model of all sentences")
     p.add_argument("file")
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
+        # every argument is read and checked here, before any file is opened
+        args = build_parser().parse_args(argv)
+        if "file" in args:
+            args.problem = _read(args.file, parse_problem)
+        if "structure" in args:
+            args.structure = _read(args.structure, structure_from_json)
         # looked up on each call, not bound into the cached parser, so a
         # replaced cmd_* function (a tracer's wrapper, a test double) runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except SystemExit as e:  # argparse's usage error, or --help
+        return EXIT_USAGE if e.code not in (0, None) else 0
     except Refuted as e:
         for structure in e.witnesses:
             print(structure_to_json(structure))

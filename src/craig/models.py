@@ -555,12 +555,22 @@ def structure_to_json(A: Structure) -> str:
 
 
 def structure_from_json(text: str) -> Structure:
+    """The structure a JSON object describes; its domain size, tuple entries
+    and constant values must be JSON integers."""
     obj = json.loads(text)
     return Structure(
-        obj["domain"],
-        {n: frozenset(tuple(t) for t in ts) for n, ts in obj.get("relations", {}).items()},
-        dict(obj.get("constants", {})),
+        _json_integer(obj["domain"], "domain"),
+        {n: frozenset(tuple(_json_integer(e, f"entry of {n}") for e in t) for t in ts)
+         for n, ts in obj.get("relations", {}).items()},
+        {n: _json_integer(e, f"constant {n}") for n, e in obj.get("constants", {}).items()},
     )
+
+
+def _json_integer(value, what: str) -> int:
+    # true and 1.0 equal 1 in Python, and would pass for element 1
+    if type(value) is not int:
+        raise FormulaError(f"{what} must be a JSON integer, found {json.dumps(value)}")
+    return value
 
 
 def substructure(A: Structure, elements: Iterable) -> Structure:

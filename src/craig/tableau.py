@@ -572,11 +572,10 @@ def _hintikka_violation(branch: Branch):
 
 
 def _exists_witnessed(f: Exists, present: set, consts) -> bool:
-    if not consts:  # no instance at all, even of a body that uses no variable
-        return False
     program = compile_substitution(f.body, f.vars)
     # only the variables the body uses range over the constants: a vacuous
-    # one changes nothing in the instance
+    # one changes nothing in the instance, and a body that uses none is its
+    # own one instance, on a branch with no constants too
     for values in itertools.product(map(Const, consts), repeat=len(program.vars)):
         if program.run(values) in present:
             return True

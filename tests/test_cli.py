@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import pathlib
+import re
+import runpy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craig.cli import main
 from craig.models import evaluate, structure_from_json
@@ -436,6 +442,34 @@ def _negative_arity(tmp_path, data_dir):
     return _monotone_rewrite_with_arity(tmp_path, "Zed", "-1")
 
 
+def _budget_with_underscore(tmp_path, data_dir):
+    return ["--budget", "1_0", "prove", str(data_dir / "fig2.fol")]
+
+
+def _arabic_indic_budget(tmp_path, data_dir):
+    return ["--budget", " \u0663", "prove", str(data_dir / "fig2.fol")]
+
+
+def _fullwidth_model_size(tmp_path, data_dir):
+    return ["--max-model-size", "\uff13", "find-model", str(data_dir / "sat.fol")]
+
+
+def _arity_with_underscore(tmp_path, data_dir):
+    return _monotone_rewrite_with_arity(tmp_path, "Zed", "1_0")
+
+
+def _boolean_domain_float_constant(tmp_path, data_dir):
+    # true and 0.0 equal 1 and 0 in Python
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({"domain": True, "relations": {"P": [[0]]},
+                                     "constants": {"c": 0.0}}))
+    return ["eval", str(structure), "--formula", "P(c)"]
+
+
+def _boolean_tuple_entry(tmp_path, data_dir):
+    return _eval_on(tmp_path, {"P": [[True]]}, "exists x. P(x)")
+
+
 @pytest.mark.parametrize("argv", [_malformed_option, _directory,
                                   _truncated_structure, _bad_method_position,
                                   _zero_model_size, _negative_padoa_size,
@@ -443,7 +477,10 @@ def _negative_arity(tmp_path, data_dir):
                                   _unknown_option, _unary_use_of_binary_exists,
                                   _unary_use_of_binary_forall, _mixed_tuple_lengths,
                                   _arity_contradicts_sentence, _negative_arity,
-                                  _form_feed_inside_a_line, _form_feed_at_a_line_start],
+                                  _form_feed_inside_a_line, _form_feed_at_a_line_start,
+                                  _budget_with_underscore, _arabic_indic_budget,
+                                  _fullwidth_model_size, _arity_with_underscore,
+                                  _boolean_domain_float_constant, _boolean_tuple_entry],
                          ids=lambda f: f.__name__.strip("_"))
 def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     # exit 1 is a negative verdict; bad input must never produce one
@@ -474,6 +511,36 @@ def test_accpart_numbers_are_ascii_digits(flag, value, number, data_dir, capsys)
     assert err == f"parse error: expected a number in ASCII digits, found {number!r}\n"
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=st.text(alphabet="0123456789_ \t+-\u0663\uff13", max_size=4))
+def test_argv_numbers_are_ascii_digits(text, data_dir):
+    # "--budget=TEXT" hands argparse TEXT as the value whatever it starts
+    # with; a separate "-x" would be read as an unknown option instead
+    fig2 = str(data_dir / "fig2.fol")
+    code, out, err = _quiet_main([f"--budget={text}", "prove", fig2])
+    if re.fullmatch("[0-9]+", text):
+        assert (code, out) == _quiet_main([f"--budget={int(text)}", "prove", fig2])[:2]
+    else:
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+
+
+def test_argv_is_checked_before_files_are_read(tmp_path, capsys):
+    code, out, err = run(capsys, "eval", str(tmp_path / "missing.json"),
+                         "--formula", "P(")
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: 1:3:")
+
+
+def test_vacuous_exists_without_constants_prints_its_model(tmp_path, capsys):
+    problem = tmp_path / "vacuous.fol"
+    problem.write_text("[left]\nexists x. P\n")
+    code, out, err = run(capsys, "prove", str(problem))
+    assert code == 1
+    assert out == '{"domain": 1, "relations": {"P": [[]]}, "constants": {}}\n'
+    assert err == "not valid: the input set is satisfiable\n"
+
+
 def test_beth_rejects_zero_model_size(data_dir, capsys):
     # size 0 must be refused as a bad bound, not reported as a property of sigma
     code, out, err = run(capsys, "--max-model-size", "0", "beth",
@@ -481,6 +548,28 @@ def test_beth_rejects_zero_model_size(data_dir, capsys):
                          "--tau", "Tallest")
     assert code == 3 and out == ""
     assert "max-model-size must be positive" in err
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLI_ITEMS = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["CLI_ITEMS"]
+
+
+@pytest.mark.parametrize("name, argv, expected", CLI_ITEMS,
+                         ids=[name for name, _, _ in CLI_ITEMS])
+def test_bench_cli_goldens(name, argv, expected, monkeypatch):
+    # the benchmark's cli-mix items: exit code and stdout as the benchmark
+    # judges them
+    golden = json.loads((ROOT / "bench" / "cli" / "golden.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(ROOT)
+    code, out, _ = _quiet_main(argv)
+    assert (code, out) == (expected, golden[name])
 
 
 def _fresh_process(*argv):
@@ -495,18 +584,12 @@ def _fresh_process(*argv):
 def test_repeated_main_calls_match_fresh_processes(data_dir, monkeypatch):
     # main builds its parser once per process; no call may see another's
     # options, and usage errors and --help print where the caller redirects
-    import contextlib, io
     monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
     example1, fig2 = str(data_dir / "example1.fol"), str(data_dir / "fig2.fol")
     sequence = (["no-such-command"], ["check-interpolant", example1], ["--help"],
                 ["--simplify", "interpolate", example1], ["interpolate", example1],
                 ["--budget", "1", "prove", fig2], ["prove", fig2])
-    in_process = []
-    for argv in sequence:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        in_process.append((code, out.getvalue(), err.getvalue()))
+    in_process = [_quiet_main(argv) for argv in sequence]
     for argv, result in zip(sequence, in_process):
         proc = _fresh_process("-m", "craig.cli", *argv)
         assert result == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craig.errors import (
     BranchNotSaturatedError, FormulaError, NonSentenceError, NotNNFError,
 )
-from craig.formulas import Atom, Var, to_nnf
+from craig.formulas import (
+    BOTTOM, TOP, And, Atom, Exists, Forall, Not, Or, Var, free_vars, to_nnf,
+)
 from craig.interpolation import propagate
 from craig.models import evaluate, find_model
 from craig.parser import parse, print_formula
@@ -13,6 +16,7 @@ from craig.tableau import (
     Branch, Closed, Closure, LabeledSentence, Satisfiable, Unknown, prove,
     render_trace, saturated_branch_model,
 )
+from test_formulas import formulas, wide_formulas
 
 
 def _labeled(left, right=()):
@@ -247,3 +251,66 @@ def test_zero_ary_relations_in_proofs():
     assert isinstance(out, Closed)
     sat = prove(_labeled(["Z | P(c)"]), 100)
     assert isinstance(sat, Satisfiable)
+
+
+# ------------------------------------------------------ vacuous ∃ blocks
+
+@pytest.mark.parametrize("sentence, relations", [
+    (Exists(("x",), TOP), {}),
+    (parse("exists x. P"), {"P": {()}}),
+    (parse("exists x y. P & !Q"), {"P": {()}, "Q": frozenset()}),
+])
+def test_vacuous_exists_on_a_constant_free_branch_is_satisfiable(sentence, relations):
+    # the body, which uses no block variable, is its own one instance
+    out = prove([LabeledSentence(to_nnf(sentence), "L")], 100)
+    assert isinstance(out, Satisfiable)
+    assert out.structure.domain_size == 1
+    assert out.structure.relations == relations
+    assert evaluate(out.structure, sentence)
+
+
+def test_vacuous_exists_still_needs_its_body():
+    with pytest.raises(BranchNotSaturatedError, match="no witness"):
+        saturated_branch_model(Branch.from_sentences([parse("exists x. P(x)")]))
+    with pytest.raises(BranchNotSaturatedError, match="no witness"):
+        saturated_branch_model(Branch.from_sentences([parse("exists x. P")]))
+    model = saturated_branch_model(Branch.from_sentences([parse("exists x. P"),
+                                                          parse("P")]))
+    assert model.relations == {"P": {()}}
+
+
+def _close(phi, draw):
+    for v in sorted(free_vars(phi)):
+        phi = draw(st.sampled_from([Exists, Forall]))((v,), phi)
+    return phi
+
+
+@st.composite
+def vacuous_exists_sets(draw):
+    """One to three sentences, each under a vacuous ∃ block of one or two
+    variables: generated formulas with their free variables bound, and
+    constant-free ones over 0-ary A, B, where the ∃ rule mints no constant."""
+    propositional = st.recursive(
+        st.sampled_from([Atom("A", ()), Atom("B", ()), TOP, BOTTOM]),
+        lambda inner: st.one_of(st.builds(Not, inner),
+                                st.builds(lambda a, b: And((a, b)), inner, inner),
+                                st.builds(lambda a, b: Or((a, b)), inner, inner)),
+        max_leaves=4)
+    sentences = []
+    for _ in range(draw(st.integers(1, 3))):
+        phi = _close(draw(st.one_of(formulas(max_depth=2), wide_formulas(),
+                                    propositional)), draw)
+        sentences.append(Exists(draw(st.sampled_from([("k",), ("k", "m")])), phi))
+    return sentences
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(vacuous_exists_sets())
+def test_vacuous_exists_blocks_agree_with_find_model(sentences):
+    out = prove([LabeledSentence(to_nnf(s), "L") for s in sentences], 300)
+    if isinstance(out, Closed):
+        assert find_model(sentences, 2) is None
+    elif isinstance(out, Satisfiable):
+        assert all(evaluate(out.structure, s) for s in sentences)
+        if out.structure.domain_size <= 2:
+            assert find_model(sentences, 2) is not None
