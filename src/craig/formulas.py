@@ -41,7 +41,8 @@ class _Node:
     """Base of the formula nodes: hashing, equality and pickling.
 
     Each node's ``__init__`` checks its fields, sets them and stores
-    ``_h = hash(self._fields())``, written out inline; a formula child holds
+    ``_h = hash(self._fields())``, written out inline (``Substitution.run``
+    sets the same fields and hash without the checks); a formula child holds
     its own cached hash, so ``hash()`` is O(1) and never recurses, and its
     value is the one the dataclass-generated ``__hash__`` would compute.
     ``==`` is True at once on identity, False at once on differing hashes,
@@ -329,19 +330,6 @@ def is_nnf(phi) -> bool:
     return True
 
 
-def is_literal(phi) -> bool:
-    return isinstance(phi, Atom) or (isinstance(phi, Not) and isinstance(phi.sub, Atom))
-
-
-def complement_literal(phi):
-    """Clash partner of a literal (or of top/bottom); None for other shapes."""
-    if isinstance(phi, Atom):
-        return Not(phi)
-    if isinstance(phi, Not):
-        return phi.sub
-    return None
-
-
 def map_atoms(phi, fn) -> object:
     """Rebuild phi with every atom a replaced by fn(a, bound).
 
@@ -411,6 +399,10 @@ class Substitution:
     consts), ...)), (Not, None, None), (And or Or, the items, (positions of
     the rebuilt items, ...)) or (Exists or Forall, the block, None); each
     rebuilds one node from the nodes rebuilt before it, taken off a stack.
+    A rebuilt node gets its fields and cached hash set as its constructor
+    would set them, with no constructor call: the compiled formula passed
+    every constructor check, and an instance differs from it only in the
+    constants that stand for variables.
     """
 
     __slots__ = ("formula", "vars", "code")
@@ -427,27 +419,32 @@ class Substitution:
         stack: list = []
         push, pop = stack.append, stack.pop
         for kind, x, y in code:  # kind is the class of the node to rebuild
+            node = _new(kind)
             if kind is Atom:
                 args = list(x.args)
                 for i, k in y:
                     args[i] = consts[k]
                 args = tuple(args)
-                # Atom(x.rel, args) without its checks: args are x's, with
-                # some variables replaced by constants
-                atom = _new(Atom)
-                _set(atom, "rel", x.rel)
-                _set(atom, "args", args)
-                _set(atom, "_h", hash((x.rel, args)))
-                push(atom)
+                _set(node, "rel", x.rel)
+                _set(node, "args", args)
+                _set(node, "_h", hash((x.rel, args)))
             elif kind is Not:
-                push(Not(pop()))
+                sub = pop()
+                _set(node, "sub", sub)
+                _set(node, "_h", hash((sub,)))
             elif kind is And or kind is Or:
                 items = list(x)
                 for i in reversed(y):
                     items[i] = pop()
-                push(kind(items))
+                items = tuple(items)
+                _set(node, "items", items)
+                _set(node, "_h", hash((items,)))
             else:
-                push(kind(x, pop()))
+                body = pop()
+                _set(node, "vars", x)
+                _set(node, "body", body)
+                _set(node, "_h", hash((x, body)))
+            push(node)
         return stack[0]
 
 

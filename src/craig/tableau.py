@@ -20,12 +20,19 @@ are unaffected; the ordering only controls which closed tableau is found.
 ∀-instantiation uses the oldest branch constant not yet tried for that
 formula and re-enters the queue; a ∀ on a constant-free branch waits for
 pending existentials and otherwise seeds one fresh constant (domains are
-non-empty).  Multi-variable ∀ blocks peel one variable per application; ∃
-blocks instantiate in one application.  Each ∀ instance comes from its
-formula's substitution program (``formulas.compile_substitution``), compiled
-once per proof, at the formula's first instantiation, and shared by every
-branch: an instance rebuilds only the path from the body's root to the
-variable's occurrences and reuses every other subtree.
+non-empty).  A ∀ that has tried every branch constant is dormant: it keeps
+its place in tier (1) but waits off the scan, since a second queue holds
+only the tier-(1) items that can fire, in the same order.  When a constant
+arrives (an ∃ instance's, or a seeded one) every dormant ∀ wakes, in order.
+When an item fires, the dormant items before it move to the back of tier
+(1) in order, just as a scan past them would leave them.  Multi-variable ∀
+blocks peel one variable per application; ∃ blocks instantiate in one
+application.  Each ∀ instance comes from its formula's substitution program
+(``formulas.compile_substitution``), compiled once per proof, at the
+formula's first instantiation, and shared by every branch: an instance
+rebuilds only the path from the body's root to the variable's occurrences
+and reuses every other subtree, and all instances share one ``Const`` per
+constant name.
 
 Constants.  The ∀ rule tries a branch's constants oldest first.  Only inputs
 and ∃ instances bring new ones: the inputs' constants join first, in order of
@@ -62,9 +69,8 @@ from .errors import (
     NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
-    BOTTOM, And, Atom, Const, Exists, Forall, Or,
-    compile_substitution, complement_literal, fresh_names, is_literal, is_nnf,
-    is_sentence, signature_of, to_nnf,
+    BOTTOM, And, Atom, Const, Exists, Forall, Not, Or, Top,
+    compile_substitution, fresh_names, is_nnf, is_sentence, signature_of, to_nnf,
 )
 from .models import Structure, evaluate
 
@@ -184,7 +190,7 @@ Outcome = Closed | Satisfiable | Unknown
 
 # ---------------------------------------------------------------- agenda items
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: alpha.index finds this very item
 class _AlphaItem:
     ls: LabeledSentence
     kind: str  # "and" | "forall"
@@ -210,7 +216,7 @@ class _BranchState:
     ``trail`` is None and nothing is logged.
     """
 
-    __slots__ = ("node", "formulas", "constants", "alpha",
+    __slots__ = ("node", "formulas", "constants", "alpha", "ready",
                  "exists_queues", "beta_closing", "beta_open", "promote",
                  "evidence", "trail", "choices")
 
@@ -219,6 +225,9 @@ class _BranchState:
         self.formulas: dict = {}   # formula -> LabeledSentence (first label wins)
         self.constants: list = []
         self.alpha: deque = deque()
+        # with constants on the branch: alpha's items that can fire, in alpha's
+        # order (every ∧ and each ∀ with a constant left to try); else empty
+        self.ready: deque = deque()
         # 0: split-descended, 1: input/structural, 2: ∀-instantiation-descended
         self.exists_queues: tuple = (deque(), deque(), deque())
         self.beta_closing: deque = deque()
@@ -290,66 +299,94 @@ class _BranchState:
         formulas = self.formulas
         if f in formulas:
             return False
-        trail = self.trail
+        trail, promote = self.trail, self.promote
         formulas[f] = ls
         if trail is not None:
             trail.append((formulas.__delitem__, f))
-        if self.evidence is None:
-            if f == BOTTOM:
-                self.assign(self, "evidence", ("bottom", ls))
-            elif is_literal(f):
-                partner = formulas.get(complement_literal(f))
-                if partner is not None:
-                    pair = (ls, partner) if isinstance(f, Atom) else (partner, ls)
-                    self.assign(self, "evidence", ("clash", *pair))
-        # promotion: this formula may be the clash partner some disjunct waits for
-        waiting = self.promote.pop(f, None)
-        if waiting is not None:
-            if trail is not None:
-                trail.append((self.promote.__setitem__, f, waiting))
-            for item in waiting:
-                if item.state == _OPEN:
-                    self.assign(item, "state", _CLOSING)
-                    self.push(self.beta_closing, item)
-        if isinstance(f, And):
-            self.push(self.alpha, _AlphaItem(ls, "and"))
-        elif isinstance(f, Or):
+        kind = type(f)  # exact types: one dispatch per sentence (inputs are NNF)
+        if kind is Atom or kind is Not:
+            if self.evidence is None:
+                if kind is Not and type(f.sub) is Top:
+                    self.assign(self, "evidence", ("bottom", ls))
+                else:
+                    partner = formulas.get(Not(f) if kind is Atom else f.sub)
+                    if partner is not None:
+                        pair = (ls, partner) if kind is Atom else (partner, ls)
+                        self.assign(self, "evidence", ("clash", *pair))
+            # promotion: this literal may be the clash partner some disjunct waits for
+            waiting = promote.pop(f, None) if promote else None
+            if waiting is not None:
+                if trail is not None:
+                    trail.append((promote.__setitem__, f, waiting))
+                for item in waiting:
+                    if item.state == _OPEN:
+                        self.assign(item, "state", _CLOSING)
+                        self.push(self.beta_closing, item)
+        elif kind is And:
+            self.push_alpha(_AlphaItem(ls, "and"))
+        elif kind is Or:
             item = _BetaItem(ls)
             for g in f.items:
-                if g == BOTTOM:
-                    item.state = _CLOSING
-                    continue
-                comp = complement_literal(g)
-                if comp is not None:
-                    if comp in formulas:
+                if type(g) is Atom:
+                    comp = Not(g)
+                elif type(g) is Not:
+                    comp = g.sub
+                    if type(comp) is Top:  # ⊥: this disjunct closes at once
                         item.state = _CLOSING
-                    elif comp in self.promote:
-                        self.push(self.promote[comp], item)
-                    else:
-                        self.promote[comp] = [item]
-                        if trail is not None:
-                            trail.append((self.promote.__delitem__, comp))
+                        continue
+                else:
+                    continue
+                if comp in formulas:
+                    item.state = _CLOSING
+                elif comp in promote:
+                    self.push(promote[comp], item)
+                else:
+                    promote[comp] = [item]
+                    if trail is not None:
+                        trail.append((promote.__delitem__, comp))
             self.push(self.beta_closing if item.state == _CLOSING else self.beta_open, item)
-        elif isinstance(f, Exists):
+        elif kind is Exists:
             self.push(self.exists_queues[origin], ls)
-        elif isinstance(f, Forall):
-            self.push(self.alpha, _AlphaItem(ls, "forall"))
+        elif kind is Forall:
+            self.push_alpha(_AlphaItem(ls, "forall"))
         return True
+
+    def push_alpha(self, item: _AlphaItem):
+        """Append an item to alpha, and to ready if it can fire."""
+        self.push(self.alpha, item)
+        if item.next_const < len(self.constants):  # an ∧ item's next_const is 0
+            self.push(self.ready, item)
+
+    def add_constants(self, names):
+        """Put new constants on the branch: every ∀ item gets one to try, so
+        all of alpha becomes ready."""
+        for c in names:
+            self.push(self.constants, c)
+        self.assign(self, "ready", deque(self.alpha))
 
     # -- agenda ----------------------------------------------------------
 
     def next_alpha(self):
+        """Pop alpha's first item that can fire.  The dormant ∀ items before it
+        (no constant left to try) rotate to the back, in order, as if
+        scanned past; with constants on the branch, ready names the item."""
         alpha = self.alpha
-        n = len(self.constants)
-        for k, item in enumerate(alpha):
-            if item.kind == "and" or item.next_const < n or (
-                    not n and not any(self.exists_queues)):
-                if k:  # look past the dormant foralls before it
-                    alpha.rotate(-k)
-                    if self.trail is not None:
-                        self.trail.append((alpha.rotate, k))
-                return self.popleft(alpha)
-        return None
+        if self.constants:
+            if not self.ready:
+                return None
+            item = self.popleft(self.ready)
+            k = alpha.index(item)
+        else:  # only ∧ items can fire, and ∀ items once no ∃ is pending
+            fire_all = not any(self.exists_queues)
+            k = next((k for k, item in enumerate(alpha)
+                      if fire_all or item.kind == "and"), None)
+            if k is None:
+                return None
+        if k:
+            alpha.rotate(-k)
+            if self.trail is not None:
+                self.trail.append((alpha.rotate, k))
+        return self.popleft(alpha)
 
     def _pop_beta(self, queue: deque, want: int):
         while queue:
@@ -386,6 +423,9 @@ class _Prover:
         # ∀ formula -> the compiled substitution of its first block variable;
         # a cache for this proof, shared by every branch, so never on the trail
         self.programs: dict = {}
+        # constant name -> its one (Const,) argument tuple for ∀ instances; a
+        # cache for this proof, so the instances' atoms share their Consts
+        self.const_args: dict = {}
 
     def new_node(self, parent, introduced, rule) -> Node:
         node = Node(self.next_id, parent, tuple(introduced), rule)
@@ -449,8 +489,8 @@ class _Prover:
         self.applications += 1
         branch.node = self.new_node(branch.node, (gls,),
                                     ExistsRule(ls, tuple(mapping.values())))
-        for c in names:
-            branch.push(branch.constants, c)
+        if names:
+            branch.add_constants(names)
         branch.add(gls)
 
     def fire_alpha(self, branch: _BranchState, item: _AlphaItem):
@@ -467,19 +507,22 @@ class _Prover:
             return
         # forall: peel the first block variable with one constant
         if not branch.constants:  # so no constant was tried: next_const is 0
-            branch.push(branch.constants, next(self.fresh))
+            branch.add_constants((next(self.fresh),))
         c = branch.constants[item.next_const]
         branch.assign(item, "next_const", item.next_const + 1)
         program = self.programs.get(f)
         if program is None:
             program = self.programs[f] = compile_substitution(f.body, f.vars[:1])
-        peeled = _instantiate_first(f, c, program)
+        args = self.const_args.get(c)
+        if args is None:
+            args = self.const_args[c] = (Const(c),)
+        peeled = _instantiate_first(f, args, program)
         if peeled not in branch.formulas:
             gls = LabeledSentence(peeled, ls.label)
             self.applications += 1
             branch.node = self.new_node(branch.node, (gls,), ForallRule(ls, c))
             branch.add(gls, origin=2)
-        branch.push(branch.alpha, item)  # await further constants
+        branch.push_alpha(item)  # await further constants
 
     def fire_beta(self, branch: _BranchState, item: _BetaItem):
         """Split: every child node is made now, in disjunct order; the search
@@ -508,12 +551,14 @@ def prove(inputs, budget: int):
     Returns Closed (the input set is unsatisfiable), Satisfiable (with a
     verified finite model) or Unknown (budget exhausted).  This is the one
     check of prover inputs, so every proving entry point takes sentences.
-    Inputs that use one relation with two arities raise FormulaError; after
-    that, the first input that is open raises NonSentenceError (a
-    FormulaError) and the first that is not in NNF raises NotNNFError.
+    A budget that is not a positive int (a bool is not) raises FormulaError
+    first.  Inputs that use one relation with two arities raise
+    FormulaError; after that, the first input that is open raises
+    NonSentenceError (a FormulaError) and the first that is not in NNF
+    raises NotNNFError.
     """
-    if budget <= 0:
-        raise FormulaError("budget must be positive")
+    if type(budget) is not int or budget <= 0:
+        raise FormulaError(f"budget must be a positive int, got {budget!r}")
     norm = [s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
             for s in inputs]
     sig = signature_of(*(ls.formula for ls in norm))  # raises on an arity clash
@@ -546,10 +591,8 @@ def _hintikka_violation(branch: Branch):
     if BOTTOM in present:
         return "branch is closed by bottom"
     for f in present:
-        if is_literal(f):
-            comp = complement_literal(f)
-            if comp in present:
-                return f"branch is closed by a clash on {f!r}"
+        if type(f) is Atom and Not(f) in present:
+            return f"branch is closed by a clash on {f!r}"
     for f in present:
         if isinstance(f, And):
             for g in f.items:
@@ -566,7 +609,7 @@ def _hintikka_violation(branch: Branch):
                 return f"{f!r} never instantiated"
             program = compile_substitution(f.body, f.vars[:1])
             for c in consts:
-                if _instantiate_first(f, c, program) not in present:
+                if _instantiate_first(f, (Const(c),), program) not in present:
                     return f"{f!r} not instantiated with {c}"
     return None
 
@@ -582,10 +625,11 @@ def _exists_witnessed(f: Exists, present: set, consts) -> bool:
     return False
 
 
-def _instantiate_first(f: Forall, c: str, program):
-    """f with its first block variable instantiated to c; the rest of the
-    block stays a ∀.  program is compile_substitution(f.body, f.vars[:1])."""
-    body = program.run((Const(c),))
+def _instantiate_first(f: Forall, args: tuple, program):
+    """f with its first block variable instantiated to the constant in args,
+    a 1-tuple (Const,); the rest of the block stays a ∀.  program is
+    compile_substitution(f.body, f.vars[:1])."""
+    body = program.run(args)
     return Forall(f.vars[1:], body) if len(f.vars) > 1 else body
 
 

@@ -237,6 +237,9 @@ def assert_compiled_substitution_agrees(phi, names):
     # other subtree comes back as the same object
     for old, new, ref in zip(walk(phi), walk(out), walk(expected)):
         assert (new is old) == (ref is old), (old, new)
+        # run sets up its nodes without their constructors; the reference's
+        # come from constructor calls, so each must hash and compare the same
+        assert type(new) is type(ref) and hash(new) == hash(ref) and new == ref, new
 
 
 NAMES = st.lists(st.sampled_from(["x", "y", "z", "u"]), unique=True, max_size=3)

@@ -9,12 +9,12 @@ from craig.errors import (
 from craig.formulas import (
     BOTTOM, TOP, And, Atom, Exists, Forall, Not, Or, Var, free_vars, to_nnf,
 )
-from craig.interpolation import propagate
+from craig.interpolation import craig_interpolant, entails, propagate
 from craig.models import evaluate, find_model
 from craig.parser import parse, print_formula
 from craig.tableau import (
     Branch, Closed, Closure, LabeledSentence, Satisfiable, Unknown, prove,
-    render_trace, saturated_branch_model,
+    refute, render_trace, saturated_branch_model,
 )
 from test_formulas import formulas, wide_formulas
 
@@ -244,6 +244,19 @@ def test_budget_spent_never_exceeds_budget():
         out = prove(_labeled(["forall x. exists y. R(x,y)"]), budget)
         assert isinstance(out, Unknown)
         assert out.budget_spent == budget
+
+
+@pytest.mark.parametrize("budget", [2.5, 3.0, True, False, 0, -1, "10", None])
+def test_budget_must_be_a_positive_int(budget):
+    # at each entry point the check comes before any search: 2.5 once ran
+    # with budget 3 and reported Unknown(3), and True ran with budget 1
+    phi, psi = parse("forall x. P(x)"), parse("P(a)")
+    for call in (lambda: prove(_labeled(["forall x. P(x)"], ["!P(a)"]), budget),
+                 lambda: refute(_labeled(["forall x. P(x)"], ["!P(a)"]), budget),
+                 lambda: entails(phi, psi, budget),
+                 lambda: craig_interpolant(phi, psi, budget)):
+        with pytest.raises(FormulaError, match="budget must be a positive int"):
+            call()
 
 
 def test_zero_ary_relations_in_proofs():

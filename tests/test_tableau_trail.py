@@ -1,4 +1,4 @@
-"""Undo-trail invariant of the prover's one mutable branch state.
+"""Invariants of the prover's one mutable branch state.
 
 At every split the test takes a snapshot of the branch state, which is the
 state at the split's trail mark.  When the search comes back to one of that
@@ -8,18 +8,29 @@ no choice point is open, and the sentence's constants must already be among
 the branch's (distinct) constants.  The golden (``test_tableau_golden.py``) checks what
 the search finds; this test checks that backtracking restores every part of
 the state the search reads.
+
+Two parts of the state are also checked against plain references kept here:
+``next_alpha``, which takes its item from the ready queue, against a scan of
+alpha past the dormant ∀ items; and ``add``, which dispatches once on the
+exact type of a sentence, against equality with ⊥ and the literal helpers.
 """
 
 from __future__ import annotations
 
 import pathlib
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craig.corpus import corpus
-from craig.formulas import Not, signature_of, to_nnf
+from craig.formulas import (
+    BOTTOM, TOP, And, Atom, Const, Not, Or, Top, signature_of, to_nnf,
+)
 from craig.parser import parse, parse_problem
-from craig.tableau import LabeledSentence, Satisfiable, _BranchState, prove
+from craig.tableau import (
+    _CLOSING, _OPEN, LabeledSentence, Satisfiable, _BetaItem, _BranchState, prove,
+)
 
 from test_tableau_golden import chain_problem
 
@@ -35,6 +46,7 @@ def snapshot(branch: _BranchState) -> tuple:
         list(branch.constants),
         branch.evidence,
         [(it.ls, it.kind, it.next_const) for it in branch.alpha],
+        [(it.ls, it.kind, it.next_const) for it in branch.ready],
         [list(q) for q in branch.exists_queues],
         items(branch.beta_closing),
         items(branch.beta_open),
@@ -42,12 +54,38 @@ def snapshot(branch: _BranchState) -> tuple:
     )
 
 
+def fireable(branch: _BranchState) -> list:
+    """Alpha's items that can fire on a branch with constants, in order."""
+    n = len(branch.constants)
+    return [it for it in branch.alpha if it.kind == "and" or it.next_const < n]
+
+
+def reference_next_alpha(branch: _BranchState, alpha: deque):
+    """next_alpha as a scan from the front of alpha past the dormant ∀ items,
+    on a copy of alpha with no trail: the item it pops, or None."""
+    n = len(branch.constants)
+    for k, item in enumerate(alpha):
+        if item.kind == "and" or item.next_const < n or (
+                not n and not any(branch.exists_queues)):
+            alpha.rotate(-k)
+            return alpha.popleft()
+    return None
+
+
+def assert_ready(branch: _BranchState):
+    # _AlphaItem compares by identity, so == on the lists does too
+    assert list(branch.ready) == (fireable(branch) if branch.constants else [])
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Instrument _BranchState; yields the counts of splits and resumptions."""
-    counts = {"splits": 0, "resumed": 0}
+    """Instrument _BranchState; yields the counts of splits and resumptions,
+    of next_alpha calls on a branch with constants, and of the calls that
+    rotated dormant items to the back."""
+    counts = {"splits": 0, "resumed": 0, "ready": 0, "rotated": 0}
     snapshots: dict = {}  # trail mark -> state at that mark
     split, undo_to, add = _BranchState.split, _BranchState.undo_to, _BranchState.add
+    next_alpha = _BranchState.next_alpha
 
     def checked_split(self, children):
         mark = 0 if self.trail is None else len(self.trail)
@@ -67,9 +105,24 @@ def checked(monkeypatch):
         assert len(set(self.constants)) == len(self.constants)
         return add(self, ls, origin)
 
+    def checked_next_alpha(self):
+        assert_ready(self)
+        front = self.alpha[0] if self.alpha else None
+        alpha = deque(self.alpha)
+        expected = reference_next_alpha(self, alpha)
+        item = next_alpha(self)
+        assert item is expected
+        assert list(self.alpha) == list(alpha)  # the same order, item for item
+        assert_ready(self)
+        if self.constants:
+            counts["ready"] += 1
+            counts["rotated"] += item is not None and item is not front
+        return item
+
     monkeypatch.setattr(_BranchState, "split", checked_split)
     monkeypatch.setattr(_BranchState, "undo_to", checked_undo_to)
     monkeypatch.setattr(_BranchState, "add", checked_add)
+    monkeypatch.setattr(_BranchState, "next_alpha", checked_next_alpha)
     return counts
 
 
@@ -89,6 +142,9 @@ def test_trail_restores_state_on_pelletier(checked):
     for path in sorted(PELLETIER.glob("p*.fol")):
         prove(problem_inputs(path.read_text(encoding="utf-8")), 1_500)
     assert checked["resumed"] >= 1_000
+    # next_alpha took thousands of items from the ready queue, and often one
+    # that dormant ∀ items stood before
+    assert checked["ready"] >= 10_000 and checked["rotated"] >= 1_000
 
 
 def test_trail_restores_state_on_chain50(checked):
@@ -96,10 +152,18 @@ def test_trail_restores_state_on_chain50(checked):
     assert checked["splits"] == checked["resumed"] == 49
 
 
+@pytest.mark.parametrize("n", [10, 200])
+def test_next_alpha_matches_the_scan_on_chains(checked, n):
+    prove(problem_inputs(chain_problem(n)), 1_500)
+    assert checked["splits"] == checked["resumed"] == n - 1
+    assert checked["ready"] >= n
+
+
 def test_trail_restores_state_on_corpus(checked):
     for inst in corpus(42, 200):
         prove(refutation([inst.phi], inst.psi), 1_000)
     assert checked["resumed"] >= 40
+    assert checked["rotated"] >= 10
 
 
 def test_trail_restores_state_after_bottom(checked):
@@ -108,3 +172,87 @@ def test_trail_restores_state_after_bottom(checked):
                     100)
     assert isinstance(outcome, Satisfiable)
     assert checked["resumed"] == 2
+
+
+# ------------------------------------------------------------------ add
+
+def is_literal(f) -> bool:
+    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.sub, Atom))
+
+
+def complement_literal(f):
+    """Clash partner of a literal (or of ⊤ and ⊥); None for other shapes."""
+    if isinstance(f, Atom):
+        return Not(f)
+    if isinstance(f, Not):
+        return f.sub
+    return None
+
+
+def reference_add(branch: _BranchState, ls: LabeledSentence):
+    """_BranchState.add for literals and disjunctions, with ⊥ found by
+    equality and clash partners by the literal helpers; logs no trail."""
+    f = ls.formula
+    if f in branch.formulas:
+        return
+    branch.formulas[f] = ls
+    if branch.evidence is None:
+        if f == BOTTOM:
+            branch.evidence = ("bottom", ls)
+        elif is_literal(f):
+            partner = branch.formulas.get(complement_literal(f))
+            if partner is not None:
+                pair = (ls, partner) if isinstance(f, Atom) else (partner, ls)
+                branch.evidence = ("clash", *pair)
+    for item in branch.promote.pop(f, ()):
+        if item.state == _OPEN:
+            item.state = _CLOSING
+            branch.beta_closing.append(item)
+    if isinstance(f, Or):
+        item = _BetaItem(ls)
+        for g in f.items:
+            if g == BOTTOM:
+                item.state = _CLOSING
+                continue
+            comp = complement_literal(g)
+            if comp is not None:
+                if comp in branch.formulas:
+                    item.state = _CLOSING
+                else:
+                    branch.promote.setdefault(comp, []).append(item)
+        (branch.beta_closing if item.state == _CLOSING else branch.beta_open).append(item)
+
+
+def observed(branch: _BranchState) -> tuple:
+    def items(queue):
+        return [(it.ls, it.state) for it in queue]
+
+    return (list(branch.formulas.items()), branch.evidence,
+            items(branch.beta_closing), items(branch.beta_open),
+            [(key, items(waiting)) for key, waiting in branch.promote.items()])
+
+
+ATOMS = [Atom(r, (Const(c),)) for r in ("P", "Q") for c in ("a", "b")]
+# ⊤ and ⊥ built apart from TOP and BOTTOM: equal to them, but not the same objects
+LITERALS = st.sampled_from(ATOMS + [Not(a) for a in ATOMS]
+                           + [TOP, BOTTOM, Top(), Not(Top())])
+DISJUNCTS = st.one_of(LITERALS, st.lists(LITERALS, min_size=2, max_size=2).map(And))
+SENTENCES = st.lists(
+    st.tuples(st.one_of(LITERALS, st.lists(DISJUNCTS, min_size=2, max_size=3).map(Or)),
+              st.sampled_from("LR")),
+    max_size=12)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(SENTENCES)
+def test_add_matches_the_literal_helpers(sentences):
+    inputs = [LabeledSentence(f, label) for f, label in sentences]
+    branch, reference = _BranchState(), _BranchState()
+    branch.trail = []  # as under an open choice point: every change is logged
+    empty = observed(branch)
+    for ls in inputs:
+        branch.add(ls)
+        reference_add(reference, ls)
+        assert observed(branch) == observed(reference)
+    branch.undo_to(0)
+    assert observed(branch) == empty
