@@ -14,9 +14,10 @@ import sys
 # parse, print_formula and simplify stop at about 985 nested negations and
 # 164 nested parentheses (19,985 and 3,330), and == at 332.  Hashing does not
 # recurse: a formula node's hash is computed once, at construction.  Nor does
-# to_nnf on a chain of negations (it flips a polarity instead), nor compiling
-# or running a substitution (compile_substitution and Substitution.run are
-# flat loops over an explicit stack).
+# to_nnf on a chain of negations (it flips a polarity instead), nor a second
+# to_nnf of a node (it returns the NNF kept on the node), nor is_nnf,
+# signature_of, compiling or running a substitution (flat loops over an
+# explicit stack; is_nnf of a node to_nnf has seen reads the kept NNF).
 # tests/test_deep_nesting.py pins depths that only the raise makes reachable:
 # each of its in-process cases fails without it.
 if sys.getrecursionlimit() < 20000:

@@ -11,6 +11,7 @@ subtree.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -49,9 +50,14 @@ class _Node:
     and compares fields only otherwise (recursing only into distinct, equal
     subtrees).  Unpickling rebuilds a node through its constructor, so a
     cached hash never outlives its process.
+
+    ``_nnf_form`` is unset until to_nnf has seen the node; then it holds the
+    node's NNF, or None when the node is its own NNF (storing the node
+    itself would make a cycle that only the cyclic collector frees).  It is
+    a memo, not a field: ``==``, ``hash``, ``repr`` and pickling ignore it.
     """
 
-    __slots__ = ("_h",)
+    __slots__ = ("_h", "_nnf_form")
 
     def __hash__(self):
         return self._h
@@ -235,6 +241,9 @@ class SignatureReport:
         return self.relations.union(self.constants)
 
 
+_NO_NAMES = frozenset()
+
+
 def signature_of(*phis) -> SignatureReport:
     """Joint signature of the formulas: relations with their arities,
     constants, polarities and free variables.
@@ -246,18 +255,23 @@ def signature_of(*phis) -> SignatureReport:
     (preorder) order.  Polarity is negation-depth parity; top contributes no
     symbols; a variable is free if it occurs free in some formula.  A relation
     used with two arities, in one formula or across several, raises
-    FormulaError.  Iterative, with exact type dispatch as in map_atoms:
-    nesting depth is not bounded by the recursion limit.
+    FormulaError.  Iterative, with exact type dispatch as in map_atoms, and
+    a negation flips the polarity in place, with no stack entry: nesting
+    depth is not bounded by the recursion limit.
     """
     arities: dict = {}
     constants: dict = {}
     pos: set = set()
     neg: set = set()
     free: dict = {}
-    stack: list = [(phi, frozenset(), pos) for phi in reversed(phis)]
+    stack: list = [(phi, _NO_NAMES, True) for phi in reversed(phis)]
+    push = stack.append
     while stack:
-        f, bound, polarity = stack.pop()
+        f, bound, positive = stack.pop()
         kind = type(f)
+        while kind is Not:
+            f, positive = f.sub, not positive
+            kind = type(f)
         if kind is Atom:
             seen = arities.setdefault(f.rel, len(f.args))
             if seen != len(f.args):
@@ -268,13 +282,12 @@ def signature_of(*phis) -> SignatureReport:
                     constants[t.name] = None
                 elif t.name not in bound:
                     free[t.name] = None
-            polarity.add(f.rel)
-        elif kind is Not:
-            stack.append((f.sub, bound, neg if polarity is pos else pos))
+            (pos if positive else neg).add(f.rel)
         elif kind is And or kind is Or:
-            stack.extend([(g, bound, polarity) for g in reversed(f.items)])
+            for g in reversed(f.items):
+                push((g, bound, positive))
         elif kind is Exists or kind is Forall:
-            stack.append((f.body, bound | frozenset(f.vars), polarity))
+            push((f.body, bound.union(f.vars), positive))
         elif kind is not Top:
             raise FormulaError(f"not a formula: {f!r}")
     return SignatureReport(
@@ -300,34 +313,63 @@ def to_nnf(phi) -> object:
     """Negation normal form: negations pushed down to atoms (or top).
 
     Multi-variable quantifier blocks are preserved; the transform is
-    idempotent and equivalence-preserving.  Negation chains cost no frame.
+    idempotent and equivalence-preserving.  Every subformula already in NNF
+    comes back as the same object, so ``to_nnf(g) is g`` exactly when g is
+    in NNF.  The result is kept on phi and on itself: a second call on
+    either returns it at once.  Negation chains cost no frame.
     """
-    return _nnf(phi, False)
+    try:
+        nnf = phi._nnf_form
+    except AttributeError:  # not computed yet (or not a formula: _nnf raises)
+        nnf = _nnf(phi, False)
+        if nnf is not phi:
+            _set(phi, "_nnf_form", nnf)
+        _set(nnf, "_nnf_form", None)
+        return nnf
+    return phi if nnf is None else nnf
 
 
 _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}  # what a negation makes of each
 
 
 def _nnf(f, negated: bool):
-    # one case per node kind (exact types, as in map_atoms); a Not flips the polarity
+    # one case per node kind (exact types, as in map_atoms); a Not flips the
+    # polarity.  A subformula in NNF is returned as itself, and a negated
+    # atom reuses the Not above it.
+    inner = None  # the innermost Not of the chain
     while type(f) is Not:
-        f, negated = f.sub, not negated
+        inner, f, negated = f, f.sub, not negated
     kind = type(f)
     if kind is Atom or kind is Top:
-        return Not(f) if negated else f
+        if not negated:
+            return f
+        return Not(f) if inner is None else inner
     if kind not in _DUAL:
         raise FormulaError(f"not a formula: {f!r}")
     out = _DUAL[kind] if negated else kind
     if kind is And or kind is Or:
-        return out(tuple([_nnf(g, negated) for g in f.items]))
-    return out(f.vars, _nnf(f.body, negated))
+        items = tuple([_nnf(g, negated) for g in f.items])
+        return f if out is kind and all(map(operator.is_, items, f.items)) else out(items)
+    body = _nnf(f.body, negated)
+    return f if out is kind and body is f.body else out(f.vars, body)
 
 
 def is_nnf(phi) -> bool:
+    """Whether phi is in NNF: at once if to_nnf has seen phi, else by an
+    iterative walk, which raises FormulaError on a non-formula as to_nnf
+    does."""
+    try:
+        return phi._nnf_form is None
+    except AttributeError:
+        pass
+    nnf = True
     for f in walk(phi):
-        if isinstance(f, Not) and not isinstance(f.sub, (Atom, Top)):
-            return False
-    return True
+        kind = type(f)
+        if kind is Not:
+            nnf = nnf and (type(f.sub) is Atom or type(f.sub) is Top)
+        elif kind is not Atom and kind is not Top and kind not in _DUAL:
+            raise FormulaError(f"not a formula: {f!r}")
+    return nnf
 
 
 def map_atoms(phi, fn) -> object:

@@ -202,9 +202,10 @@ def craig_interpolant(phi, psi, budget: int):
 
 def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
-    theta, annotated = interpolant_from_labeled(labeled([phi], [Not(psi)]), budget)
+    not_psi = Not(psi)  # one node for both proofs: its NNF is computed once
+    theta, annotated = interpolant_from_labeled(labeled([phi], [not_psi]), budget)
     certify(theta, signature_of(phi).symbols() & signature_of(psi).symbols(),
-            [("phi -> theta", [phi, Not(theta)]), ("theta -> psi", [theta, Not(psi)])],
+            [("phi -> theta", [phi, Not(theta)]), ("theta -> psi", [theta, not_psi])],
             budget)
     return theta, annotated
 

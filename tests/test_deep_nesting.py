@@ -10,7 +10,9 @@ raise must keep them passing.  Hashing does not recurse (every formula node
 computes its hash once, at construction), ``to_nnf`` does not recurse on a
 chain of negations (it flips a polarity instead), and neither compiling a
 substitution nor running it recurses (both are flat loops over an explicit
-stack); the subprocess cases pin all three at the default limit.
+stack), nor do ``signature_of`` and ``is_nnf`` (``is_nnf`` reads the memo
+``to_nnf`` leaves on a node, or else walks an explicit stack); the
+subprocess cases pin these at the default limit.
 """
 
 from __future__ import annotations
@@ -108,5 +110,47 @@ while type(g) is And:
     assert g.items[0] is q
     g, depth = g.items[1], depth + 1
 assert (depth, g) == (50_000, Atom("P", (Const("a"),)))
+print("ok")
+""")
+
+
+def test_signature_of_a_negation_chain_does_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Const, Not, signature_of
+f = Atom("P", (Const("a"),))
+for _ in range(50_000):
+    f = Not(f)
+r = signature_of(f, Not(f))
+assert (r.relsig_pos, r.relsig_neg, list(r.constants)) == ({"P"}, {"P"}, ["a"])
+print("ok")
+""")
+
+
+def test_is_nnf_of_a_deep_conjunction_does_not_recurse_at_the_default_limit():
+    # built by constructors, the chain has no memo: is_nnf walks it; after
+    # to_nnf (which recurses per ∧ level, so it runs in a thread with a large
+    # stack under a raised limit) is_nnf reads the memo
+    _run_at_the_default_limit("""
+import threading
+from craig.formulas import And, Atom, Const, Not, is_nnf, to_nnf
+p, not_q = Atom("P", (Const("a"),)), Not(Atom("Q", (Const("b"),)))
+f = g = p
+for _ in range(50_000):
+    f, g = And((not_q, f)), And((Not(Not(not_q)), g))
+assert is_nnf(f) and not is_nnf(g)
+sys.setrecursionlimit(120_000)
+threading.stack_size(256 << 20)
+worker = threading.Thread(target=lambda: [to_nnf(f), to_nnf(g)])
+worker.start()
+worker.join()
+sys.setrecursionlimit(1000)
+assert is_nnf(f) and to_nnf(f) is f
+h = to_nnf(g)
+assert not is_nnf(g) and is_nnf(h) and to_nnf(h) is h and hash(h) == hash(f)
+depth = 0
+while type(h) is And:
+    assert h.items[0] is not_q
+    h, depth = h.items[1], depth + 1
+assert (depth, h) == (50_000, p)
 print("ok")
 """)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy as copy_module
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -146,6 +148,101 @@ def test_nnf_equivalent_on_small_structures(phi):
     for n in (1, 2, 3):
         for A in enumerate_structures(sig, n):
             assert evaluate(A, phi) == evaluate(A, nnf)
+
+
+# ------------------------------------------------ the NNF memo against references
+
+def reference_nnf(f, negated=False):
+    """to_nnf as it was before it kept its result on the node: every call
+    rebuilds the whole NNF, and each negated atom gets a new Not."""
+    while type(f) is Not:
+        f, negated = f.sub, not negated
+    kind = type(f)
+    if kind is Atom or kind is Top:
+        return Not(f) if negated else f
+    dual_kind = {And: Or, Or: And, Exists: Forall, Forall: Exists}[kind]
+    out = dual_kind if negated else kind
+    if kind is And or kind is Or:
+        return out(tuple([reference_nnf(g, negated) for g in f.items]))
+    return out(f.vars, reference_nnf(f.body, negated))
+
+
+def reference_is_nnf(phi) -> bool:
+    """is_nnf as a plain walk, with no memo to consult."""
+    for f in walk(phi):
+        if isinstance(f, Not) and not isinstance(f.sub, (Atom, Top)):
+            return False
+    return True
+
+
+def fresh(phi):
+    """An equal formula with no node shared with phi, so no memo either."""
+    return pickle.loads(pickle.dumps(phi))
+
+
+def assert_nnf_memo_agrees(phi):
+    expected = reference_nnf(phi)
+    in_nnf = reference_is_nnf(phi)
+    printed = repr(phi)
+    assert is_nnf(phi) is in_nnf  # the walk: to_nnf has not seen phi
+    out = to_nnf(phi)
+    assert out == expected and len(list(walk(out))) == len(list(walk(expected)))
+    for new, ref in zip(walk(out), walk(expected)):
+        assert type(new) is type(ref) and hash(new) == hash(ref) and new == ref, new
+    assert (out is phi) == in_nnf
+    assert to_nnf(phi) is out and to_nnf(out) is out
+    assert is_nnf(phi) is in_nnf and is_nnf(out) is True  # the memo
+    # the memo is no field: repr, pickling and copies ignore it
+    assert repr(phi) == printed
+    for copy in (fresh(phi), copy_module.deepcopy(phi)):
+        assert copy == phi and hash(copy) == hash(phi) and repr(copy) == printed
+        assert is_nnf(copy) is in_nnf and to_nnf(copy) == out
+    # every subformula comes back as itself exactly when it is in NNF
+    for g in walk(fresh(phi)):
+        assert (to_nnf(g) is g) == reference_is_nnf(g), g
+
+
+@settings(max_examples=300, derandomize=True)
+@given(formulas())
+def test_nnf_memo_matches_the_reference(phi):
+    assert_nnf_memo_agrees(phi)
+    assert_nnf_memo_agrees(Not(fresh(phi)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(wide_formulas())
+def test_nnf_memo_matches_the_reference_on_wide_formulas(phi):
+    assert_nnf_memo_agrees(phi)
+    assert_nnf_memo_agrees(Not(fresh(phi)))
+
+
+P_C = Atom("P", (Const("c"),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Not(Top()), lambda: BOTTOM, lambda: Not(Not(Top())),
+    lambda: Not(Not(Not(Top()))), lambda: Not(P_C), lambda: Not(Not(P_C)),
+    lambda: Not(Not(Not(P_C))), lambda: And((Not(Not(P_C)), Not(P_C))),
+    lambda: Forall(("x",), Not(Not(Not(Or((P_C, Not(Top()))))))),
+], ids=["not-top", "bottom", "not2-top", "not3-top", "not-atom", "not2-atom",
+        "not3-atom", "and-of-negations", "forall-not3-or"])
+def test_nnf_memo_on_negation_chains(build):
+    assert_nnf_memo_agrees(build())
+
+
+def test_nnf_reuses_the_innermost_negation_of_a_chain():
+    inner = Not(P_C)
+    assert to_nnf(Not(Not(inner))) is inner
+    assert to_nnf(And((P_C, Not(Not(inner))))).items[1] is inner
+
+
+@pytest.mark.parametrize("junk", ["junk", And((Atom("A"), "junk")),
+                                  Not(Not("junk")), Exists(("x",), "junk")])
+def test_is_nnf_rejects_a_non_formula_as_to_nnf_does(junk):
+    with pytest.raises(FormulaError, match="not a formula: 'junk'"):
+        to_nnf(junk)
+    with pytest.raises(FormulaError, match="not a formula: 'junk'"):
+        is_nnf(junk)
 
 
 def test_signature_example1_relations(example1):

@@ -9,15 +9,18 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craig.corpus import corpus
 from craig.errors import FormulaError
 from craig.formulas import (
-    And, Atom, Const, Exists, Forall, Not, Or, SignatureReport, Var, signature_of,
-    walk,
+    And, Atom, Const, Exists, Forall, Not, Or, SignatureReport, Top, Var,
+    signature_of, walk,
 )
 from craig.interpolation import search_interpolant
 from craig.parser import parse, parse_problem
+
+from test_formulas import formulas, wide_formulas
 
 
 def test_signature_of_deep_negation_chain():
@@ -137,3 +140,91 @@ def test_ordered_reports_behave_as_sets():
             assert frozenset().union(x) == fx
             assert isinstance(fx.union(y), frozenset)
     assert all(isinstance(r.symbols(), frozenset) for r in reports)
+
+
+# ------------------------------------------------ the walk against a reference
+
+def reference_signature_of(*phis) -> SignatureReport:
+    """signature_of's walk as it was before negations were walked in place:
+    one stack entry per node, the polarity as the set an atom goes to."""
+    arities: dict = {}
+    constants: dict = {}
+    pos: set = set()
+    neg: set = set()
+    free: dict = {}
+    stack: list = [(phi, frozenset(), pos) for phi in reversed(phis)]
+    while stack:
+        f, bound, polarity = stack.pop()
+        kind = type(f)
+        if kind is Atom:
+            seen = arities.setdefault(f.rel, len(f.args))
+            if seen != len(f.args):
+                raise FormulaError(
+                    f"relation {f.rel} used with arities {seen} and {len(f.args)}")
+            for t in f.args:
+                if type(t) is Const:
+                    constants[t.name] = None
+                elif t.name not in bound:
+                    free[t.name] = None
+            polarity.add(f.rel)
+        elif kind is Not:
+            stack.append((f.sub, bound, neg if polarity is pos else pos))
+        elif kind is And or kind is Or:
+            stack.extend([(g, bound, polarity) for g in reversed(f.items)])
+        elif kind is Exists or kind is Forall:
+            stack.append((f.body, bound | frozenset(f.vars), polarity))
+        elif kind is not Top:
+            raise FormulaError(f"not a formula: {f!r}")
+    return SignatureReport(frozenset(arities), arities, constants.keys(),
+                           frozenset(pos), frozenset(neg), free.keys())
+
+
+def _negated(f, times: int):
+    for _ in range(times):
+        f = Not(f)
+    return f
+
+
+# P and R with the other arity: formulas() and wide_formulas() use unary P
+# and binary R, so mixing one of these in makes a clash
+CLASHES = (Atom("P", (Const("c"), Var("x"))), Atom("R", (Var("y"),)))
+
+
+@st.composite
+def formula_set(draw):
+    """1-3 formulas, each under 0-3 negations and sometimes joined to an
+    atom whose arity clashes with the other formulas'."""
+    phis = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(st.one_of(formulas(), wide_formulas()))
+        if draw(st.integers(0, 5)) == 0:
+            clash = _negated(draw(st.sampled_from(CLASHES)), draw(st.integers(0, 2)))
+            f = draw(st.sampled_from([And((f, clash)), Or((clash, f)), clash]))
+        phis.append(_negated(f, draw(st.integers(0, 3))))
+    return phis
+
+
+def _outcome(fn, phis):
+    try:
+        r = fn(*phis)
+    except FormulaError as e:
+        return "raises", str(e)
+    return r, list(r.constants), list(r.free_vars)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(formula_set())
+def test_signature_of_matches_the_reference_walk(phis):
+    assert _outcome(signature_of, phis) == _outcome(reference_signature_of, phis)
+
+
+@pytest.mark.parametrize("phis", [
+    [And((Atom("P", (Const("c"),)), Not(Not(Atom("P", (Const("c"), Const("d")))))))],
+    [Not(Atom("P", (Const("c"),))), Exists(("x",), Not(Atom("P", (Var("x"), Var("x")))))],
+    [Not(Not(Top())), Not(Not(Not("junk")))],
+    [And((Atom("Q", ()), "junk")), Atom("Q", (Const("c"),))],
+], ids=["clash-within", "clash-across", "junk-under-negations", "junk-before-clash"])
+def test_signature_of_reports_errors_as_the_reference(phis):
+    outcome = _outcome(signature_of, phis)
+    assert outcome[0] == "raises"
+    assert outcome == _outcome(reference_signature_of, phis)
