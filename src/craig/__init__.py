@@ -6,18 +6,14 @@ from __future__ import annotations
 
 import sys
 
-# The parser, print_formula and simplify recurse once or twice per nesting
-# level, to_nnf once or twice per ∧/∨/∃/∀ level, and == between two
-# distinct, equal trees three times.  At the default limit of 1,000,
-# craig_interpolant on the implication chain of length 500 raises
-# RecursionError (in to_nnf of its raw interpolant, during verification);
-# parse, print_formula and simplify stop at about 985 nested negations and
-# 164 nested parentheses (19,985 and 3,330), and == at 332.  Hashing does not
-# recurse: a formula node's hash is computed once, at construction.  Nor does
-# to_nnf on a chain of negations (it flips a polarity instead), nor a second
-# to_nnf of a node (it returns the NNF kept on the node), nor is_nnf,
-# signature_of, compiling or running a substitution (flat loops over an
-# explicit stack; is_nnf of a node to_nnf has seen reads the kept NNF).
+# The parser recurses once or twice per nesting level, to_nnf once or twice
+# per ∧/∨/∃/∀ level, and == between two distinct, equal trees three times.
+# At the default limit of 1,000, craig_interpolant on the implication chain
+# of length 500 raises RecursionError (in to_nnf of its raw interpolant,
+# during verification); parse stops at about 985 nested negations and 164
+# nested parentheses (19,985 and 3,330), and == at 332.  Hashing (done at
+# construction), to_nnf on a negation chain or a node it has seen, and the
+# other walkers of formulas.py, print_formula and canonical_rename run flat.
 # tests/test_deep_nesting.py pins depths that only the raise makes reachable:
 # each of its in-process cases fails without it.
 if sys.getrecursionlimit() < 20000:

@@ -210,17 +210,20 @@ def implies(a, b) -> object:
 
 
 def walk(phi) -> Iterator:
-    """Yield every subformula, preorder."""
+    """Yield every subformula, preorder; a non-formula raises FormulaError."""
     stack = [phi]
     while stack:
         f = stack.pop()
-        yield f
-        if isinstance(f, (And, Or)):
+        kind = type(f)
+        if kind is And or kind is Or:
             stack.extend(reversed(f.items))
-        elif isinstance(f, Not):
+        elif kind is Not:
             stack.append(f.sub)
-        elif isinstance(f, (Exists, Forall)):
+        elif kind is Exists or kind is Forall:
             stack.append(f.body)
+        elif kind is not Atom and kind is not Top:
+            raise FormulaError(f"not a formula: {f!r}")
+        yield f
 
 
 @dataclass(frozen=True)
@@ -364,12 +367,69 @@ def is_nnf(phi) -> bool:
         pass
     nnf = True
     for f in walk(phi):
-        kind = type(f)
-        if kind is Not:
+        if type(f) is Not:
             nnf = nnf and (type(f.sub) is Atom or type(f.sub) is Top)
-        elif kind is not Atom and kind is not Top and kind not in _DUAL:
-            raise FormulaError(f"not a formula: {f!r}")
     return nnf
+
+
+def _fold(phi, case, enter=None, ctx=None):
+    """phi's value, built bottom-up over an explicit stack: ``case(f, ctx,
+    kids)`` makes node f's value from its context and its children's values
+    (None for an atom or ⊤, the child's value for ¬, ∃ and ∀, the list of
+    the items' values for ∧ and ∨), children left to right.  ``ctx`` is the
+    root's context and ``enter(f, ctx)``, if given, that of f's children
+    (else f's own).  Dispatch is on exact types; a non-formula raises
+    FormulaError."""
+    values: list = []
+    stack: list = [(phi, ctx, False)]  # (node, context, whether its kids are folded)
+    push, pop, put = stack.append, stack.pop, values.append
+    while stack:
+        f, c, ready = pop()
+        kind = type(f)
+        if ready:
+            if kind is And or kind is Or:
+                n = len(f.items)
+                kids = values[-n:]
+                del values[-n:]
+                put(case(f, c, kids))
+            else:
+                values[-1] = case(f, c, values[-1])
+        elif kind is Atom or kind is Top:
+            put(case(f, c, None))
+        elif kind is Not or kind in _DUAL:
+            inner = c if enter is None else enter(f, c)
+            if kind is And or kind is Or:
+                push((f, c, True))
+                for g in reversed(f.items):
+                    push((g, inner, False))
+                continue
+            g = f.sub if kind is Not else f.body
+            if type(g) is Atom or type(g) is Top:  # a leaf child is folded in place
+                put(case(f, c, case(g, inner, None)))
+            else:
+                push((f, c, True))
+                push((g, inner, False))
+        else:
+            raise FormulaError(f"not a formula: {f!r}")
+    return values[0]
+
+
+def _rebuild(f, _ctx, kids):
+    """The fold case that puts the children's values in place of an inner
+    node's children, keeping the node when none changed; an atom or ⊤ stays."""
+    kind = type(f)
+    if kind is Not:
+        return f if kids is f.sub else Not(kids)
+    if kind is And or kind is Or:
+        return f if all(map(operator.is_, kids, f.items)) else kind(kids)
+    if kind is Exists or kind is Forall:
+        return f if kids is f.body else kind(f.vars, kids)
+    return f
+
+
+def _bind(f, bound):
+    kind = type(f)
+    return bound.union(f.vars) if kind is Exists or kind is Forall else bound
 
 
 def map_atoms(phi, fn) -> object:
@@ -379,40 +439,10 @@ def map_atoms(phi, fn) -> object:
     Iterative; a subformula in which no atom changed is returned as the same
     object.
     """
-    out: list = []
-    stack: list = [(phi, frozenset(), False)]
-    while stack:
-        f, bound, ready = stack.pop()
-        kind = type(f)  # exact types: dispatch is the hot path of the prover
-        if kind is Atom:
-            out.append(fn(f, bound))
-        elif kind is Top:
-            out.append(f)
-        elif ready:
-            if kind is Not:
-                sub = out.pop()
-                out.append(f if sub is f.sub else Not(sub))
-            elif kind is And or kind is Or:
-                n = len(f.items)
-                items = tuple(out[-n:])
-                del out[-n:]
-                changed = any(a is not b for a, b in zip(items, f.items))
-                out.append(kind(items) if changed else f)
-            else:
-                body = out.pop()
-                out.append(f if body is f.body else kind(f.vars, body))
-        elif kind is Not:
-            stack.append((f, bound, True))
-            stack.append((f.sub, bound, False))
-        elif kind is And or kind is Or:
-            stack.append((f, bound, True))
-            stack.extend([(g, bound, False) for g in reversed(f.items)])
-        elif kind is Exists or kind is Forall:
-            stack.append((f, bound, True))
-            stack.append((f.body, bound | frozenset(f.vars), False))
-        else:
-            raise FormulaError(f"not a formula: {f!r}")
-    return out[0]
+    def case(f, bound, kids):
+        return fn(f, bound) if type(f) is Atom else _rebuild(f, bound, kids)
+
+    return _fold(phi, case, _bind, _NO_NAMES)
 
 
 def substitute_constant(phi, x: str, c: str) -> object:
@@ -590,42 +620,31 @@ def fresh_constant(avoid: Iterable) -> str:
     return next(fresh_names("c", set(avoid)))
 
 
+def _simplify_node(f, _ctx, kids):
+    kind = type(f)
+    if kind is Atom or kind is Top:
+        return f
+    if kind is Not:
+        return kids.sub if type(kids) is Not else Not(kids)
+    if kind is And or kind is Or:
+        unit, absorb = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
+        kept = []
+        for g in kids:
+            for h in (g.items if type(g) is kind else (g,)):
+                if h == absorb:
+                    return absorb
+                if h != unit and h not in kept:
+                    kept.append(h)
+        return conj(kept) if kind is And else disj(kept)
+    fv = free_vars(kids)
+    kept = tuple(v for v in f.vars if v in fv)
+    return kind(kept, kids) if kept else kids
+
+
 def simplify(phi) -> object:
     """Cosmetic normalization: flatten ∧/∨, drop ⊤/⊥ units, drop vacuous
     quantifier variables.  Equivalence-preserving (domains are non-empty).
     Used by the CLI --simplify flag, explicit_definition,
     robinson_separator, monotone_rewrite and the theory interpolants;
     craig_interpolant returns its interpolant unsimplified."""
-    f = phi
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Not):
-        s = simplify(f.sub)
-        if isinstance(s, Not):
-            return s.sub
-        return Not(s)
-    if isinstance(f, (And, Or)):
-        is_and = isinstance(f, And)
-        unit, absorb = (TOP, BOTTOM) if is_and else (BOTTOM, TOP)
-        flat = []
-        for g in f.items:
-            g = simplify(g)
-            if isinstance(f, And) and isinstance(g, And) or isinstance(f, Or) and isinstance(g, Or):
-                flat.extend(g.items)
-            else:
-                flat.append(g)
-        kept = []
-        for g in flat:
-            if g == absorb:
-                return absorb
-            if g != unit and g not in kept:
-                kept.append(g)
-        return conj(kept) if is_and else disj(kept)
-    if isinstance(f, (Exists, Forall)):
-        body = simplify(f.body)
-        fv = free_vars(body)
-        kept = tuple(v for v in f.vars if v in fv)
-        if not kept:
-            return body
-        return Exists(kept, body) if isinstance(f, Exists) else Forall(kept, body)
-    raise FormulaError(f"not a formula: {phi!r}")
+    return _fold(phi, _simplify_node)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
 from .formulas import (
-    And, Atom, Exists, Forall, Not, Or, Top, Var, free_vars, fresh_names, to_nnf,
-    variable_names, walk,
+    And, Atom, Exists, Forall, Not, Or, Var, _fold, _rebuild, free_vars, fresh_names,
+    to_nnf, variable_names, walk,
 )
 
 HAS = "has"
@@ -166,30 +166,26 @@ def canonical_rename(phi):
     A pool name is reusable under a binder unless an outer variable mapped to
     it occurs free in the binder's body.
     """
-    def rec(f, env):
-        if isinstance(f, Atom):
-            return Atom(f.rel, tuple(
-                Var(env.get(t.name, t.name)) if isinstance(t, Var) else t
-                for t in f.args))
-        if isinstance(f, Top):
-            return f
-        if isinstance(f, Not):
-            return Not(rec(f.sub, env))
-        if isinstance(f, And):
-            return And(tuple(rec(g, env) for g in f.items))
-        if isinstance(f, Or):
-            return Or(tuple(rec(g, env) for g in f.items))
-        if isinstance(f, (Exists, Forall)):
-            outer_free = free_vars(f.body) - set(f.vars)
-            blocked = {env.get(x, x) for x in outer_free}
-            fresh = tuple(itertools.islice(fresh_names("v", blocked), len(f.vars)))
-            env2 = {**env, **dict(zip(f.vars, fresh))}
-            body = rec(f.body, env2)
-            cls = Exists if isinstance(f, Exists) else Forall
-            return cls(fresh, body)
-        raise UnknownFragmentError(f"not a formula: {f!r}")
+    blocks: list = []  # the new names of each block being folded, innermost last
 
-    return rec(phi, {})
+    def enter(f, env):
+        if type(f) is not Exists and type(f) is not Forall:
+            return env
+        blocked = {env.get(x, x) for x in free_vars(f.body) if x not in f.vars}
+        fresh = tuple(itertools.islice(fresh_names("v", blocked), len(f.vars)))
+        blocks.append(fresh)
+        return {**env, **dict(zip(f.vars, fresh))}
+
+    def case(f, env, kids):
+        kind = type(f)
+        if kind is Atom:
+            return Atom(f.rel, tuple(
+                [Var(env.get(t.name, t.name)) if type(t) is Var else t for t in f.args]))
+        if kind is Exists or kind is Forall:
+            return kind(blocks.pop(), kids)
+        return _rebuild(f, env, kids)
+
+    return _fold(phi, case, enter, {})
 
 
 def classify(phi, relativizers=()) -> FragmentReport:

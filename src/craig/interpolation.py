@@ -223,9 +223,9 @@ _VAR_POOL = ("x0", "x1")  # the variables candidates may bind, outermost first
 
 
 def enumerate_shared_formulas(relations: dict, constants: list, max_size: int):
-    """Closed formulas over the given signature, by size then construction
-    order.  Negation is applied to atoms (and top) only; quantifier depth is
-    bounded by the variable pool."""
+    """Closed formulas over the given signature, each once (no (size, scope)
+    list repeats), by size then construction order.  Negation is applied to
+    atoms (and top) only; quantifier depth is bounded by the variable pool."""
     rel_names = sorted(relations)
     consts = sorted(constants)
     memo: dict = {}
@@ -263,12 +263,8 @@ def enumerate_shared_formulas(relations: dict, constants: list, max_size: int):
         memo[key] = out
         return out
 
-    seen: set = set()
     for size in range(1, max_size + 1):
-        for f in build(size, ()):
-            if f not in seen:
-                seen.add(f)
-                yield f
+        yield from build(size, ())
 
 
 _SCREEN_CAP = 300_000  # max structures worth enumerating for the model screen

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 from .formulas import (
     TOP, BOTTOM, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
-    RESERVED_CONSTANT, free_vars,
+    RESERVED_CONSTANT, _fold, free_vars, implies,
 )
 
 # One scan tiles the text: every alternative consumes at least one character
@@ -108,8 +108,7 @@ class _Parser:
         left = self.disjunction(bound)
         if self.peek() == "arrow":
             self.next()
-            right = self.implication(bound)
-            return Not(And((left, Not(right))))
+            return implies(left, self.implication(bound))
         return left
 
     def disjunction(self, bound):
@@ -224,38 +223,31 @@ def parse(text: str, arities: dict | None = None):
     return f
 
 
-_PREC = {"or": 1, "and": 2, "unary": 3}
+# the precedence each connective gives its children: print_formula's fold
+# context (0 at the root)
+_CHILD_PREC = {Not: 3, And: 2, Or: 1, Exists: 0, Forall: 0}
 
 
 def print_formula(phi) -> str:
     """Deterministic text form; ``parse(print_formula(phi))`` equals ``phi``."""
-    return _print(phi, 0)
+    return _fold(phi, _print_node, lambda f, _prec: _CHILD_PREC[type(f)], 0)
 
 
-def _print(f, parent_prec: int) -> str:
-    if isinstance(f, Top):
+def _print_node(f, parent_prec: int, kids) -> str:
+    kind = type(f)
+    if kind is Atom:
+        return f.rel + "(" + ", ".join([t.name for t in f.args]) + ")" if f.args else f.rel
+    if kind is Top:
         return "true"
-    if f == BOTTOM:
-        return "false"
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.rel
-        return f.rel + "(" + ", ".join(t.name for t in f.args) + ")"
-    if isinstance(f, Not):
-        return "!" + _print(f.sub, _PREC["unary"])
-    if isinstance(f, And):
-        s = " & ".join(_print(g, _PREC["and"]) for g in f.items)
-        return f"({s})" if parent_prec >= _PREC["and"] else s
-    if isinstance(f, Or):
-        s = " | ".join(_print(g, _PREC["or"]) for g in f.items)
-        return f"({s})" if parent_prec >= _PREC["or"] else s
-    if isinstance(f, (Exists, Forall)):
-        kw = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{kw} {' '.join(f.vars)}. {_print(f.body, 0)}"
-        # a quantifier swallows everything right of the dot, so any enclosing
-        # operator needs it parenthesized
-        return f"({s})" if parent_prec > 0 else s
-    raise ParseError(f"cannot print {f!r}")
+    if kind is Not:
+        return "false" if type(f.sub) is Top else "!" + kids
+    if kind is And or kind is Or:
+        s = (" & " if kind is And else " | ").join(kids)
+        return f"({s})" if parent_prec >= _CHILD_PREC[kind] else s
+    s = f"{'exists' if kind is Exists else 'forall'} {' '.join(f.vars)}. {kids}"
+    # a quantifier swallows everything right of the dot, so any enclosing
+    # operator needs it parenthesized
+    return f"({s})" if parent_prec > 0 else s
 
 
 @dataclass

@@ -1,17 +1,18 @@
 """Nesting depths the package must handle.
 
 ``craig/__init__.py`` raises the recursion limit at import because the
-parser, ``print_formula`` and ``simplify`` recurse once or twice per nesting
-level, ``to_nnf`` once per ∧/∨/∃/∀ level, and ``==`` between two distinct,
-equal deep trees three times per level.  Each case below that runs in this
-process fails at the default limit of 1,000, so these tests pin what the
-raise buys; a change that makes those walkers iterative and deletes the
-raise must keep them passing.  Hashing does not recurse (every formula node
-computes its hash once, at construction), ``to_nnf`` does not recurse on a
-chain of negations (it flips a polarity instead), and neither compiling a
-substitution nor running it recurses (both are flat loops over an explicit
-stack), nor do ``signature_of`` and ``is_nnf`` (``is_nnf`` reads the memo
-``to_nnf`` leaves on a node, or else walks an explicit stack); the
+parser recurses once or twice per nesting level, ``to_nnf`` once per
+∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees three
+times per level.  Each case below that runs in this process fails at the
+default limit of 1,000, so these tests pin what the raise buys; a change
+that makes those walkers iterative and deletes the raise must keep them
+passing.  Hashing does not recurse (every formula node computes its hash
+once, at construction), ``to_nnf`` does not recurse on a chain of negations
+(it flips a polarity instead), and neither compiling a substitution nor
+running it recurses (both are flat loops over an explicit stack), nor do
+``signature_of`` and ``is_nnf`` (``is_nnf`` reads the memo ``to_nnf`` leaves
+on a node, or else walks an explicit stack), nor ``print_formula``,
+``simplify`` and ``canonical_rename`` (folds over an explicit stack); the
 subprocess cases pin these at the default limit.
 """
 
@@ -152,5 +153,44 @@ while type(h) is And:
     assert h.items[0] is not_q
     h, depth = h.items[1], depth + 1
 assert (depth, h) == (50_000, p)
+print("ok")
+""")
+
+
+def test_printing_and_simplifying_a_negation_chain_do_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Const, Not, simplify
+from craig.parser import print_formula
+p = Atom("P", (Const("a"),))
+f = p
+for _ in range(5_000):
+    f = Not(f)
+assert print_formula(f) == "!" * 5_000 + "P(a)"
+assert simplify(f) == p and simplify(Not(f)) == Not(p)
+print("ok")
+""")
+
+
+def test_folds_over_a_deep_quantifier_nest_do_not_recurse_at_the_default_limit():
+    # texts are compared, not trees: == of two distinct deep trees recurses.
+    # simplify and canonical_rename walk each quantifier's body for its free
+    # variables, so this case costs time quadratic in the depth
+    _run_at_the_default_limit("""
+from craig.formulas import And, Atom, Const, Exists, Var, simplify
+from craig.fragments import canonical_rename
+from craig.parser import print_formula
+
+def nest(x, depth):
+    # exists x. (... & Q(x)), 'depth' quantifiers deep, and its text
+    f, text, q = Atom("Q", (Const("a"),)), "Q(a)", Atom("Q", (Var(x),))
+    for i in range(depth):
+        f = Exists((x,), And((f, q)))
+        text = f"exists {x}. {text if i == 0 else '(' + text + ')'} & Q({x})"
+    return f, text
+
+f, text = nest("x", 3_000)
+assert print_formula(f) == text
+assert print_formula(simplify(f)) == text
+assert print_formula(canonical_rename(f)) == nest("v0", 3_000)[1]
 print("ok")
 """)

@@ -10,13 +10,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from craig.corpus import formula_size
 from craig.errors import FormulaError
 from craig.formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
     abstract_constant, compile_substitution, free_vars, fresh_constant, is_nnf,
     map_atoms, signature_of, simplify, substitute_constant, substitute_constants,
-    to_nnf, walk,
+    to_nnf, variable_names, walk,
 )
+from craig.fragments import canonical_rename
 from craig.models import enumerate_structures, evaluate
 from craig.parser import parse, print_formula
 
@@ -236,13 +238,26 @@ def test_nnf_reuses_the_innermost_negation_of_a_chain():
     assert to_nnf(And((P_C, Not(Not(inner))))).items[1] is inner
 
 
-@pytest.mark.parametrize("junk", ["junk", And((Atom("A"), "junk")),
-                                  Not(Not("junk")), Exists(("x",), "junk")])
+JUNK = ["junk", And((Atom("A"), "junk")), Not(Not("junk")), Exists(("x",), "junk")]
+
+
+@pytest.mark.parametrize("junk", JUNK)
 def test_is_nnf_rejects_a_non_formula_as_to_nnf_does(junk):
     with pytest.raises(FormulaError, match="not a formula: 'junk'"):
         to_nnf(junk)
     with pytest.raises(FormulaError, match="not a formula: 'junk'"):
         is_nnf(junk)
+
+
+@pytest.mark.parametrize("walker", [
+    lambda f: list(walk(f)), variable_names, formula_size, print_formula, simplify,
+    lambda f: map_atoms(f, lambda a, _bound: a), canonical_rename,
+], ids=["walk", "variable_names", "formula_size", "print_formula", "simplify",
+        "map_atoms", "canonical_rename"])
+@pytest.mark.parametrize("junk", JUNK)
+def test_walkers_reject_a_non_formula(walker, junk):
+    with pytest.raises(FormulaError, match="not a formula: 'junk'"):
+        walker(junk)
 
 
 def test_signature_example1_relations(example1):

@@ -244,6 +244,20 @@ def test_enumerate_shared_formulas_canonical_and_closed():
     assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("relations, constants, max_size, count", [
+    ({"P": 0, "A": 1, "R": 2}, ["k"], 6, 43_832),
+    ({"A": 1, "B": 1}, ["a", "b"], 6, 35_638),
+    ({"R": 2}, [], 7, 16_362),
+    ({"Q": 0}, ["x0"], 7, 9_212),
+])
+def test_enumerate_shared_formulas_yields_no_repeats(relations, constants, max_size, count):
+    # the enumeration keeps no set of what it yielded: a formula's size
+    # follows from its structure, and no (size, scope) list repeats
+    seen = list(enumerate_shared_formulas(relations, constants, max_size))
+    assert len(seen) == count
+    assert len(set(seen)) == count
+
+
 def test_search_finds_verified_interpolant(example1):
     phi, psi, _, _ = example1
     theta = search_interpolant(phi, psi, 8, 10_000)
