@@ -7,11 +7,11 @@ from __future__ import annotations
 import sys
 
 # The parser recurses once or twice per nesting level, to_nnf once or twice
-# per ∧/∨/∃/∀ level, and == between two distinct, equal trees three times.
-# At the default limit of 1,000, craig_interpolant on the implication chain
-# of length 500 raises RecursionError (in to_nnf of its raw interpolant,
-# during verification); parse stops at about 985 nested negations and 164
-# nested parentheses (19,985 and 3,330), and == at 332.  Hashing (done at
+# per ∧/∨/∃/∀ level, and == between two distinct, equal trees twice.  At the
+# default limit of 1,000, craig_interpolant on the implication chain of
+# length 500 raises RecursionError (in to_nnf of its raw interpolant, during
+# verification); parse stops at about 983 nested negations and 163 nested
+# parentheses (19,983 and 3,330), and == at 498.  Hashing (done at
 # construction), to_nnf on a negation chain or a node it has seen, and the
 # other walkers of formulas.py, print_formula and canonical_rename run flat.
 # tests/test_deep_nesting.py pins depths that only the raise makes reachable:

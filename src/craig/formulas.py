@@ -5,7 +5,8 @@ to variables and constants, the connectives are top, conjunction,
 disjunction, negation and (multi-variable) quantifier blocks, and falsity is
 encoded as ``Not(Top)``.  Everything is immutable and hashable; each formula
 node's hash is computed once, at construction, so hashing never re-walks a
-subtree.
+subtree, and terms are interned, so a term's hash and ``==`` are identity
+operations.
 """
 
 from __future__ import annotations
@@ -13,26 +14,65 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 from .errors import FormulaError
 
+_set = object.__setattr__
+_new = object.__new__
+_INTERNING = threading.Lock()
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+
+class _Term:
+    """Base of the terms: one object per class and name.
+
+    ``Var(name)`` and ``Const(name)`` return the one live term of that class
+    and name, kept in the class's weak table, so equal terms are the same
+    object and ``hash`` and ``==`` are the C-level identity operations; a
+    term no formula holds any more leaves the table.  A new term is made
+    under a lock, so two threads never make two terms of one name.  Terms
+    are immutable (assignment raises FrozenInstanceError), and pickling goes
+    through the constructor, so a loaded term is the loading process's
+    interned one.
+    """
+
+    __slots__ = ("name", "__weakref__")
+
+    def __new__(cls, name):
+        term = cls._interned.get(name)
+        if term is None:
+            with _INTERNING:
+                term = cls._interned.get(name)
+                if term is None:
+                    term = _new(cls)
+                    _set(term, "name", name)
+                    cls._interned[name] = term
+        return term
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.name,)
 
     def __repr__(self):
-        return f"Var({self.name})"
+        return f"{self.__class__.__name__}({self.name})"
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Var(_Term):
+    __slots__ = ()
+    _interned = weakref.WeakValueDictionary()
 
-    def __repr__(self):
-        return f"Const({self.name})"
+
+class Const(_Term):
+    __slots__ = ()
+    _interned = weakref.WeakValueDictionary()
 
 
 Term = Var | Const
@@ -44,12 +84,14 @@ class _Node:
     Each node's ``__init__`` checks its fields, sets them and stores
     ``_h = hash(self._fields())``, written out inline (``Substitution.run``
     sets the same fields and hash without the checks); a formula child holds
-    its own cached hash, so ``hash()`` is O(1) and never recurses, and its
-    value is the one the dataclass-generated ``__hash__`` would compute.
-    ``==`` is True at once on identity, False at once on differing hashes,
-    and compares fields only otherwise (recursing only into distinct, equal
-    subtrees).  Unpickling rebuilds a node through its constructor, so a
-    cached hash never outlives its process.
+    its own cached hash, so ``hash()`` is O(1) and never recurses.  Each
+    class has its own ``==``, assigned after the classes below (an
+    ``__eq__`` in a class body would unset the inherited ``__hash__``): True
+    at once on identity, NotImplemented across classes, False at once on
+    differing hashes, and otherwise a direct comparison of that class's
+    fields (recursing only into distinct, equal subtrees); this base's is
+    Top's, which has no fields.  Unpickling rebuilds a node through its
+    constructor, so a cached hash never outlives its process.
 
     ``_nnf_form`` is unset until to_nnf has seen the node; then it holds the
     node's NNF, or None when the node is its own NNF (storing the node
@@ -63,11 +105,9 @@ class _Node:
         return self._h
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._h == other._h and self._fields() == other._fields()
+        return True
 
     def __reduce__(self):
         return self.__class__, self._fields()
@@ -80,8 +120,6 @@ class _Node:
 # the hand-written __init__ sets each field once and hashes without a
 # __post_init__ call, since node construction is on the prover's hot path.
 _node = dataclass(frozen=True, eq=False, slots=True, init=False)
-_set = object.__setattr__
-_new = object.__new__
 
 
 @_node
@@ -165,6 +203,42 @@ class Forall(_Node):
         _set(self, "body", body)
         _set(self, "_h", hash((vars, body)))
 
+
+def _atom_eq(a, b):
+    if a is b:
+        return True
+    if b.__class__ is not Atom:
+        return NotImplemented
+    return a._h == b._h and a.rel == b.rel and a.args == b.args
+
+
+def _not_eq(a, b):
+    if a is b:
+        return True
+    if b.__class__ is not Not:
+        return NotImplemented
+    return a._h == b._h and a.sub == b.sub
+
+
+def _items_eq(a, b):  # And and Or
+    if a is b:
+        return True
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return a._h == b._h and a.items == b.items
+
+
+def _block_eq(a, b):  # Exists and Forall
+    if a is b:
+        return True
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return a._h == b._h and a.vars == b.vars and a.body == b.body
+
+
+Atom.__eq__, Not.__eq__ = _atom_eq, _not_eq
+And.__eq__ = Or.__eq__ = _items_eq
+Exists.__eq__ = Forall.__eq__ = _block_eq
 
 Formula = Atom | Top | And | Or | Not | Exists | Forall
 
@@ -261,6 +335,8 @@ def signature_of(*phis) -> SignatureReport:
     FormulaError.  Iterative, with exact type dispatch as in map_atoms, and
     a negation flips the polarity in place, with no stack entry: nesting
     depth is not bounded by the recursion limit.
+    simplify and canonical_rename carry each node's free variables up their
+    folds instead, through _free_names.
     """
     arities: dict = {}
     constants: dict = {}
@@ -620,25 +696,69 @@ def fresh_constant(avoid: Iterable) -> str:
     return next(fresh_names("c", set(avoid)))
 
 
-def _simplify_node(f, _ctx, kids):
+# a term's name, and isinstance(t, Var), as C callables for map and filter
+_NAME = operator.attrgetter("name")
+_IS_VAR = Var.__instancecheck__
+
+
+def _free_names(f, found, kids):
+    """The fold case whose value is the frozenset of the variable names free
+    in the node: one pass, linear in the formula's size.  With a dict as the
+    context, each quantifier node's value is also kept there under the
+    node's id."""
     kind = type(f)
-    if kind is Atom or kind is Top:
-        return f
+    if kind is Atom:
+        return frozenset(map(_NAME, filter(_IS_VAR, f.args)))
     if kind is Not:
-        return kids.sub if type(kids) is Not else Not(kids)
+        return kids
+    if kind is And or kind is Or:
+        return _NO_NAMES.union(*kids)
+    if kind is Top:
+        return _NO_NAMES
+    names = kids.difference(f.vars)
+    if found is not None:
+        found[id(f)] = names
+    return names
+
+
+def _simplify_node(f, _ctx, kids):
+    # a node's value: (its simplified form, the names free in that form); a
+    # node that simplification leaves as it was is kept, not rebuilt, and no
+    # empty name set is made
+    kind = type(f)
+    if kind is Atom:
+        for t in f.args:
+            if type(t) is Var:
+                return f, frozenset(map(_NAME, filter(_IS_VAR, f.args)))
+        return f, _NO_NAMES
+    if kind is Not:
+        g, free = kids
+        if type(g) is Not:
+            return g.sub, free
+        return (f if g is f.sub else Not(g)), free
     if kind is And or kind is Or:
         unit, absorb = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
         kept = []
-        for g in kids:
+        free = _NO_NAMES
+        for g, names in kids:
             for h in (g.items if type(g) is kind else (g,)):
                 if h == absorb:
-                    return absorb
+                    return absorb, _NO_NAMES
                 if h != unit and h not in kept:
                     kept.append(h)
-        return conj(kept) if kind is And else disj(kept)
-    fv = free_vars(kids)
-    kept = tuple(v for v in f.vars if v in fv)
-    return kind(kept, kids) if kept else kids
+            if names:
+                free = free | names if free else names
+        if len(kept) == len(f.items) and all(map(operator.is_, kept, f.items)):
+            return f, free
+        return (conj(kept) if kind is And else disj(kept)), free
+    if kind is Top:
+        return f, _NO_NAMES
+    body, free = kids
+    kept = tuple(filter(free.__contains__, f.vars))
+    free = free.difference(f.vars)
+    if body is f.body and len(kept) == len(f.vars):
+        return f, free
+    return (kind(kept, body) if kept else body), free
 
 
 def simplify(phi) -> object:
@@ -646,5 +766,6 @@ def simplify(phi) -> object:
     quantifier variables.  Equivalence-preserving (domains are non-empty).
     Used by the CLI --simplify flag, explicit_definition,
     robinson_separator, monotone_rewrite and the theory interpolants;
-    craig_interpolant returns its interpolant unsimplified."""
-    return _fold(phi, _simplify_node)
+    craig_interpolant returns its interpolant unsimplified.  Free variables
+    are carried up the fold, so the cost is linear in phi's size."""
+    return _fold(phi, _simplify_node)[0]

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
 from .formulas import (
-    And, Atom, Exists, Forall, Not, Or, Var, _fold, _rebuild, free_vars, fresh_names,
-    to_nnf, variable_names, walk,
+    And, Atom, Exists, Forall, Not, Or, Var, _fold, _free_names, _rebuild, free_vars,
+    fresh_names, to_nnf, variable_names, walk,
 )
 
 HAS = "has"
@@ -164,14 +164,17 @@ def canonical_rename(phi):
     """Greedily rename bound variables to a minimal pool (v0, v1, ...).
 
     A pool name is reusable under a binder unless an outer variable mapped to
-    it occurs free in the binder's body.
+    it occurs free in the binder's body.  A first fold collects each
+    binder's free variables, so the cost is linear in phi's size.
     """
+    free: dict = {}  # id of each quantifier node -> the names free in it
+    _fold(phi, _free_names, None, free)
     blocks: list = []  # the new names of each block being folded, innermost last
 
     def enter(f, env):
         if type(f) is not Exists and type(f) is not Forall:
             return env
-        blocked = {env.get(x, x) for x in free_vars(f.body) if x not in f.vars}
+        blocked = {env.get(x, x) for x in free[id(f)]}
         fresh = tuple(itertools.islice(fresh_names("v", blocked), len(f.vars)))
         blocks.append(fresh)
         return {**env, **dict(zip(f.vars, fresh))}

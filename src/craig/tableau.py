@@ -31,8 +31,8 @@ application.  Each ∀ instance comes from its formula's substitution program
 (``formulas.compile_substitution``), compiled once per proof, at the
 formula's first instantiation, and shared by every branch: an instance
 rebuilds only the path from the body's root to the variable's occurrences
-and reuses every other subtree, and all instances share one ``Const`` per
-constant name.
+and reuses every other subtree; terms are interned, so all instances share
+one ``Const`` per constant name.
 
 Constants.  The ∀ rule tries a branch's constants oldest first.  Only inputs
 and ∃ instances bring new ones: the inputs' constants join first, in order of
@@ -45,13 +45,17 @@ Search state.  One mutable branch state serves the whole depth-first
 search.  A split creates every child node at once, in disjunct order, leaves
 a choice point (trail mark, child node, disjunct) for each child after the
 first, and goes straight on into the first.  While a choice point is open,
-every change to the branch state logs its inverse on an undo trail; when a
-branch closes, the latest choice point is popped, the trail is undone down to
-its mark and the next child is entered.  Nothing before the lowest open
-choice point is ever undone, so the trail is None, and nothing is logged,
-until the first split and again once the last pending child is entered.
-Search order, node ids and fresh constants are those of a search that
-copied the branch at every split.
+every change to the branch state logs its inverse on an undo trail, a flat
+list on which each entry is the inverse's arguments followed by an int
+opcode; when a branch closes, the latest choice point is popped, the trail
+is undone down to its mark and the next child is entered.  Nothing before
+the lowest open choice point is ever undone, so the trail is None, and
+nothing is logged, until the first split and again once the last pending
+child is entered.  Search order, node ids and fresh constants are those of a
+search that copied the branch at every split.  No part of the proof state
+refers back to what holds it (a node names its children, not its parent,
+and no trail entry names the branch state), so a finished proof is freed by
+reference counting alone, without the cyclic collector.
 
 The budget counts rule applications: one per ∧, ∀ or ∃ step that adds a
 node, one per closure, and one per split, however many children the split
@@ -75,7 +79,7 @@ from .formulas import (
 from .models import Structure, evaluate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSentence:
     formula: object
     label: str  # "L" or "R"
@@ -94,43 +98,42 @@ def labeled(left, right) -> list:
 
 # ---------------------------------------------------------------- rules
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conj:
     premise: LabeledSentence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disj:
     premise: LabeledSentence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsRule:
     premise: LabeledSentence
     constants: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallRule:
     premise: LabeledSentence
     constant: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Closure:
     """Evidence is ("bottom", ls) or ("clash", positive_ls, negative_ls)."""
     evidence: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
-    parent: "Node | None"
     introduced: tuple  # of LabeledSentence
     rule: object
     children: list = field(default_factory=list)
@@ -190,7 +193,7 @@ Outcome = Closed | Satisfiable | Unknown
 
 # ---------------------------------------------------------------- agenda items
 
-@dataclass(eq=False)  # compared by identity: alpha.index finds this very item
+@dataclass(eq=False, slots=True)  # compared by identity: alpha.index finds this very item
 class _AlphaItem:
     ls: LabeledSentence
     kind: str  # "and" | "forall"
@@ -200,20 +203,31 @@ class _AlphaItem:
 _OPEN, _CLOSING, _DEAD = 0, 1, 2
 
 
-@dataclass
+@dataclass(slots=True)
 class _BetaItem:
     ls: LabeledSentence
     state: int = _OPEN
+
+
+# undo-trail opcodes; an entry is the inverse's arguments, then its opcode:
+# (seq, _POP) undoes an append, (queue, x, _APPENDLEFT) a popleft, (container,
+# key, _DELITEM) an insertion, (container, key, value, _SETITEM) a removal,
+# (obj, name, value, _SETATTR) an agenda item's assignment, (name, value,
+# _RESTORE) one of the branch state's own and (k, _ROTATE) alpha's rotate(-k)
+_POP, _APPENDLEFT, _DELITEM, _SETITEM, _SETATTR, _RESTORE, _ROTATE = range(7)
 
 
 class _BranchState:
     """Search state of the branch being expanded, shared by every branch.
 
     ``choices`` holds the open choice points (trail mark, child node,
-    disjunct), the latest on top.  While one is open, every mutation appends
-    its inverse to ``trail`` as a callable followed by its arguments;
-    ``undo_to(mark)`` replays them newest first.  With no choice point open
-    ``trail`` is None and nothing is logged.
+    disjunct), the latest on top.  While one is open, every mutation pushes
+    its inverse onto ``trail``, a flat list: the inverse's arguments, then
+    its opcode.  ``undo_to(mark)`` pops an opcode, then its arguments, and
+    applies the inverse, newest first, until the trail is back to ``mark``
+    entries.  No entry names the branch state itself (its own attributes are
+    restored by name), so the trail makes no reference cycle.  With no choice
+    point open ``trail`` is None and nothing is logged.
     """
 
     __slots__ = ("node", "formulas", "constants", "alpha", "ready",
@@ -265,25 +279,51 @@ class _BranchState:
 
     def undo_to(self, mark: int):
         trail = self.trail
+        pop = trail.pop
         while len(trail) > mark:
-            undo, *args = trail.pop()
-            undo(*args)
+            op = pop()
+            if op == _POP:
+                pop().pop()
+            elif op == _APPENDLEFT:
+                x = pop()
+                pop().appendleft(x)
+            elif op == _DELITEM:
+                key = pop()
+                del pop()[key]
+            elif op == _SETATTR:
+                value, name = pop(), pop()
+                setattr(pop(), name, value)
+            elif op == _SETITEM:
+                value, key = pop(), pop()
+                pop()[key] = value
+            elif op == _RESTORE:
+                value = pop()
+                setattr(self, pop(), value)
+            else:
+                self.alpha.rotate(pop())
 
     def assign(self, obj, name: str, value):
+        """Set an agenda item's attribute."""
         if self.trail is not None:
-            self.trail.append((setattr, obj, name, getattr(obj, name)))
+            self.trail += (obj, name, getattr(obj, name), _SETATTR)
         setattr(obj, name, value)
+
+    def assign_own(self, name: str, value):
+        """Set one of the branch state's own attributes."""
+        if self.trail is not None:
+            self.trail += (name, getattr(self, name), _RESTORE)
+        setattr(self, name, value)
 
     def push(self, seq, x):
         """Append x to a list or deque."""
         seq.append(x)
         if self.trail is not None:
-            self.trail.append((seq.pop,))
+            self.trail += (seq, _POP)
 
     def popleft(self, queue: deque):
         x = queue.popleft()
         if self.trail is not None:
-            self.trail.append((queue.appendleft, x))
+            self.trail += (queue, x, _APPENDLEFT)
         return x
 
     # -- sentence introduction ------------------------------------------
@@ -302,22 +342,22 @@ class _BranchState:
         trail, promote = self.trail, self.promote
         formulas[f] = ls
         if trail is not None:
-            trail.append((formulas.__delitem__, f))
+            trail += (formulas, f, _DELITEM)
         kind = type(f)  # exact types: one dispatch per sentence (inputs are NNF)
         if kind is Atom or kind is Not:
             if self.evidence is None:
                 if kind is Not and type(f.sub) is Top:
-                    self.assign(self, "evidence", ("bottom", ls))
+                    self.assign_own("evidence", ("bottom", ls))
                 else:
                     partner = formulas.get(Not(f) if kind is Atom else f.sub)
                     if partner is not None:
                         pair = (ls, partner) if kind is Atom else (partner, ls)
-                        self.assign(self, "evidence", ("clash", *pair))
+                        self.assign_own("evidence", ("clash", *pair))
             # promotion: this literal may be the clash partner some disjunct waits for
             waiting = promote.pop(f, None) if promote else None
             if waiting is not None:
                 if trail is not None:
-                    trail.append((promote.__setitem__, f, waiting))
+                    trail += (promote, f, waiting, _SETITEM)
                 for item in waiting:
                     if item.state == _OPEN:
                         self.assign(item, "state", _CLOSING)
@@ -343,7 +383,7 @@ class _BranchState:
                 else:
                     promote[comp] = [item]
                     if trail is not None:
-                        trail.append((promote.__delitem__, comp))
+                        trail += (promote, comp, _DELITEM)
             self.push(self.beta_closing if item.state == _CLOSING else self.beta_open, item)
         elif kind is Exists:
             self.push(self.exists_queues[origin], ls)
@@ -362,7 +402,7 @@ class _BranchState:
         all of alpha becomes ready."""
         for c in names:
             self.push(self.constants, c)
-        self.assign(self, "ready", deque(self.alpha))
+        self.assign_own("ready", deque(self.alpha))
 
     # -- agenda ----------------------------------------------------------
 
@@ -385,7 +425,7 @@ class _BranchState:
         if k:
             alpha.rotate(-k)
             if self.trail is not None:
-                self.trail.append((alpha.rotate, k))
+                self.trail += (k, _ROTATE)
         return self.popleft(alpha)
 
     def _pop_beta(self, queue: deque, want: int):
@@ -423,19 +463,15 @@ class _Prover:
         # ∀ formula -> the compiled substitution of its first block variable;
         # a cache for this proof, shared by every branch, so never on the trail
         self.programs: dict = {}
-        # constant name -> its one (Const,) argument tuple for ∀ instances; a
-        # cache for this proof, so the instances' atoms share their Consts
-        self.const_args: dict = {}
 
-    def new_node(self, parent, introduced, rule) -> Node:
-        node = Node(self.next_id, parent, tuple(introduced), rule)
+    def new_node(self, parent: Node, introduced, rule) -> Node:
+        node = Node(self.next_id, tuple(introduced), rule)
         self.next_id += 1
-        if parent is not None:
-            parent.children.append(node)
+        parent.children.append(node)
         return node
 
     def run(self):
-        root = Node(self.next_id, None, self.inputs, Root())
+        root = Node(self.next_id, self.inputs, Root())
         self.next_id += 1
         branch = _BranchState()
         branch.node = root
@@ -513,10 +549,7 @@ class _Prover:
         program = self.programs.get(f)
         if program is None:
             program = self.programs[f] = compile_substitution(f.body, f.vars[:1])
-        args = self.const_args.get(c)
-        if args is None:
-            args = self.const_args[c] = (Const(c),)
-        peeled = _instantiate_first(f, args, program)
+        peeled = _instantiate_first(f, (Const(c),), program)
         if peeled not in branch.formulas:
             gls = LabeledSentence(peeled, ls.label)
             self.applications += 1
@@ -536,13 +569,10 @@ class _Prover:
         branch.split(children)
 
     def saturate(self, branch: _BranchState):
+        """The model of a saturated branch.  saturated_branch_model checks it
+        on every branch sentence, and the inputs are all on the branch."""
         model_branch = Branch(tuple(branch.formulas.values()), tuple(branch.constants))
-        structure = saturated_branch_model(model_branch)
-        for ls in self.inputs:
-            if not evaluate(structure, ls.formula):
-                raise FormulaError(
-                    "internal error: extracted model fails an input sentence")
-        return Satisfiable(structure, model_branch)
+        return Satisfiable(saturated_branch_model(model_branch), model_branch)
 
 
 def prove(inputs, budget: int):

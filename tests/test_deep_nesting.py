@@ -2,18 +2,19 @@
 
 ``craig/__init__.py`` raises the recursion limit at import because the
 parser recurses once or twice per nesting level, ``to_nnf`` once per
-∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees three
-times per level.  Each case below that runs in this process fails at the
-default limit of 1,000, so these tests pin what the raise buys; a change
-that makes those walkers iterative and deletes the raise must keep them
-passing.  Hashing does not recurse (every formula node computes its hash
-once, at construction), ``to_nnf`` does not recurse on a chain of negations
-(it flips a polarity instead), and neither compiling a substitution nor
-running it recurses (both are flat loops over an explicit stack), nor do
-``signature_of`` and ``is_nnf`` (``is_nnf`` reads the memo ``to_nnf`` leaves
-on a node, or else walks an explicit stack), nor ``print_formula``,
-``simplify`` and ``canonical_rename`` (folds over an explicit stack); the
-subprocess cases pin these at the default limit.
+∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees twice per
+level (a comparison and the node class's own ``__eq__``).  Each case below
+that runs in this process fails at the default limit of 1,000, so these
+tests pin what the raise buys; a change that makes those walkers iterative
+and deletes the raise must keep them passing.  Hashing does not recurse
+(every formula node computes its hash once, at construction), ``to_nnf``
+does not recurse on a chain of negations (it flips a polarity instead), and
+neither compiling a substitution nor running it recurses (both are flat
+loops over an explicit stack), nor do ``signature_of`` and ``is_nnf``
+(``is_nnf`` reads the memo ``to_nnf`` leaves on a node, or else walks an
+explicit stack), nor ``print_formula``, ``simplify`` and
+``canonical_rename`` (folds over an explicit stack); the subprocess cases
+pin these at the default limit.
 """
 
 from __future__ import annotations
@@ -171,10 +172,25 @@ print("ok")
 """)
 
 
+def test_equality_of_450_deep_negation_chains_at_the_default_limit():
+    # two distinct, equal chains: == recurses once per level, two frames each
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Const, Not
+def chain(depth):
+    f = Atom("P", (Const("a"),))
+    for _ in range(depth):
+        f = Not(f)
+    return f
+f, g = chain(450), chain(450)
+assert f is not g and f == g and not (f != g) and f != chain(449)
+print("ok")
+""")
+
+
 def test_folds_over_a_deep_quantifier_nest_do_not_recurse_at_the_default_limit():
     # texts are compared, not trees: == of two distinct deep trees recurses.
-    # simplify and canonical_rename walk each quantifier's body for its free
-    # variables, so this case costs time quadratic in the depth
+    # simplify and canonical_rename carry free variables up their folds, so
+    # this case costs time linear in the depth
     _run_at_the_default_limit("""
 from craig.formulas import And, Atom, Const, Exists, Var, simplify
 from craig.fragments import canonical_rename

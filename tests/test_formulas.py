@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import copy as copy_module
+import gc
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
+import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,3 +546,100 @@ def test_a_pickled_formula_is_rehashed_where_it_is_loaded(tmp_path):
             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_terms_are_interned_and_immutable():
+    a, x = Const("a"), Var("x")
+    assert Const("a") is a and Var("x") is x
+    assert Var("x") != Const("x") and Var("a") is not a
+    assert (repr(a), repr(x)) == ("Const(a)", "Var(x)")
+    with pytest.raises(FrozenInstanceError):
+        a.name = "b"
+    with pytest.raises(FrozenInstanceError):
+        del x.name
+    assert (a.name, x.name) == ("a", "x")
+    assert copy_module.copy(a) is a and copy_module.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(a)) is a
+    f = Atom("P", (a, x))
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.args[0] is a and g.args[1] is x
+
+
+def test_an_unreferenced_term_leaves_the_table():
+    name = "term-held-by-nothing"
+    f = Atom("P", (Const(name),))
+    assert Const(name) is f.args[0] and name in Const._interned
+    del f
+    gc.collect()
+    assert name not in Const._interned
+    assert Const(name).name == name  # made afresh
+
+
+def test_a_term_pickled_in_another_process_is_interned_where_it_is_loaded(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    dumped = tmp_path / "terms.pickle"
+    dump = ("import pickle, sys; from craig.formulas import Atom, Const, Var\n"
+            "pickle.dump([Const('a'), Var('x'), Atom('P', (Const('a'), Var('x')))],"
+            " open(sys.argv[1], 'wb'))")
+    load = ("import pickle, sys; from craig.formulas import Atom, Const, Var\n"
+            "a, x = Const('a'), Var('x')\n"
+            "la, lx, atom = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "assert la is a and lx is x and atom.args[0] is a and atom.args[1] is x\n"
+            "assert atom == Atom('P', (a, x)) and hash(atom) == hash(Atom('P', (a, x)))\n"
+            "print('ok')\n")
+    for code in (dump, load):
+        proc = subprocess.run([sys.executable, "-c", code, str(dumped)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_each_node_class_compares_its_own_fields():
+    a, b, x = Const("a"), Const("b"), Var("x")
+    p, q = Atom("P", (a,)), Atom("P", (b,))
+    pairs = [
+        (Atom("P", (a,)), p, True), (p, q, False), (p, Atom("Q", (a,)), False),
+        (Not(Atom("P", (a,))), Not(p), True), (Not(p), Not(q), False),
+        (And((p, q)), And((Atom("P", (a,)), q)), True), (And((p, q)), And((q, p)), False),
+        (And((p, q)), Or((p, q)), False), (Or((p, q)), Or((p, Atom("P", (b,)))), True),
+        (Exists(("x",), Atom("P", (x,))), Exists(("x",), Atom("P", (x,))), True),
+        (Exists(("x",), Atom("P", (x,))), Forall(("x",), Atom("P", (x,))), False),
+        (Exists(("x",), p), Exists(("y",), p), False), (Top(), TOP, True), (TOP, p, False),
+        (BOTTOM, Not(Top()), True), (BOTTOM, TOP, False),
+    ]
+    for f, g, same in pairs:
+        assert (f == g, g == f, f != g) == (same, same, not same), (f, g)
+        if same:
+            assert hash(f) == hash(g)
+        else:  # with the cached hashes forced equal, the fields still decide
+            forged = copy_module.copy(g)
+            object.__setattr__(forged, "_h", hash(f))
+            assert f != forged and forged != f, (f, g)
+    assert p != "P(a)" and (p == object()) is False
+
+
+def test_threads_interning_the_same_names_get_the_same_terms():
+    # every thread makes the same fresh names, in its own order, with a short
+    # switch interval; a term made twice for one name would be seen as two
+    names = [f"race{i}" for i in range(3_000)]
+    results: list = [None] * 8
+
+    def make(k):
+        order = names[k:] + names[:k]
+        results[k] = {n: (Const(n), Var(n)) for n in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n in names:
+        first = results[0][n]
+        assert all(r[n][0] is first[0] and r[n][1] is first[1] for r in results)

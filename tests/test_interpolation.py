@@ -23,7 +23,19 @@ from craig.tableau import Closed, LabeledSentence, prove
 from craig.theory import strong_interpolant, weak_interpolant
 
 
-def side_sentences(node, label: str) -> list:
+def parent_map(tableau) -> dict:
+    """Node id -> parent node (None for the root), read off ``children``."""
+    parents = {tableau.root.id: None}
+    stack = [tableau.root]
+    while stack:
+        node = stack.pop()
+        for ch in node.children:
+            parents[ch.id] = node
+        stack.extend(node.children)
+    return parents
+
+
+def side_sentences(node, label: str, parents: dict) -> list:
     """Sentences with the given label introduced at the node or above it."""
     out = []
     n = node
@@ -31,7 +43,7 @@ def side_sentences(node, label: str) -> list:
         for ls in n.introduced:
             if ls.label == label:
                 out.append(ls.formula)
-        n = n.parent
+        n = parents[n.id]
     out.reverse()
     return out
 
@@ -52,9 +64,10 @@ def test_fig2_propagation_cases(fig2_inputs):
     assert print_formula(by_node[leaves[0].id]) == "A(c0)"
     assert print_formula(by_node[leaves[1].id]) == "!B(c0)"
     # the or-node combines with ∧ (R-labeled premise)
-    or_parent = leaves[0].parent
+    parents = parent_map(tableau)
+    or_parent = parents[leaves[0].id]
     while len(or_parent.children) < 2:
-        or_parent = or_parent.parent
+        or_parent = parents[or_parent.id]
     assert print_formula(by_node[or_parent.id]) == "A(c0) & !B(c0)"
     assert print_formula(annotated.root_interpolant()) == "exists x0. A(x0) & !B(x0)"
 
@@ -83,10 +96,11 @@ def test_fig2_per_node_invariant(fig2_inputs):
             collect(ch)
 
     collect(tableau.root)
+    parents = parent_map(tableau)
     for node in nodes:
         theta = annotated.interpolants[node.id]
-        chi_l = side_sentences(node, "L")
-        chi_r = side_sentences(node, "R")
+        chi_l = side_sentences(node, "L", parents)
+        chi_r = side_sentences(node, "R", parents)
         sig = signature_of(*(chi_l + chi_r + [theta]))
         for n in (1, 2, 3):
             for A in enumerate_structures(sig, n):
@@ -331,10 +345,11 @@ def test_per_node_invariant_on_corpus_sample():
             node = stack.pop()
             nodes.append(node)
             stack.extend(node.children)
+        parents = parent_map(outcome.tableau)
         for node in nodes:
             theta = annotated.interpolants[node.id]
-            chi_l = side_sentences(node, "L")
-            chi_r = side_sentences(node, "R")
+            chi_l = side_sentences(node, "L", parents)
+            chi_r = side_sentences(node, "R", parents)
             sig = signature_of(*(chi_l + chi_r + [theta]))
             for n in (1, 2):
                 for A in enumerate_structures(sig, n):
