@@ -7,13 +7,15 @@ from __future__ import annotations
 import sys
 
 # The parser recurses once or twice per nesting level, to_nnf once or twice
-# per ∧/∨/∃/∀ level, and == between two distinct, equal trees twice.  At the
-# default limit of 1,000, craig_interpolant on the implication chain of
-# length 500 raises RecursionError (in to_nnf of its raw interpolant, during
-# verification); parse stops at about 983 nested negations and 163 nested
-# parentheses (19,983 and 3,330), and == at 498.  Hashing (done at
+# per ∧/∨/∃/∀ level, evaluate and models._compile (and the closures it
+# builds) once per level, and == between two distinct, equal trees twice.
+# At the default limit of 1,000, craig_interpolant on the implication chain
+# of length 500 raises RecursionError (in to_nnf of its raw interpolant,
+# during verification); parse stops at about 983 nested negations and 163
+# nested parentheses (19,983 and 3,330), and == at 498.  Hashing (done at
 # construction), to_nnf on a negation chain or a node it has seen, and the
-# other walkers of formulas.py, print_formula and canonical_rename run flat.
+# other walkers of formulas.py, print_formula, canonical_rename, bind_patt
+# and classify (all but its one to_nnf) run flat.
 # tests/test_deep_nesting.py pins depths that only the raise makes reachable:
 # each of its in-process cases fails without it.
 if sys.getrecursionlimit() < 20000:

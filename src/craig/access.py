@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import FormulaError, MissingSymbolError
 from .formulas import (
-    And, Atom, Const, Exists, Forall, Not, Top, free_vars, signature_of,
+    And, Atom, Const, Forall, Not, Or, Top, _fold, free_vars, signature_of,
 )
 from .models import Structure, _eval, _trusted_structure, evaluate, substructure
 
@@ -65,46 +65,47 @@ class BindPattResult:
 
 
 def bind_patt(phi) -> BindPattResult:
-    """Access methods the formula's shape requires; undefined off the table."""
-    methods = _bind_patt(phi)
+    """Access methods the formula's shape requires; undefined off the table.
+    One fold, linear in phi's size; a non-formula anywhere in phi raises
+    FormulaError."""
+    methods = _fold(phi, _bind_patt, None, {})
     if methods is None:
         return BindPattResult(False, None)
-    return BindPattResult(True, frozenset(methods))
+    return BindPattResult(True, methods)
 
 
-def _bind_patt(f):
-    if isinstance(f, Top):
-        return set()
-    if isinstance(f, Atom):
-        return {AccessMethod(f.rel, frozenset(range(1, len(f.args) + 1)))}
-    if isinstance(f, And):
-        out = set()
-        for g in f.items:
-            sub = _bind_patt(g)
-            if sub is None:
-                return None
-            out |= sub
-        return out
-    if isinstance(f, Not):
-        return _bind_patt(f.sub)
-    if isinstance(f, Exists):
-        body = f.body
-        if not isinstance(body, And) or not isinstance(body.items[0], Atom):
-            return None
-        binding = body.items[0]
-        rest = body.items[1:]
-        sub = _bind_patt(rest[0] if len(rest) == 1 else And(rest))
-        if sub is None:
-            return None
-        positions = frozenset(
-            i + 1 for i, t in enumerate(binding.args)
-            if isinstance(t, Const) or t.name not in f.vars)
-        return sub | {AccessMethod(binding.rel, positions)}
-    if isinstance(f, Forall):
+def _bind_patt(f, rests, kids):
+    # the fold case: a node's value is the frozenset of methods its shape
+    # requires, or None where undefined.  rests maps the id of each ∧ whose
+    # first item is an atom (a quantifier's binding atom) to the value of
+    # its other items, which is what that quantifier needs of its body
+    kind = type(f)
+    if kind is Top:
+        return frozenset()
+    if kind is Atom:
+        return frozenset({AccessMethod(f.rel, frozenset(range(1, len(f.args) + 1)))})
+    if kind is Not:
+        return kids
+    if kind is Or:
+        return None
+    if kind is And:
+        rest = None if None in kids[1:] else frozenset().union(*kids[1:])
+        if type(f.items[0]) is Atom:
+            rests[id(f)] = rest
+        return None if rest is None or kids[0] is None else kids[0] | rest
+    body = f.body
+    if kind is Forall:
         # ∀x⃗ δ is read as ¬∃x⃗ ¬δ on the literal tree
-        inner = f.body.sub if isinstance(f.body, Not) else Not(f.body)
-        return _bind_patt(Exists(f.vars, inner))
-    return None
+        body = body.sub if type(body) is Not else None
+    if type(body) is not And or type(body.items[0]) is not Atom:
+        return None
+    rest = rests[id(body)]
+    if rest is None:
+        return None
+    binding = body.items[0]
+    positions = frozenset(
+        i + 1 for i, t in enumerate(binding.args) if type(t) is Const or t.name not in f.vars)
+    return rest | {AccessMethod(binding.rel, positions)}
 
 
 def is_bounded(phi, methods) -> bool:

@@ -17,6 +17,12 @@ Membership checks are purely syntactic (guardedness reads the NNF):
 The report's CIP column gives the table status for each fragment the formula
 belongs to and "not-applicable" for the rest (the forward/fluted fragments
 carry no membership check at all, so they are always "not-applicable" there).
+
+Every flag comes from a fold (``formulas._fold``) whose values are free
+names: one over the surface tree for quantifier-free, relativized,
+unary-negation and guarded-negation, one over the NNF for guarded, and
+canonical_rename's for two-variable.  So classify is linear in the
+formula's size, and only to_nnf's recursion bounds the depth it handles.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownFragmentError
 from .formulas import (
-    And, Atom, Exists, Forall, Not, Or, Var, _fold, _free_names, _rebuild, free_vars,
-    fresh_names, to_nnf, variable_names, walk,
+    And, Atom, Exists, Forall, Not, Or, Var, _fold, _free_names, _rebuild, fresh_names,
+    to_nnf, variable_names,
 )
 
 HAS = "has"
@@ -79,33 +85,45 @@ class FragmentReport:
         }
 
 
-def _quantifiers(phi):
-    return (f for f in walk(phi) if isinstance(f, (Exists, Forall)))
+def _is_relativized(q, relativizers) -> bool:
+    """Whether the quantifier q is ``exists x. U(x) & ...`` or ``forall x.
+    U(x) -> ...`` for a relativizer U.  The ∀ form parses to
+    !(U(x) & !...); its NNF spelling !U(x) | ... is accepted as well."""
+    body = q.body
+    if type(q) is Exists:
+        guard = body.items[0] if type(body) is And else None
+    elif type(body) is Not:
+        guard = body.sub.items[0] if type(body.sub) is And else None
+    else:
+        guard = body.items[0].sub if type(body) is Or and type(body.items[0]) is Not else None
+    return (len(q.vars) == 1 and type(guard) is Atom and guard.rel in relativizers
+            and guard.args == (Var(q.vars[0]),))
 
 
-def _is_relativized(phi, relativizers) -> bool:
-    for q in _quantifiers(phi):
-        if len(q.vars) != 1:
-            return False
-        v = q.vars[0]
-        guard_atom = None
-        if isinstance(q, Exists):
-            if isinstance(q.body, And):
-                guard_atom = q.body.items[0]
-        else:
-            # forall x. U(x) -> beta parses to !(U(x) & !beta); accept the
-            # NNF spelling !U(x) | beta as well
-            if isinstance(q.body, Not) and isinstance(q.body.sub, And):
-                guard_atom = q.body.sub.items[0]
-            elif isinstance(q.body, Or) and isinstance(q.body.items[0], Not):
-                guard_atom = q.body.items[0].sub
-        if not isinstance(guard_atom, Atom):
-            return False
-        if guard_atom.rel not in relativizers:
-            return False
-        if guard_atom.args != (Var(v),):
-            return False
-    return True
+def _surface_flags(phi, relativizers) -> tuple:
+    """(quantifier-free, relativized, unary-negation, guarded-negation), from
+    one fold whose values are free names.  An ∧ hands its children the free
+    names of its atom items: the guards a negation among them may use."""
+    qf = relativized = unary = guarded_negation = True
+
+    def enter(f, _siblings):
+        if type(f) is not And:
+            return ()
+        return [_free_names(g, None, None) for g in f.items if type(g) is Atom]
+
+    def case(f, siblings, kids):
+        nonlocal qf, relativized, unary, guarded_negation
+        kind = type(f)
+        if kind is Not and len(kids) > 1:
+            unary = False
+            guarded_negation = guarded_negation and any(kids <= g for g in siblings)
+        elif kind is Exists or kind is Forall:
+            qf = False
+            relativized = relativized and _is_relativized(f, relativizers)
+        return _free_names(f, None, kids)
+
+    _fold(phi, case, enter, ())
+    return qf, relativized, unary, guarded_negation
 
 
 def _guards(q):
@@ -121,43 +139,19 @@ def _guards(q):
 
 
 def _is_guarded(phi) -> bool:
-    for q in _quantifiers(to_nnf(phi)):
-        need = free_vars(q.body)
-        if len(need) > 1 and not any(need <= free_vars(g) for g in _guards(q)):
-            return False
-    return True
+    """One fold over phi's NNF, whose values are free names: a quantifier's
+    child value is what its guards must cover."""
+    guarded = True
 
+    def case(f, _ctx, kids):
+        nonlocal guarded
+        if (type(f) is Exists or type(f) is Forall) and len(kids) > 1:
+            guarded = guarded and any(
+                kids <= _free_names(g, None, None) for g in _guards(f))
+        return _free_names(f, None, kids)
 
-def _negations(phi):
-    stack = [(phi, ())]
-    while stack:
-        f, siblings = stack.pop()
-        if isinstance(f, Not):
-            yield f, siblings
-            stack.append((f.sub, ()))
-        elif isinstance(f, And):
-            atoms = tuple(g for g in f.items if isinstance(g, Atom))
-            for g in f.items:
-                stack.append((g, atoms))
-        elif isinstance(f, Or):
-            for g in f.items:
-                stack.append((g, ()))
-        elif isinstance(f, (Exists, Forall)):
-            stack.append((f.body, ()))
-
-
-def _is_unary_negation(phi) -> bool:
-    return all(len(free_vars(n.sub)) <= 1 for n, _ in _negations(phi))
-
-
-def _is_guarded_negation(phi) -> bool:
-    for n, sibling_atoms in _negations(phi):
-        need = free_vars(n.sub)
-        if len(need) <= 1:
-            continue
-        if not any(need <= free_vars(g) for g in sibling_atoms):
-            return False
-    return True
+    _fold(to_nnf(phi), case)
+    return guarded
 
 
 def canonical_rename(phi):
@@ -193,13 +187,9 @@ def canonical_rename(phi):
 
 def classify(phi, relativizers=()) -> FragmentReport:
     """Compute the syntactic fragment flags and the matching CIP rows."""
-    relativizers = set(relativizers)
-    qf = not any(True for _ in _quantifiers(phi))
-    relativized = qf or _is_relativized(phi, relativizers)
+    qf, relativized, unfo, gnfo = _surface_flags(phi, set(relativizers))
     two_var = len(variable_names(canonical_rename(phi))) <= 2
     guarded = _is_guarded(phi)
-    unfo = _is_unary_negation(phi)
-    gnfo = _is_guarded_negation(phi)
     membership = {
         "FO": True,
         "FO2": two_var,

@@ -4,15 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from craig.access import (
-    AccessMethod, accessible_part, am_leq, bind_patt, check_access_determinacy,
-    is_bounded, upward_closure,
+    AccessMethod, BindPattResult, accessible_part, am_leq, bind_patt,
+    check_access_determinacy, is_bounded, upward_closure,
 )
+from craig.corpus import SignaturePool, _random_formula
 from craig.errors import FormulaError
-from craig.formulas import TOP, signature_of
+from craig.formulas import TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, signature_of
 from craig.models import Structure, enumerate_structures
 from craig.parser import parse
+from test_formulas import formulas
 
 
 def m(rel, *positions):
@@ -103,6 +106,74 @@ def test_bindpatt_exists_with_binding_atom():
     phi = parse("exists x. R(c, x) & !S(x)")
     result = bind_patt(phi)
     assert result.methods == {m("R", 1), m("S", 1)}
+
+
+def test_bindpatt_rejects_a_non_formula_under_an_undefined_node():
+    with pytest.raises(FormulaError, match="not a formula: 'junk'"):
+        bind_patt(Or((Atom("A"), "junk")))
+
+
+# The recursive _bind_patt that the fold replaced, kept verbatim as the
+# reference (it answers undefined for a non-formula instead of raising).
+
+def reference_bind_patt(phi) -> BindPattResult:
+    methods = _reference_bind_patt(phi)
+    if methods is None:
+        return BindPattResult(False, None)
+    return BindPattResult(True, frozenset(methods))
+
+
+def _reference_bind_patt(f):
+    if isinstance(f, Top):
+        return set()
+    if isinstance(f, Atom):
+        return {AccessMethod(f.rel, frozenset(range(1, len(f.args) + 1)))}
+    if isinstance(f, And):
+        out = set()
+        for g in f.items:
+            sub = _reference_bind_patt(g)
+            if sub is None:
+                return None
+            out |= sub
+        return out
+    if isinstance(f, Not):
+        return _reference_bind_patt(f.sub)
+    if isinstance(f, Exists):
+        body = f.body
+        if not isinstance(body, And) or not isinstance(body.items[0], Atom):
+            return None
+        binding = body.items[0]
+        rest = body.items[1:]
+        sub = _reference_bind_patt(rest[0] if len(rest) == 1 else And(rest))
+        if sub is None:
+            return None
+        positions = frozenset(
+            i + 1 for i, t in enumerate(binding.args)
+            if isinstance(t, Const) or t.name not in f.vars)
+        return sub | {AccessMethod(binding.rel, positions)}
+    if isinstance(f, Forall):
+        # ∀x⃗ δ is read as ¬∃x⃗ ¬δ on the literal tree
+        inner = f.body.sub if isinstance(f.body, Not) else Not(f.body)
+        return _reference_bind_patt(Exists(f.vars, inner))
+    return None
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(formulas())
+def test_bindpatt_matches_the_reference_on_formulas(f):
+    for g in (f, Not(f)):
+        assert bind_patt(g) == reference_bind_patt(g), g
+
+
+def test_bindpatt_matches_the_reference_on_random_formulas():
+    pool = SignaturePool((("P", 1), ("Q", 1), ("R", 2)), ("c",))
+    defined = 0
+    for i in range(3000):
+        phi = _random_formula(random.Random(i), pool, depth=3)
+        result = bind_patt(phi)
+        assert result == reference_bind_patt(phi), (i, phi)
+        defined += result.defined
+    assert 1000 < defined < 2000  # 1,140: both answers are well represented
 
 
 def test_is_bounded_spec_examples():

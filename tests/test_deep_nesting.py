@@ -12,9 +12,11 @@ does not recurse on a chain of negations (it flips a polarity instead), and
 neither compiling a substitution nor running it recurses (both are flat
 loops over an explicit stack), nor do ``signature_of`` and ``is_nnf``
 (``is_nnf`` reads the memo ``to_nnf`` leaves on a node, or else walks an
-explicit stack), nor ``print_formula``, ``simplify`` and
-``canonical_rename`` (folds over an explicit stack); the subprocess cases
-pin these at the default limit.
+explicit stack), nor ``print_formula``, ``simplify``, ``canonical_rename``
+and ``bind_patt`` (folds over an explicit stack), nor ``classify`` but for
+its one ``to_nnf``; the subprocess cases pin these at the default limit.
+``evaluate`` and ``models._compile`` recurse once per level too, but no
+case here pins them.
 """
 
 from __future__ import annotations
@@ -168,6 +170,21 @@ for _ in range(5_000):
     f = Not(f)
 assert print_formula(f) == "!" * 5_000 + "P(a)"
 assert simplify(f) == p and simplify(Not(f)) == Not(p)
+print("ok")
+""")
+
+
+def test_bind_patt_and_classify_of_a_negation_chain_do_not_recurse_at_the_default_limit():
+    _run_at_the_default_limit("""
+from craig.access import AccessMethod, bind_patt
+from craig.formulas import Atom, Const, Not
+from craig.fragments import classify
+f = Atom("P", (Const("a"),))
+for _ in range(5_000):
+    f = Not(f)
+result = bind_patt(f)
+assert result.defined and result.methods == {AccessMethod("P", frozenset({1}))}
+assert all(classify(f).flags().values())
 print("ok")
 """)
 

@@ -13,6 +13,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from craig.access import bind_patt
 from craig.corpus import formula_size
 from craig.errors import FormulaError
 from craig.formulas import (
@@ -21,7 +22,7 @@ from craig.formulas import (
     map_atoms, signature_of, simplify, substitute_constant, substitute_constants,
     to_nnf, variable_names, walk,
 )
-from craig.fragments import canonical_rename
+from craig.fragments import canonical_rename, classify
 from craig.models import enumerate_structures, evaluate
 from craig.parser import parse, print_formula
 
@@ -254,9 +255,9 @@ def test_is_nnf_rejects_a_non_formula_as_to_nnf_does(junk):
 
 @pytest.mark.parametrize("walker", [
     lambda f: list(walk(f)), variable_names, formula_size, print_formula, simplify,
-    lambda f: map_atoms(f, lambda a, _bound: a), canonical_rename,
+    lambda f: map_atoms(f, lambda a, _bound: a), canonical_rename, classify, bind_patt,
 ], ids=["walk", "variable_names", "formula_size", "print_formula", "simplify",
-        "map_atoms", "canonical_rename"])
+        "map_atoms", "canonical_rename", "classify", "bind_patt"])
 @pytest.mark.parametrize("junk", JUNK)
 def test_walkers_reject_a_non_formula(walker, junk):
     with pytest.raises(FormulaError, match="not a formula: 'junk'"):
