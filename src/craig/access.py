@@ -16,7 +16,7 @@ from .errors import FormulaError, MissingSymbolError
 from .formulas import (
     And, Atom, Const, Forall, Not, Or, Top, _fold, free_vars, signature_of,
 )
-from .models import Structure, _eval, _trusted_structure, evaluate, substructure
+from .models import Structure, _eval, _is_element, _trusted_structure, evaluate, substructure
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ def accessible_part(structure: Structure, methods, start) -> frozenset:
     the set, all its elements join the set.  Worklist iteration to fixpoint.
     """
     for e in start:
-        if not (0 <= e < structure.domain_size):
-            raise FormulaError(f"element {e} outside the domain")
+        if not _is_element(e, structure.domain_size):
+            raise FormulaError(f"element {e!r} outside the domain")
     method_list = sorted(set(methods), key=lambda m: (m.relation, sorted(m.inputs)))
     for m in method_list:
         if m.relation not in structure.relations:

@@ -19,7 +19,7 @@ from .errors import (
     NotValid,
 )
 from .formulas import (
-    And, Atom, Const, Forall, Not, Or, Var, abstract_constant,
+    And, Atom, Const, Forall, Not, Or, Var, _abstract_constants,
     fresh_names, is_sentence, map_atoms, signature_of, simplify, variable_names,
 )
 from .interpolation import certify, interpolant_from_labeled
@@ -156,9 +156,7 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     theta = simplify(theta)  # raw nesting scales with the proof, not the content
 
     variables = tuple(itertools.islice(fresh_names("x", variable_names(theta)), arity))
-    phi = theta
-    for c, v in zip(frozen, variables):
-        phi = abstract_constant(phi, c, v)
+    phi = _abstract_constants(theta, dict(zip(frozen, variables)))  # fresh: no occurs check
 
     # the biconditional, re-proved at the frozen tuple: theta is phi(c⃗)
     head = Atom(relation, args)

@@ -83,8 +83,9 @@ class _Node:
 
     Each node's ``__init__`` checks its fields, sets them and stores
     ``_h = hash(self._fields())``, written out inline (``Substitution.run``
-    sets the same fields and hash without the checks); a formula child holds
-    its own cached hash, so ``hash()`` is O(1) and never recurses.  Each
+    sets the same fields and hash without the checks); And and Or share
+    one, as do Exists and Forall.  A formula child holds its own cached
+    hash, so ``hash()`` is O(1) and never recurses.  Each
     class has its own ``==``, assigned after the classes below (an
     ``__eq__`` in a class body would unset the inherited ``__hash__``): True
     at once on identity, NotImplemented across classes, False at once on
@@ -149,24 +150,10 @@ class Top(_Node):
 class And(_Node):
     items: tuple = ()
 
-    def __init__(self, items=()):
-        items = tuple(items)
-        if len(items) < 2:
-            raise FormulaError("And needs at least two conjuncts (use conj() to collapse)")
-        _set(self, "items", items)
-        _set(self, "_h", hash((items,)))
-
 
 @_node
 class Or(_Node):
     items: tuple = ()
-
-    def __init__(self, items=()):
-        items = tuple(items)
-        if len(items) < 2:
-            raise FormulaError("Or needs at least two disjuncts (use disj() to collapse)")
-        _set(self, "items", items)
-        _set(self, "_h", hash((items,)))
 
 
 @_node
@@ -183,25 +170,31 @@ class Exists(_Node):
     vars: tuple
     body: object
 
-    def __init__(self, vars, body):
-        vars = tuple(vars)
-        _check_block(vars)
-        _set(self, "vars", vars)
-        _set(self, "body", body)
-        _set(self, "_h", hash((vars, body)))
-
 
 @_node
 class Forall(_Node):
     vars: tuple
     body: object
 
-    def __init__(self, vars, body):
-        vars = tuple(vars)
-        _check_block(vars)
-        _set(self, "vars", vars)
-        _set(self, "body", body)
-        _set(self, "_h", hash((vars, body)))
+
+def _items_init(self, items=()):  # And and Or
+    items = tuple(items)
+    if len(items) < 2:
+        raise FormulaError(_TOO_FEW_ITEMS[self.__class__])
+    _set(self, "items", items)
+    _set(self, "_h", hash((items,)))
+
+
+def _block_init(self, vars, body):  # Exists and Forall
+    vars = tuple(vars)
+    _check_block(vars)
+    _set(self, "vars", vars)
+    _set(self, "body", body)
+    _set(self, "_h", hash((vars, body)))
+
+
+_TOO_FEW_ITEMS = {And: "And needs at least two conjuncts (use conj() to collapse)",
+                  Or: "Or needs at least two disjuncts (use disj() to collapse)"}
 
 
 def _atom_eq(a, b):
@@ -237,7 +230,9 @@ def _block_eq(a, b):  # Exists and Forall
 
 
 Atom.__eq__, Not.__eq__ = _atom_eq, _not_eq
+And.__init__ = Or.__init__ = _items_init
 And.__eq__ = Or.__eq__ = _items_eq
+Exists.__init__ = Forall.__init__ = _block_init
 Exists.__eq__ = Forall.__eq__ = _block_eq
 
 Formula = Atom | Top | And | Or | Not | Exists | Forall
@@ -655,18 +650,19 @@ def abstract_constant(phi, c: str, x: str) -> object:
     """Replace every occurrence of constant c by variable x (left free)."""
     if x in variable_names(phi):
         raise FormulaError(f"variable {x} already occurs; cannot abstract {c} to it")
-    return _abstract_constant(phi, c, x)
+    return _abstract_constants(phi, {c: x})
 
 
-def _abstract_constant(phi, c: str, x: str) -> object:
-    """abstract_constant for an x the caller already knows not to occur in phi."""
-    var = Var(x)
+def _abstract_constants(phi, mapping: dict) -> object:
+    """Replace every occurrence of each constant c in mapping by the variable
+    mapping[c], in one pass, for variables the caller already knows not to
+    occur in phi."""
+    terms = {Const(c): Var(x) for c, x in mapping.items()}  # interned: keyed by identity
 
     def ab(a, _bound):
         for t in a.args:
-            if isinstance(t, Const) and t.name == c:
-                return Atom(a.rel, tuple(
-                    var if isinstance(t, Const) and t.name == c else t for t in a.args))
+            if t in terms:
+                return Atom(a.rel, tuple([terms.get(t, t) for t in a.args]))
         return a
 
     return map_atoms(phi, ab)

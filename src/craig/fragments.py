@@ -4,7 +4,9 @@ Membership checks are purely syntactic (guardedness reads the NNF):
 
 * quantifier-free: no quantifier at all;
 * relativized (given a set of unary relativizers): every quantifier is a
-  single-variable ``exists x. U(x) & ...`` or ``forall x. U(x) -> ...``;
+  single-variable ``exists x. U(x) & ...`` or ``forall x. U(x) -> ...``,
+  or has the guard alone as its body, ``exists x. U(x)`` or
+  ``forall x. !U(x)``;
 * two-variable: at most two distinct variable names after a canonical
   minimal-renaming pass (raw name counting is not renaming-invariant);
 * guarded: every quantifier body with two or more free variables has an
@@ -88,12 +90,13 @@ class FragmentReport:
 def _is_relativized(q, relativizers) -> bool:
     """Whether the quantifier q is ``exists x. U(x) & ...`` or ``forall x.
     U(x) -> ...`` for a relativizer U.  The ∀ form parses to
-    !(U(x) & !...); its NNF spelling !U(x) | ... is accepted as well."""
+    !(U(x) & !...); its NNF spelling !U(x) | ... is accepted as well.  A
+    lone guard is its own body: ``exists x. U(x)`` and ``forall x. !U(x)``."""
     body = q.body
     if type(q) is Exists:
-        guard = body.items[0] if type(body) is And else None
+        guard = body.items[0] if type(body) is And else body
     elif type(body) is Not:
-        guard = body.sub.items[0] if type(body.sub) is And else None
+        guard = body.sub.items[0] if type(body.sub) is And else body.sub
     else:
         guard = body.items[0].sub if type(body) is Or and type(body.items[0]) is Not else None
     return (len(q.vars) == 1 and type(guard) is Atom and guard.rel in relativizers

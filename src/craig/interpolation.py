@@ -21,7 +21,7 @@ from .errors import (FormulaError, NonSentenceError, NotProvedWithinBudget, NotV
                      OpenTableauError)
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    _abstract_constant, fresh_names, signature_of, variable_names,
+    _abstract_constants, fresh_names, signature_of, variable_names,
 )
 from .models import (
     Structure, _check_evaluable, _compile, count_structures, satisfying_structures,
@@ -59,7 +59,7 @@ def _quantifier_case(theta, c: str, l_consts: frozenset, r_consts: frozenset):
         # invariant already keeps c out of theta
         return theta
     x = next(fresh_names("x", variable_names(theta)))
-    body = _abstract_constant(theta, c, x)  # x is fresh: no second occurs check
+    body = _abstract_constants(theta, {c: x})  # x is fresh: no occurs check
     return Exists((x,), body) if not in_r else Forall((x,), body)
 
 

@@ -20,18 +20,18 @@ value combination (K = n^#batched constants, rightmost fastest), so
 ascending bits are enumeration order.
 
 One call covers every domain size: ``satisfying_structures`` analyses its
-sentences once (checks them, splits them into top-level conjuncts and finds
-each conjunct's last symbol), and per size builds only the block, its masks
-and the compiled conjuncts.  A conjunct whose last symbol comes before the
-block is evaluated once per prefix, as soon as that symbol is assigned: its
-truth is the same for every completion, so a failing conjunct skips them
-all.  A conjunct whose last symbol lies in the block is evaluated once per
-chunk as a mask, and the chunk's survivors are the set bits of the AND of
-those masks, in ascending order.  The survivors of both come out in
-enumeration order, which is why ``find_model`` and ``padoa_counterexample``
-(each one call over the sizes 1..max) return the same first models as a
-filter over every structure would.  ``enumerate_structures`` is the
-one-size call with no sentences.
+sentences once (checks them, splits each into the top-level conjuncts of its
+NNF and finds each conjunct's last symbol), and per size builds only the
+block, its masks and the compiled conjuncts.  A conjunct whose last symbol
+comes before the block is evaluated once per prefix, as soon as that symbol
+is assigned: its truth is the same for every completion, so a failing
+conjunct skips them all.  A conjunct whose last symbol lies in the block is
+evaluated once per chunk as a mask, and the chunk's survivors are the set
+bits of the AND of those masks, in ascending order.  The survivors of both
+come out in enumeration order, which is why ``find_model`` and
+``padoa_counterexample`` (each one call over the sizes 1..max) return the
+same first models as a filter over every structure would.
+``enumerate_structures`` is the one-size call with no sentences.
 
 Compile once, evaluate many.  Where one formula meets many structures (each
 conjunct of ``satisfying_structures``, each interpolant-search candidate on
@@ -61,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import FormulaError, MissingSymbolError, PartialAssignmentError
 from .formulas import (
     And, Atom, Exists, Forall, Not, Or, Top, Var,
-    SignatureReport, signature_of,
+    SignatureReport, signature_of, to_nnf,
 )
 
 # The most structures one block of satisfying_structures evaluates at once,
@@ -80,20 +80,25 @@ class Structure:
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.domain_size < 1:
+        n = self.domain_size
+        if type(n) is not int:
+            raise FormulaError(f"domain size must be an int, found {n!r}")
+        if n < 1:
             raise FormulaError("domain must be non-empty")
-        rels = {name: frozenset(tuple(t) for t in tuples)
-                for name, tuples in self.relations.items()}
-        object.__setattr__(self, "relations", rels)
-        for name, tuples in rels.items():
+        rels = {}
+        for name, tuples in self.relations.items():
+            tuples = [tuple(t) for t in tuples]
             if len({len(t) for t in tuples}) > 1:
                 raise FormulaError(f"relation {name} has tuples of different lengths")
             for t in tuples:
-                if any(not (0 <= e < self.domain_size) for e in t):
+                if not all(_is_element(e, n) for e in t):
                     raise FormulaError(f"tuple {t} of {name} outside domain")
+            rels[name] = frozenset(tuples)
+        object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "constants", dict(self.constants))  # not the caller's
         for name, e in self.constants.items():
-            if not (0 <= e < self.domain_size):
-                raise FormulaError(f"constant {name} -> {e} outside domain")
+            if not _is_element(e, n):
+                raise FormulaError(f"constant {name} -> {e!r} outside domain")
 
     def key(self) -> tuple:
         """Canonical hashable form."""
@@ -104,12 +109,22 @@ class Structure:
         )
 
 
+def _is_element(e, n: int) -> bool:
+    """Whether e is an element of the domain {0..n-1}: an int (not a bool,
+    which equals 0 or 1, nor a float) in range."""
+    return type(e) is int and 0 <= e < n
+
+
 def evaluate(structure: Structure, phi, assignment: dict | None = None) -> bool:
     """Tarskian truth of phi in the structure under the assignment.
 
     phi must use each relation at the arity of its interpretation; an empty
-    interpretation has no arity to compare and is not checked."""
+    interpretation has no arity to compare and is not checked.  Every value
+    of the assignment must be a domain element."""
     g = dict(assignment or {})
+    for x, e in g.items():
+        if not _is_element(e, structure.domain_size):
+            raise FormulaError(f"variable {x} -> {e!r} outside domain")
     arities = {r: next(map(len, ts), None) for r, ts in structure.relations.items()}
     _check_evaluable(signature_of(phi), arities, structure.constants, g)
     return _eval(structure, phi, g)
@@ -141,16 +156,12 @@ def _eval(A: Structure, f, g: dict) -> bool:
                       for t in f.args]) in A.relations[f.rel]
     if kind is Not:
         return not _eval(A, f.sub, g)
-    if kind is And:
+    if kind is And or kind is Or:
+        decisive = kind is Or  # a true item decides ∨, a false one ∧
         for x in f.items:
-            if not _eval(A, x, g):
-                return False
-        return True
-    if kind is Or:
-        for x in f.items:
-            if _eval(A, x, g):
-                return True
-        return False
+            if _eval(A, x, g) == decisive:
+                return decisive
+        return not decisive
     if kind is Exists or kind is Forall:
         # a witness decides ∃, a counterexample ∀; g2 is private to this loop
         decisive = kind is Exists
@@ -345,9 +356,10 @@ def satisfying_structures(sig: SignatureReport, sizes, sentences) -> Iterator[St
 
     Every sentence is checked as evaluate checks it before anything is
     enumerated, even for no sizes: a symbol outside sig or a free variable
-    raises.  Sentences are split into top-level conjuncts once per call; per
-    size, a conjunct is evaluated once per prefix that assigns its last
-    symbol, or once per chunk, as a mask, when that symbol is in the block.
+    raises.  Each sentence is split into the top-level conjuncts of its NNF
+    once per call; per size, a conjunct is evaluated once per prefix that
+    assigns its last symbol, or once per chunk, as a mask, when that symbol
+    is in the block.
     """
     rel_names, const_names = sorted(sig.relations), sorted(sig.constants)
     position = {x: i for i, x in enumerate(rel_names + const_names)}
@@ -505,18 +517,14 @@ def _block_masks(n: int, c: int, m: int) -> tuple:
 
 
 def _conjuncts(phi) -> list:
-    """Top-level conjuncts of phi: ∧, ¬∨ and ¬¬ are pushed through the outer
-    connectives only."""
+    """The top-level conjuncts of phi's NNF, left to right: its ∧ items,
+    flattened."""
     out: list = []
-    stack = [phi]
+    stack = [to_nnf(phi)]
     while stack:
         f = stack.pop()
-        if isinstance(f, And):
+        if type(f) is And:
             stack.extend(reversed(f.items))
-        elif isinstance(f, Not) and isinstance(f.sub, Or):
-            stack.extend(Not(x) for x in reversed(f.sub.items))
-        elif isinstance(f, Not) and isinstance(f.sub, Not):
-            stack.append(f.sub.sub)
         else:
             out.append(f)
     return out
@@ -555,31 +563,23 @@ def structure_to_json(A: Structure) -> str:
 
 
 def structure_from_json(text: str) -> Structure:
-    """The structure a JSON object describes; its domain size, tuple entries
-    and constant values must be JSON integers."""
+    """The structure a JSON object describes, checked by Structure: its
+    domain size, tuple entries and constant values must be JSON integers."""
     obj = json.loads(text)
-    return Structure(
-        _json_integer(obj["domain"], "domain"),
-        {n: frozenset(tuple(_json_integer(e, f"entry of {n}") for e in t) for t in ts)
-         for n, ts in obj.get("relations", {}).items()},
-        {n: _json_integer(e, f"constant {n}") for n, e in obj.get("constants", {}).items()},
-    )
-
-
-def _json_integer(value, what: str) -> int:
-    # true and 1.0 equal 1 in Python, and would pass for element 1
-    if type(value) is not int:
-        raise FormulaError(f"{what} must be a JSON integer, found {json.dumps(value)}")
-    return value
+    return Structure(obj["domain"], obj.get("relations", {}), obj.get("constants", {}))
 
 
 def substructure(A: Structure, elements: Iterable) -> Structure:
-    """Induced substructure on the given elements, renumbered in order."""
-    elems = sorted(set(elements))
-    if not elems:
+    """Induced substructure on the given elements of A's domain, renumbered
+    in order."""
+    keep = set(elements)
+    if not keep:
         raise FormulaError("substructure needs a non-empty element set")
+    for e in keep:
+        if not _is_element(e, A.domain_size):
+            raise FormulaError(f"element {e!r} outside the domain")
+    elems = sorted(keep)
     index = {e: i for i, e in enumerate(elems)}
-    keep = set(elems)
     rels = {}
     for name, ts in A.relations.items():
         rels[name] = frozenset(tuple(index[e] for e in t)

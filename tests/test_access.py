@@ -208,6 +208,13 @@ def test_accessible_part_unreached():
     assert accessible_part(A, {m("R", 1)}, (1,)) == {1}
 
 
+def test_accessible_part_start_must_be_domain_elements():
+    A = Structure(2, {"R": {(0, 1)}})
+    for start in ((2,), (-1,), (True,), (1.0,)):
+        with pytest.raises(FormulaError, match="outside the domain"):
+            accessible_part(A, {m("R", 1)}, start)
+
+
 def test_accessible_part_no_methods():
     A = Structure(3, {"R": {(0, 1)}})
     assert accessible_part(A, set(), (2,)) == {2}

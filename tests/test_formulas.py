@@ -470,6 +470,31 @@ def test_arity_mismatch_rejected():
         signature_of(And((Atom("P", (Const("c"),)), Atom("P", ()))))
 
 
+def test_dual_kinds_share_a_constructor_but_not_its_error_text():
+    a = Atom("A")
+    with pytest.raises(FormulaError) as e:
+        And((a,))
+    assert str(e.value) == "And needs at least two conjuncts (use conj() to collapse)"
+    with pytest.raises(FormulaError) as e:
+        Or((a,))
+    assert str(e.value) == "Or needs at least two disjuncts (use disj() to collapse)"
+    for kind in (Exists, Forall):
+        with pytest.raises(FormulaError, match="must bind at least one variable"):
+            kind((), a)
+        with pytest.raises(FormulaError, match="duplicate variable"):
+            kind(("x", "x"), a)
+
+
+def test_abstract_constants_in_one_pass():
+    from craig.formulas import _abstract_constants
+    f = parse("forall y. R(a, y) & (exists z. S(b, z, a)) | P(c) | R(b, b)")
+    g = _abstract_constants(f, {"a": "x0", "b": "x1"})
+    report = signature_of(g)
+    assert list(report.constants) == ["c"] and list(report.free_vars) == ["x0", "x1"]
+    assert substitute_constants(g, {"x0": "a", "x1": "b"}) == f
+    assert _abstract_constants(f, {}) is f
+
+
 def test_simplify_units_and_flattening():
     f = Or((BOTTOM, And((TOP, parse("P(c)"), And((parse("Q(c)"), parse("P(c)")))))))
     assert simplify(f) == And((parse("P(c)"), parse("Q(c)")))

@@ -36,6 +36,15 @@ def test_classify_relativized_example():
     assert not classify(phi, {"Q"}).relativized
 
 
+@pytest.mark.parametrize("text", ["exists x. U(x)", "forall x. !U(x)",
+                                  "exists x. U(x) & true", "forall x. U(x) -> false"])
+def test_a_lone_guard_is_relativized(text):
+    # the first two are the guard alone, the last two the same guard with a
+    # trivial rest
+    assert classify(parse(text), {"U"}).relativized
+    assert not classify(parse(text), {"V"}).relativized
+
+
 def test_classify_top():
     report = classify(parse("true"))
     assert report.quantifier_free and report.relativized
@@ -136,7 +145,9 @@ def test_report_cip_rows():
 
 # The walk-based classify that the two folds replaced, kept verbatim as the
 # reference: it re-reads every quantifier body and every negation's scope
-# through free_vars, so it costs time quadratic in the nesting depth.
+# through free_vars, so it costs time quadratic in the nesting depth.  One
+# edit since: _is_relativized takes a lone guard as its own body, as
+# classify does.
 
 def _quantifiers(phi):
     return (f for f in walk(phi) if isinstance(f, (Exists, Forall)))
@@ -151,11 +162,15 @@ def _is_relativized(phi, relativizers) -> bool:
         if isinstance(q, Exists):
             if isinstance(q.body, And):
                 guard_atom = q.body.items[0]
+            else:
+                guard_atom = q.body
         else:
             # forall x. U(x) -> beta parses to !(U(x) & !beta); accept the
             # NNF spelling !U(x) | beta as well
             if isinstance(q.body, Not) and isinstance(q.body.sub, And):
                 guard_atom = q.body.sub.items[0]
+            elif isinstance(q.body, Not):
+                guard_atom = q.body.sub
             elif isinstance(q.body, Or) and isinstance(q.body.items[0], Not):
                 guard_atom = q.body.items[0].sub
         if not isinstance(guard_atom, Atom):

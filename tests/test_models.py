@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import signal
 
 import pytest
@@ -200,3 +201,68 @@ def test_substructure_renumbers():
     assert sub.domain_size == 2
     assert sub.relations["Taller-than"] == {(0, 1)}
     assert sub.relations["Tallest"] == {(0,)}
+
+
+def _round_trips(A) -> bool:
+    return structure_from_json(structure_to_json(A)) == A
+
+
+def test_every_enumerated_structure_round_trips_through_json():
+    # a 0-ary, a unary and a binary relation and a constant
+    sig = signature_of(parse("Z | P(c) | exists x y. R(x, y)"))
+    for n in (1, 2):
+        structures = list(enumerate_structures(sig, n))
+        assert len(structures) == count_structures(sig, n)
+        assert all(map(_round_trips, structures))
+
+
+def test_every_oracle_golden_model_round_trips_through_json():
+    from test_oracle_golden import load_golden
+    texts = []
+    for value in load_golden().values():
+        if isinstance(value, str) and value.startswith("{"):
+            texts.append(value)
+        elif isinstance(value, list):
+            texts.extend(value)
+    assert len(texts) == 177  # 173 models and 2 Padoa pairs
+    for text in texts:
+        A = structure_from_json(text)
+        assert _round_trips(A) and structure_to_json(A) == text
+
+
+@pytest.mark.parametrize("domain, relations, constants", [
+    (2, {"P": [[True]]}, {}),        # true equals 1
+    (2, {"P": [[1.0]]}, {}),         # and so does 1.0
+    (2, {"P": [[[0]]]}, {}),         # a nested list is no element
+    (True, {}, {}),
+    (2, {}, {"c": 1.0}),
+])
+def test_domain_elements_are_ints(domain, relations, constants):
+    with pytest.raises(FormulaError):
+        Structure(domain, relations, constants)
+    # the JSON reader hands its input to the same check
+    text = json.dumps({"domain": domain, "relations": relations, "constants": constants})
+    with pytest.raises(FormulaError):
+        structure_from_json(text)
+
+
+def test_a_structure_keeps_its_own_copy_of_what_it_checked():
+    relations, constants = {"P": {(0,)}}, {"c": 0}
+    A = Structure(2, relations, constants)
+    relations["P"].add((7,))
+    constants["c"] = 7
+    assert A.relations == {"P": {(0,)}} and A.constants == {"c": 0}
+
+
+def test_substructure_rejects_elements_outside_the_domain():
+    with pytest.raises(FormulaError, match="element 5 outside the domain"):
+        substructure(Structure(2, {"P": {(0,)}}), [5])
+
+
+def test_evaluate_rejects_assignment_values_outside_the_domain():
+    from craig.formulas import Atom, Var
+    A = Structure(2, {"P": {(0,)}})
+    f = Atom("P", (Var("x"),))
+    for value in (7, -1, True):
+        with pytest.raises(FormulaError, match="variable x -> .* outside domain"):
+            evaluate(A, f, {"x": value})
