@@ -21,9 +21,10 @@ from typing import Iterable, Iterator
 
 from .errors import FormulaError
 
-_set = object.__setattr__
 _new = object.__new__
 _INTERNING = threading.Lock()
+# Substitution.run's opcodes, most frequent first
+_ATOM1, _NOT, _ITEM2, _ITEM1, _BLOCK, _ATOM, _ITEMS = range(7)
 
 
 class _Term:
@@ -48,7 +49,7 @@ class _Term:
                 term = cls._interned.get(name)
                 if term is None:
                     term = _new(cls)
-                    _set(term, "name", name)
+                    _Term.name.__set__(term, name)
                     cls._interned[name] = term
         return term
 
@@ -83,9 +84,11 @@ class _Node:
 
     Each node's ``__init__`` checks its fields, sets them and stores
     ``_h = hash(self._fields())``, written out inline (``Substitution.run``
-    sets the same fields and hash without the checks); And and Or share
-    one, as do Exists and Forall.  A formula child holds its own cached
-    hash, so ``hash()`` is O(1) and never recurses.  Each
+    sets the same fields and hash without the checks); And and Or share one,
+    as do Exists and Forall.  Both set every field through the slots' own
+    member-descriptor setters (``_SETTERS``, ``_SET_H``), not through
+    ``object.__setattr__`` by name, which costs more.  A formula child holds
+    its own cached hash, so ``hash()`` is O(1) and never recurses.  Each
     class has its own ``==``, assigned after the classes below (an
     ``__eq__`` in a class body would unset the inherited ``__hash__``): True
     at once on identity, NotImplemented across classes, False at once on
@@ -135,15 +138,15 @@ class Atom(_Node):
         for t in args:
             if not isinstance(t, (Var, Const)):
                 raise FormulaError(f"atom argument must be a variable or constant, got {t!r}")
-        _set(self, "rel", rel)
-        _set(self, "args", args)
-        _set(self, "_h", hash((rel, args)))
+        _SET_REL(self, rel)
+        _SET_ARGS(self, args)
+        _SET_H(self, hash((rel, args)))
 
 
 @_node
 class Top(_Node):
     def __init__(self):
-        _set(self, "_h", hash(()))
+        _SET_H(self, hash(()))
 
 
 @_node
@@ -161,8 +164,8 @@ class Not(_Node):
     sub: object
 
     def __init__(self, sub):
-        _set(self, "sub", sub)
-        _set(self, "_h", hash((sub,)))
+        _SET_SUB(self, sub)
+        _SET_H(self, hash((sub,)))
 
 
 @_node
@@ -181,16 +184,18 @@ def _items_init(self, items=()):  # And and Or
     items = tuple(items)
     if len(items) < 2:
         raise FormulaError(_TOO_FEW_ITEMS[self.__class__])
-    _set(self, "items", items)
-    _set(self, "_h", hash((items,)))
+    (set_items,) = _SETTERS[self.__class__]
+    set_items(self, items)
+    _SET_H(self, hash((items,)))
 
 
 def _block_init(self, vars, body):  # Exists and Forall
     vars = tuple(vars)
     _check_block(vars)
-    _set(self, "vars", vars)
-    _set(self, "body", body)
-    _set(self, "_h", hash((vars, body)))
+    set_vars, set_body = _SETTERS[self.__class__]
+    set_vars(self, vars)
+    set_body(self, body)
+    _SET_H(self, hash((vars, body)))
 
 
 _TOO_FEW_ITEMS = {And: "And needs at least two conjuncts (use conj() to collapse)",
@@ -234,6 +239,21 @@ And.__init__ = Or.__init__ = _items_init
 And.__eq__ = Or.__eq__ = _items_eq
 Exists.__init__ = Forall.__init__ = _block_init
 Exists.__eq__ = Forall.__eq__ = _block_eq
+
+
+def _slot_setters(cls) -> tuple:
+    """The setters of a slotted dataclass's fields, in field order: each
+    slot's own member-descriptor ``__set__``, which skips the name lookup of
+    ``object.__setattr__`` and so costs less.  Frozen classes on hot paths
+    set their fields through them."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+
+# the node constructors and Substitution.run set every field through these
+_SETTERS = {kind: _slot_setters(kind) for kind in (Atom, Not, And, Or, Exists, Forall)}
+_SET_H, _SET_NNF = _Node._h.__set__, _Node._nnf_form.__set__
+_SET_REL, _SET_ARGS = _SETTERS[Atom]
+(_SET_SUB,) = _SETTERS[Not]
 
 Formula = Atom | Top | And | Or | Not | Exists | Forall
 
@@ -397,8 +417,8 @@ def to_nnf(phi) -> object:
     except AttributeError:  # not computed yet (or not a formula: _nnf raises)
         nnf = _nnf(phi, False)
         if nnf is not phi:
-            _set(phi, "_nnf_form", nnf)
-        _set(nnf, "_nnf_form", None)
+            _SET_NNF(phi, nnf)
+        _SET_NNF(nnf, None)
         return nnf
     return phi if nnf is None else nnf
 
@@ -537,15 +557,28 @@ class Substitution:
     ``run(consts)`` takes one Const per entry of ``vars``, in that order, and
     returns the substituted formula.  ``code`` is a flat post-order program
     over only the nodes that contain a free occurrence; running it rebuilds
-    those nodes and reuses every other subtree as the same object.  An
-    instruction is (Atom, the atom, ((argument position, index into
-    consts), ...)), (Not, None, None), (And or Or, the items, (positions of
-    the rebuilt items, ...)) or (Exists or Forall, the block, None); each
-    rebuilds one node from the nodes rebuilt before it, taken off a stack.
+    those nodes and reuses every other subtree as the same object.  Each
+    instruction rebuilds one node from the nodes rebuilt before it, taken
+    off a stack; it is a 5-tuple (opcode, a, b, c, d):
+
+    - ``_ATOM1``: an atom with one rebuilt argument, (rel, the arguments
+      before it, those after it, its index into consts);
+    - ``_ATOM``: any other atom, (the atom, ((argument position, index
+      into consts), ...), -, -);
+    - ``_NOT``: a negation, all unused;
+    - ``_ITEM1`` and ``_ITEM2``: an ∧ or ∨ whose one rebuilt item, or two
+      adjacent ones, go between two kept runs, (And or Or, the items before,
+      the items after, the items' setter);
+    - ``_ITEMS``: any other ∧ or ∨, (And or Or, the items, (positions of the
+      rebuilt items, ...), the items' setter);
+    - ``_BLOCK``: an ∃ or ∀, (Exists or Forall, the block, the vars'
+      setter, the body's setter).
+
     A rebuilt node gets its fields and cached hash set as its constructor
-    would set them, with no constructor call: the compiled formula passed
-    every constructor check, and an instance differs from it only in the
-    constants that stand for variables.
+    would set them, through the slots' own setters, with no constructor
+    call: the compiled formula passed every constructor check, and an
+    instance differs from it only in the constants that stand for
+    variables.
     """
 
     __slots__ = ("formula", "vars", "code")
@@ -561,32 +594,52 @@ class Substitution:
             return self.formula
         stack: list = []
         push, pop = stack.append, stack.pop
-        for kind, x, y in code:  # kind is the class of the node to rebuild
-            node = _new(kind)
-            if kind is Atom:
-                args = list(x.args)
-                for i, k in y:
+        for op, a, b, c, d in code:
+            if op is _ATOM1:  # the one rebuilt argument goes between b and c
+                node = _new(Atom)
+                args = b + (consts[d],) + c
+                _SET_REL(node, a)
+                _SET_ARGS(node, args)
+                _SET_H(node, hash((a, args)))
+            elif op is _NOT:
+                node = _new(Not)
+                sub = pop()
+                _SET_SUB(node, sub)
+                _SET_H(node, hash((sub,)))
+            elif op is _ITEM2:  # the two rebuilt items go between b and c
+                node = _new(a)
+                second = pop()
+                items = b + (pop(), second) + c
+                d(node, items)
+                _SET_H(node, hash((items,)))
+            elif op is _ITEM1:  # the one rebuilt item goes between b and c
+                node = _new(a)
+                items = b + (pop(),) + c
+                d(node, items)
+                _SET_H(node, hash((items,)))
+            elif op is _BLOCK:
+                node = _new(a)
+                body = pop()
+                c(node, b)
+                d(node, body)
+                _SET_H(node, hash((b, body)))
+            elif op is _ATOM:
+                node = _new(Atom)
+                args = list(a.args)
+                for i, k in b:
                     args[i] = consts[k]
                 args = tuple(args)
-                _set(node, "rel", x.rel)
-                _set(node, "args", args)
-                _set(node, "_h", hash((x.rel, args)))
-            elif kind is Not:
-                sub = pop()
-                _set(node, "sub", sub)
-                _set(node, "_h", hash((sub,)))
-            elif kind is And or kind is Or:
-                items = list(x)
-                for i in reversed(y):
+                _SET_REL(node, a.rel)
+                _SET_ARGS(node, args)
+                _SET_H(node, hash((a.rel, args)))
+            else:  # _ITEMS
+                node = _new(a)
+                items = list(b)
+                for i in reversed(c):
                     items[i] = pop()
                 items = tuple(items)
-                _set(node, "items", items)
-                _set(node, "_h", hash((items,)))
-            else:
-                body = pop()
-                _set(node, "vars", x)
-                _set(node, "body", body)
-                _set(node, "_h", hash((x, body)))
+                d(node, items)
+                _SET_H(node, hash((items,)))
             push(node)
         return stack[0]
 
@@ -608,24 +661,31 @@ def compile_substitution(phi, names) -> Substitution:
             for i, t in enumerate(f.args):
                 if t.__class__ is Var and t.name in live:
                     slots += ((i, index.setdefault(t.name, len(index))),)
-            if slots:
-                code.append((Atom, f, slots))
+            if len(slots) == 1:
+                ((i, k),) = slots
+                code.append((_ATOM1, f.rel, f.args[:i], f.args[i + 1:], k))
+            elif slots:
+                code.append((_ATOM, f, slots, None, None))
             rebuilt.append(bool(slots))
         elif kind is Top:
             rebuilt.append(False)
         elif ready:
             if kind is And or kind is Or:
                 n = len(f.items)
-                positions = ()
-                for i, hit in enumerate(rebuilt[-n:]):
-                    if hit:
-                        positions += (i,)
+                positions = tuple(itertools.compress(range(n), rebuilt[-n:]))
                 del rebuilt[-n:]
                 if positions:
-                    code.append((kind, f.items, positions))
+                    i, j = positions[0], positions[-1]
+                    (setter,) = _SETTERS[kind]
+                    if j - i == len(positions) - 1 <= 1:  # one item, or two adjacent
+                        code.append((_ITEM1 if i == j else _ITEM2, kind,
+                                     f.items[:i], f.items[j + 1:], setter))
+                    else:
+                        code.append((_ITEMS, kind, f.items, positions, setter))
                 rebuilt.append(bool(positions))
             elif rebuilt[-1]:  # Not or a quantifier: its one child was rebuilt
-                code.append((kind, None, None) if kind is Not else (kind, f.vars, None))
+                code.append((_NOT, None, None, None, None) if kind is Not
+                            else (_BLOCK, kind, f.vars, *_SETTERS[kind]))
         elif kind is Not:
             stack.append((f, live, True))
             stack.append((f.sub, live, False))

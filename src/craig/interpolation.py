@@ -27,7 +27,7 @@ from .models import (
     Structure, _check_evaluable, _compile, count_structures, satisfying_structures,
 )
 from .tableau import (
-    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, Root,
+    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
     Satisfiable, Unknown, labeled, prove, refute,
 )
 
@@ -63,29 +63,49 @@ def _quantifier_case(theta, c: str, l_consts: frozenset, r_consts: frozenset):
     return Exists((x,), body) if not in_r else Forall((x,), body)
 
 
+def _instance_uses_constant(rule: ForallRule, instance) -> bool:
+    """Whether a ∀ step's instance contains the step's constant: exactly when
+    its body differs from the premise's, since a vacuous step's instance is
+    the premise's body itself (an instance of a longer block is a ∀ over the
+    rest of the block)."""
+    f = rule.premise.formula
+    return (instance.body if len(f.vars) > 1 else instance) != f.body
+
+
 def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     """Annotate every node of a closed tableau with its interpolant.
 
     Iterative (deep single-child chains are routine): one top-down pass
     accumulates the constants occurring in L/R sentences at or above each
-    node, then a bottom-up pass applies the propagation cases.  Only root,
-    ∃ and ∀ nodes can add to those sets: a conjunct or disjunct has no
-    constant its premise above lacks.  Siblings share their parent's sets,
-    so they stay frozensets.
+    node, then a bottom-up pass applies the propagation cases.  The root's
+    constants come from one signature_of call per label; below it they are
+    read off the rules, with no walk: an ∃ node adds its witnesses, and a ∀
+    node its constant when the instance uses it.  A conjunct, a disjunct or
+    an instance has no other constant its premise above lacks.  Siblings
+    share their parent's sets, so they stay frozensets.
     """
     interpolants: dict = {}
     consts: dict = {}
     order: list = []
-    stack = [(tableau.root, frozenset(), frozenset())]
+    inputs = tableau.root.introduced
+    l_consts, r_consts = (frozenset(signature_of(
+        *[ls.formula for ls in inputs if ls.label == side]).constants) for side in "LR")
+    stack = [(tableau.root, l_consts, r_consts)]
     while stack:
         node, l_consts, r_consts = stack.pop()
-        if isinstance(node.rule, (Root, ExistsRule, ForallRule)):
-            for ls in node.introduced:
-                names = signature_of(ls.formula).constants
-                if ls.label == "L":
-                    l_consts = l_consts.union(names)
-                else:
-                    r_consts = r_consts.union(names)
+        rule = node.rule
+        if isinstance(rule, ExistsRule):
+            names = rule.constants
+        elif isinstance(rule, ForallRule):
+            used = _instance_uses_constant(rule, node.introduced[0].formula)
+            names = (rule.constant,) if used else ()
+        else:
+            names = ()
+        if names:
+            if rule.premise.label == "L":
+                l_consts = l_consts.union(names)
+            else:
+                r_consts = r_consts.union(names)
         consts[node.id] = (l_consts, r_consts)
         order.append(node)
         stack.extend((ch, l_consts, r_consts) for ch in node.children)

@@ -85,6 +85,10 @@ class Structure:
             raise FormulaError(f"domain size must be an int, found {n!r}")
         if n < 1:
             raise FormulaError("domain must be non-empty")
+        for kind, names in (("relation", self.relations), ("constant", self.constants)):
+            for name in names:  # JSON object keys: a name must survive the round trip
+                if not isinstance(name, str) or not name:
+                    raise FormulaError(f"{kind} name must be a non-empty string, found {name!r}")
         rels = {}
         for name, tuples in self.relations.items():
             tuples = [tuple(t) for t in tuples]
@@ -562,11 +566,28 @@ def structure_to_json(A: Structure) -> str:
     return json.dumps(obj)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
 def structure_from_json(text: str) -> Structure:
-    """The structure a JSON object describes, checked by Structure: its
-    domain size, tuple entries and constant values must be JSON integers."""
+    """The structure a JSON object describes: {"domain": n, "relations":
+    {name: [[e, ...], ...]}, "constants": {name: e}}, the last two optional.
+    A value of the wrong JSON kind is named; the rest (domain size, tuple
+    entries, constant values) Structure checks."""
     obj = json.loads(text)
-    return Structure(obj["domain"], obj.get("relations", {}), obj.get("constants", {}))
+    if type(obj) is not dict:
+        raise FormulaError(f"a structure must be a JSON object, found {_JSON_KINDS[type(obj)]}")
+    if "domain" not in obj:
+        raise FormulaError('a structure must have a "domain"')
+    relations, constants = obj.get("relations", {}), obj.get("constants", {})
+    for key, value in (("relations", relations), ("constants", constants)):
+        if type(value) is not dict:
+            raise FormulaError(f'"{key}" must be an object, found {_JSON_KINDS[type(value)]}')
+    for name, tuples in relations.items():
+        if type(tuples) is not list or not all(type(t) is list for t in tuples):
+            raise FormulaError(f"relation {name} must be an array of arrays")
+    return Structure(obj["domain"], relations, constants)
 
 
 def substructure(A: Structure, elements: Iterable) -> Structure:

@@ -73,20 +73,32 @@ from .errors import (
     NotProvedWithinBudget, NotValid,
 )
 from .formulas import (
-    BOTTOM, And, Atom, Const, Exists, Forall, Not, Or, Top,
+    BOTTOM, And, Atom, Const, Exists, Forall, Not, Or, Top, _slot_setters,
     compile_substitution, fresh_names, is_nnf, is_sentence, signature_of, to_nnf,
 )
 from .models import Structure, evaluate
 
 
-@dataclass(frozen=True, slots=True)
+# LabeledSentence and ForallRule are made once per ∀ step (and the former once
+# per introduced sentence), so their __init__s set the slots directly, with
+# no per-field object.__setattr__ and no __post_init__ call; the dataclass
+# decorator still supplies ==, hash, repr, immutability and pickling.
+_record = dataclass(frozen=True, slots=True, init=False)
+
+
+@_record
 class LabeledSentence:
     formula: object
     label: str  # "L" or "R"
 
-    def __post_init__(self):
-        if self.label not in ("L", "R"):
-            raise FormulaError(f"label must be L or R, got {self.label!r}")
+    def __init__(self, formula, label):
+        if label not in ("L", "R"):
+            raise FormulaError(f"label must be L or R, got {label!r}")
+        _SET_FORMULA(self, formula)
+        _SET_LABEL(self, label)
+
+
+_SET_FORMULA, _SET_LABEL = _slot_setters(LabeledSentence)
 
 
 def labeled(left, right) -> list:
@@ -119,10 +131,17 @@ class ExistsRule:
     constants: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ForallRule:
     premise: LabeledSentence
     constant: str
+
+    def __init__(self, premise, constant):
+        _SET_PREMISE(self, premise)
+        _SET_CONSTANT(self, constant)
+
+
+_SET_PREMISE, _SET_CONSTANT = _slot_setters(ForallRule)
 
 
 @dataclass(frozen=True, slots=True)

@@ -490,6 +490,19 @@ def test_malformed_input_exits_usage(argv, tmp_path, data_dir, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "a structure must be a JSON object, found an array"),
+    ('{"relations": {"P": [[0]]}}', 'a structure must have a "domain"'),
+    ('{"domain": 2, "relations": []}', '"relations" must be an object, found an array'),
+    ('{"domain": 2, "relations": {"P": [0]}}', "relation P must be an array of arrays"),
+])
+def test_malformed_structure_json_is_named(text, reason, tmp_path, capsys):
+    structure = tmp_path / "structure.json"
+    structure.write_text(text)
+    code, out, err = run(capsys, "eval", str(structure), "--formula", "true")
+    assert (code, out, err) == (3, "", f"error: {reason}\n")
+
+
 @pytest.mark.parametrize("value, column", [("1_0", 10), ("\u0663", 10), ("3\x0c", 10)])
 def test_option_values_are_ascii_digits(value, column, tmp_path, capsys):
     # int() alone would read "1_0" as 10 and the Arabic-Indic three as 3

@@ -246,6 +246,36 @@ def test_domain_elements_are_ints(domain, relations, constants):
         structure_from_json(text)
 
 
+@pytest.mark.parametrize("relations, constants", [
+    ({1: set()}, {}),            # JSON would read it back as "1"
+    ({"": set()}, {}),
+    ({None: set()}, {}),
+    ({}, {("c",): 0}),
+    ({}, {"": 0}),
+])
+def test_structure_names_are_non_empty_strings(relations, constants):
+    # names are JSON object keys, so only a non-empty string round-trips
+    with pytest.raises(FormulaError, match="name must be a non-empty string"):
+        Structure(1, relations, constants)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "a structure must be a JSON object, found an array"),
+    ("3", "a structure must be a JSON object, found a number"),
+    ('{"relations": {}}', 'a structure must have a "domain"'),
+    ('{"domain": 2, "relations": []}', '"relations" must be an object, found an array'),
+    ('{"domain": 2, "constants": null}', '"constants" must be an object, found null'),
+    ('{"domain": 2, "relations": {"P": [0, 1]}}', "relation P must be an array of arrays"),
+    ('{"domain": 2, "relations": {"P": {"0": 1}}}', "relation P must be an array of arrays"),
+    ('{"domain": 2, "relations": {"": [[0]]}}',
+     "relation name must be a non-empty string, found ''"),
+])
+def test_structure_json_of_the_wrong_shape_is_named(text, reason):
+    with pytest.raises(FormulaError) as e:
+        structure_from_json(text)
+    assert str(e.value) == reason
+
+
 def test_a_structure_keeps_its_own_copy_of_what_it_checked():
     relations, constants = {"P": {(0,)}}, {"c": 0}
     A = Structure(2, relations, constants)
