@@ -169,13 +169,14 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
 def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
     """Sentence phi over the shared signature with Σ1 ⊨ phi and Σ2 ⊨ ¬phi."""
     try:
-        theta, _ = interpolant_from_labeled(
+        theta, annotated = interpolant_from_labeled(
             labeled(sigma1.sentences, sigma2.sentences), budget)
     except NotValid as e:
         raise JointlyConsistent("the theories admit a common model",
                                 *e.witnesses) from e
     theta = simplify(theta)
-    return certify(theta, sigma1.signature().symbols() & sigma2.signature().symbols(),
+    left, right = annotated.sides  # Σ1 is labeled L and Σ2 R
+    return certify(theta, left.symbols() & right.symbols(),
                    [("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
                     ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
 

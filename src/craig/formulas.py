@@ -315,12 +315,12 @@ def walk(phi) -> Iterator:
         yield f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignatureReport:
     """Symbols of a formula: occurrence sets, polarities and free variables.
     ``constants`` and ``free_vars`` are ``dict.keys()`` views: sets that list
     each name once, in order of first occurrence (preorder, arguments left to
-    right)."""
+    right).  Built through the slot setters, as the nodes are."""
 
     relations: frozenset
     arities: dict
@@ -329,8 +329,20 @@ class SignatureReport:
     relsig_neg: frozenset
     free_vars: object  # dict keys view, first-occurrence order
 
+    def __init__(self, relations, arities, constants, relsig_pos, relsig_neg, free_vars):
+        _SET_RELATIONS(self, relations)
+        _SET_ARITIES(self, arities)
+        _SET_CONSTANTS(self, constants)
+        _SET_POS(self, relsig_pos)
+        _SET_NEG(self, relsig_neg)
+        _SET_FREE(self, free_vars)
+
     def symbols(self) -> frozenset:
         return self.relations.union(self.constants)
+
+
+(_SET_RELATIONS, _SET_ARITIES, _SET_CONSTANTS, _SET_POS, _SET_NEG,
+ _SET_FREE) = _slot_setters(SignatureReport)
 
 
 _NO_NAMES = frozenset()
@@ -384,14 +396,8 @@ def signature_of(*phis) -> SignatureReport:
             push((f.body, bound.union(f.vars), positive))
         elif kind is not Top:
             raise FormulaError(f"not a formula: {f!r}")
-    return SignatureReport(
-        relations=frozenset(arities),
-        arities=arities,
-        constants=constants.keys(),
-        relsig_pos=frozenset(pos),
-        relsig_neg=frozenset(neg),
-        free_vars=free.keys(),
-    )
+    return SignatureReport(frozenset(arities), arities, constants.keys(),
+                           frozenset(pos), frozenset(neg), free.keys())
 
 
 def free_vars(phi):

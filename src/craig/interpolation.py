@@ -36,6 +36,9 @@ from .tableau import (
 class AnnotatedTableau:
     tableau: ClosedTableau
     interpolants: dict  # node id -> formula
+    # (L report, R report): signature_of of the root's L inputs and of its R
+    # inputs, which share the symbols of the sentences they are the NNF of
+    sides: tuple = ()
 
     def root_interpolant(self):
         return self.interpolants[self.tableau.root.id]
@@ -82,14 +85,16 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     read off the rules, with no walk: an ∃ node adds its witnesses, and a ∀
     node its constant when the instance uses it.  A conjunct, a disjunct or
     an instance has no other constant its premise above lacks.  Siblings
-    share their parent's sets, so they stay frozensets.
+    share their parent's sets, so they stay frozensets.  The two root
+    reports are kept as the result's ``sides``.
     """
     interpolants: dict = {}
     consts: dict = {}
     order: list = []
     inputs = tableau.root.introduced
-    l_consts, r_consts = (frozenset(signature_of(
-        *[ls.formula for ls in inputs if ls.label == side]).constants) for side in "LR")
+    sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
+                  for side in "LR")
+    l_consts, r_consts = (frozenset(side.constants) for side in sides)
     stack = [(tableau.root, l_consts, r_consts)]
     while stack:
         node, l_consts, r_consts = stack.pop()
@@ -133,7 +138,7 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
                 thetas.append(interpolants[child.id])
             theta = Or(tuple(thetas)) if premise.label == "L" else And(tuple(thetas))
         interpolants[node.id] = theta
-    return AnnotatedTableau(tableau, interpolants)
+    return AnnotatedTableau(tableau, interpolants, sides)
 
 
 def interpolant_from_labeled(inputs: list, budget: int):
@@ -189,9 +194,11 @@ def certify(theta, allowed, claims, budget: int):
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
     """Exact syntactic signature checks plus two tableau entailment checks
-    (sentences only: the prover rejects an open input)."""
+    (sentences only: the prover rejects an open input).  A relation is its
+    name and arity: one name used with another arity is not shared."""
     sig_phi, sig_psi, sig_theta = signature_of(phi), signature_of(psi), signature_of(theta)
-    bad_rels = sorted(sig_theta.relations - (sig_phi.relations & sig_psi.relations))
+    bad_rels = sorted(r for r, _ in sig_theta.arities.items()
+                      - (sig_phi.arities.items() & sig_psi.arities.items()))
     if bad_rels:
         return Verdict(Verdict.SIGNATURE_VIOLATION,
                        f"relations not shared: {', '.join(bad_rels)}")
@@ -224,17 +231,20 @@ def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
     not_psi = Not(psi)  # one node for both proofs: its NNF is computed once
     theta, annotated = interpolant_from_labeled(labeled([phi], [not_psi]), budget)
-    certify(theta, signature_of(phi).symbols() & signature_of(psi).symbols(),
+    left, right = annotated.sides  # the symbols of phi and of psi
+    certify(theta, left.symbols() & right.symbols(),
             [("phi -> theta", [phi, Not(theta)]), ("theta -> psi", [theta, not_psi])],
             budget)
     return theta, annotated
 
 
 def lyndon_check(phi, psi, theta) -> bool:
-    """Polarity inclusions of the Lyndon refinement (constants exempt)."""
+    """Polarity inclusions of the Lyndon refinement (constants exempt).  A
+    relation is its name and arity, as in verify_interpolant."""
     p, q, t = signature_of(phi), signature_of(psi), signature_of(theta)
     return (t.relsig_pos <= (p.relsig_pos & q.relsig_pos)
-            and t.relsig_neg <= (p.relsig_neg & q.relsig_neg))
+            and t.relsig_neg <= (p.relsig_neg & q.relsig_neg)
+            and t.arities.items() <= (p.arities.items() & q.arities.items()))
 
 
 # ---------------------------------------------------------------- search

@@ -73,8 +73,12 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive-descent parser over one arity registry.
 
-    A registry shared across calls keeps relation arities consistent within a
-    problem file.
+    parse_formula reads one ``->`` level in a loop over ``&`` and ``|``, and
+    recurses only for the right side of ``->``; unary reads everything
+    tighter.  A ``!`` costs one frame (unary), a parenthesis two (unary and
+    parse_formula) and a quantifier three (and quantified).  A registry
+    shared across calls keeps relation arities consistent within a problem
+    file.
     """
 
     def __init__(self, text: str, arities: dict):
@@ -83,62 +87,72 @@ class _Parser:
         self.i = 0
         self.arities = arities
 
-    def peek(self) -> str:
-        """Kind of the next token."""
-        return self.toks[self.i][0]
-
-    def next(self) -> tuple:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
     def expect(self, kind: str) -> tuple:
-        if self.peek() != kind:
-            self.error(f"expected {kind}, found {self.toks[self.i][1]!r}")
-        return self.next()
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            self.error(f"expected {kind}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
     def error(self, msg: str, tok: tuple | None = None):
         """Raise msg at tok, by default at the next token."""
         raise _error(msg, self.text, (tok or self.toks[self.i])[2])
 
     def parse_formula(self, bound: frozenset):
-        return self.implication(bound)
-
-    def implication(self, bound):
-        left = self.disjunction(bound)
-        if self.peek() == "arrow":
-            self.next()
-            return implies(left, self.implication(bound))
-        return left
-
-    def disjunction(self, bound):
-        items = [self.conjunction(bound)]
-        while self.peek() == "or":
-            self.next()
-            items.append(self.conjunction(bound))
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def conjunction(self, bound):
-        items = [self.unary(bound)]
-        while self.peek() == "and":
-            self.next()
-            items.append(self.unary(bound))
-        return items[0] if len(items) == 1 else And(tuple(items))
+        """``a -> b`` (right-associative) over ``|`` over ``&`` over unary."""
+        toks, unary = self.toks, self.unary
+        disjuncts = []
+        items = [unary(bound)]
+        while True:
+            kind = toks[self.i][0]
+            if kind == "and":
+                self.i += 1
+                items.append(unary(bound))
+                continue
+            disjuncts.append(items[0] if len(items) == 1 else And(tuple(items)))
+            if kind != "or":
+                break
+            self.i += 1
+            items = [unary(bound)]
+        f = disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
+        if kind == "arrow":
+            self.i += 1
+            return implies(f, self.parse_formula(bound))
+        return f
 
     def unary(self, bound):
-        kind = self.peek()
+        # few locals and a shallow stack: a chain of ! holds one frame of
+        # this per level, so its size is that chain's memory
+        kind = self.toks[self.i][0]
+        if kind == "ident":
+            return self.atom(bound)
         if kind == "not":
-            self.next()
+            self.i += 1
             return Not(self.unary(bound))
-        if kind in ("forall", "exists"):
-            return self.quantified(bound)
-        return self.primary(bound)
+        if kind == "lpar":
+            self.i += 1
+            return self.closed(self.parse_formula(bound))
+        if kind == "forall" or kind == "exists":
+            return self.quantified(kind, bound)
+        if kind == "true" or kind == "false":
+            self.i += 1
+            return TOP if kind == "true" else BOTTOM
+        if kind == "eq":
+            self.error("equality atoms are not supported")
+        self.error(f"expected a formula, found {self.toks[self.i][1]!r}")
 
-    def quantified(self, bound):
-        q = self.next()
+    def closed(self, f):
+        """f, once the ``)`` after it is read."""
+        self.expect("rpar")
+        return f
+
+    def quantified(self, kind, bound):
+        toks = self.toks
+        self.i += 1
         names = []
-        while self.peek() == "ident":
-            tok = self.next()
+        while toks[self.i][0] == "ident":
+            tok = toks[self.i]
+            self.i += 1
             name = tok[1]
             if name[0].isupper():
                 self.error(f"quantified variable {name!r} must be lowercase", tok)
@@ -150,49 +164,34 @@ class _Parser:
         if not names:
             self.error("quantifier needs at least one variable")
         self.expect("dot")
-        body = self.parse_formula(bound | frozenset(names))
-        cls = Forall if q[0] == "forall" else Exists
-        return cls(tuple(names), body)
-
-    def primary(self, bound):
-        kind = self.peek()
-        if kind == "true":
-            self.next()
-            return TOP
-        if kind == "false":
-            self.next()
-            return BOTTOM
-        if kind == "lpar":
-            self.next()
-            f = self.parse_formula(bound)
-            self.expect("rpar")
-            return f
-        if kind == "ident":
-            return self.atom(bound)
-        if kind == "eq":
-            self.error("equality atoms are not supported")
-        self.error(f"expected a formula, found {self.toks[self.i][1]!r}")
+        body = self.parse_formula(bound.union(names))
+        return (Forall if kind == "forall" else Exists)(tuple(names), body)
 
     def atom(self, bound):
-        head = self.next()
+        toks = self.toks
+        head = toks[self.i]
+        self.i += 1
         name = head[1]
+        kind = toks[self.i][0]
         if not name[0].isupper():
-            if self.peek() == "lpar":
+            if kind == "lpar":
                 self.error(f"function symbols are not supported: {name!r}", head)
-            if self.peek() == "eq":
+            if kind == "eq":
                 self.error("equality atoms are not supported", head)
             self.error(f"relation symbols are capitalized; {name!r} looks like a term",
                        head)
         args = []
-        if self.peek() == "lpar":
-            self.next()
-            if self.peek() != "rpar":
-                args.append(self.term(bound))
-                while self.peek() == "comma":
-                    self.next()
+        if kind == "lpar":
+            self.i += 1
+            if toks[self.i][0] != "rpar":
+                while True:
                     args.append(self.term(bound))
+                    if toks[self.i][0] != "comma":
+                        break
+                    self.i += 1
             self.expect("rpar")
-        if self.peek() == "eq":
+            kind = toks[self.i][0]
+        if kind == "eq":
             self.error("equality atoms are not supported")
         seen = self.arities.setdefault(name, len(args))
         if seen != len(args):
@@ -205,7 +204,7 @@ class _Parser:
         name = t[1]
         if name[0].isupper():
             self.error(f"relation symbol {name!r} used as a term", t)
-        if self.peek() == "lpar":
+        if self.toks[self.i][0] == "lpar":
             self.error(f"function symbols are not supported: {name!r}", t)
         if name in bound:
             return Var(name)
@@ -218,8 +217,9 @@ def parse(text: str, arities: dict | None = None):
     """Parse a single formula."""
     p = _Parser(text, {} if arities is None else arities)
     f = p.parse_formula(frozenset())
-    if p.peek() != "eof":
-        p.error(f"trailing input {p.toks[p.i][1]!r}")
+    tok = p.toks[p.i]
+    if tok[0] != "eof":
+        p.error(f"trailing input {tok[1]!r}")
     return f
 
 

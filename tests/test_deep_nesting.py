@@ -1,7 +1,8 @@
 """Nesting depths the package must handle.
 
 ``craig/__init__.py`` raises the recursion limit at import because the
-parser recurses once or twice per nesting level, ``to_nnf`` once per
+parser recurses once per ``!``, twice per parenthesis and three times per
+quantifier (a ``->`` chain once per arrow), ``to_nnf`` once per
 ∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees twice per
 level (a comparison and the node class's own ``__eq__``).  Each case below
 that runs in this process fails at the default limit of 1,000, so these
@@ -16,7 +17,8 @@ explicit stack), nor ``print_formula``, ``simplify``, ``canonical_rename``
 and ``bind_patt`` (folds over an explicit stack), nor ``classify`` but for
 its one ``to_nnf``; the subprocess cases pin these at the default limit.
 ``evaluate`` and ``models._compile`` recurse once per level too, but no
-case here pins them.
+case here pins them.  The parser's own depths at the default limit are
+pinned in a subprocess too: about 490 parentheses or 330 quantifiers fit.
 """
 
 from __future__ import annotations
@@ -225,5 +227,30 @@ f, text = nest("x", 3_000)
 assert print_formula(f) == text
 assert print_formula(simplify(f)) == text
 assert print_formula(canonical_rename(f)) == nest("v0", 3_000)[1]
+print("ok")
+""")
+
+
+def test_parse_inside_400_parentheses_at_the_default_limit():
+    # two frames a level (unary, then parse_formula); the descent with one
+    # method per precedence level took six and stopped at 163 levels
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Const
+from craig.parser import parse
+assert parse("(" * 400 + "P(a)" + ")" * 400) == Atom("P", (Const("a"),))
+print("ok")
+""")
+
+
+def test_parse_under_300_nested_quantifiers_at_the_default_limit():
+    # three frames a level (unary, quantified, parse_formula)
+    _run_at_the_default_limit("""
+from craig.formulas import Atom, Forall, Var
+from craig.parser import parse
+names = [f"x{i}" for i in range(300)]
+f = Atom("P", (Var("x0"),))
+for name in reversed(names):
+    f = Forall((name,), f)
+assert parse("".join(f"forall {name}. " for name in names) + "P(x0)") == f
 print("ok")
 """)

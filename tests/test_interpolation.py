@@ -12,7 +12,7 @@ from craig.formulas import (
     BOTTOM, TOP, Atom, Const, Not, RESERVED_CONSTANT, signature_of, simplify, to_nnf,
 )
 from craig.interpolation import (
-    Verdict, certify, craig_interpolant, entails, enumerate_shared_formulas,
+    AnnotatedTableau, Verdict, certify, craig_interpolant, entails, enumerate_shared_formulas,
     interpolant_from_labeled, lyndon_check, propagate, search_interpolant,
     verify_interpolant,
 )
@@ -165,6 +165,11 @@ def _leaking_constructions(tallest):
     sigma1, sigma2 = Theory((parse("P(a)"), parse("Q(a)"))), Theory((parse("!P(a)"),))
     return {
         "craig": (lambda: craig_interpolant(r, r, 1000), padded, "Z"),
+        # S occurs on the left only: the allowed symbols are the two sides'
+        # common ones, not all of them
+        "craig-one-side": (lambda: craig_interpolant(parse("R(a) & S(a)"),
+                                                     parse("R(a) | T(a)"), 1000),
+                           parse("R(a) & (S(a) | !S(a))"), "S"),
         "beth": (lambda: explicit_definition(tallest, "Tallest", ["Taller-than"], 1000),
                  Atom("Tallest", (Const("c0"),)), "Tallest"),  # c0: the defined tuple
         "robinson": (lambda: robinson_separator(sigma1, sigma2, 1000),
@@ -175,13 +180,20 @@ def _leaking_constructions(tallest):
     }
 
 
-@pytest.mark.parametrize("name", ["craig", "beth", "robinson", "monotone", "weak",
-                                  "strong"])
+@pytest.mark.parametrize("name", ["craig", "craig-one-side", "beth", "robinson",
+                                  "monotone", "weak", "strong"])
 def test_every_construction_rejects_a_leaked_symbol(name, tallest_theory, monkeypatch):
     call, theta, leak = _leaking_constructions(tallest_theory)[name]
+
+    def leaking(inputs, budget):
+        # the stand-in for the annotated tableau carries what propagate's
+        # does and the constructions read: the reports of the two sides
+        sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
+                      for side in "LR")
+        return theta, AnnotatedTableau(None, {}, sides)
+
     for module in (interpolation, definability, theory):
-        monkeypatch.setattr(module, "interpolant_from_labeled",
-                            lambda inputs, budget: (theta, None))
+        monkeypatch.setattr(module, "interpolant_from_labeled", leaking)
     with pytest.raises(FormulaError, match=f"internal error: {leak} outside the signature"):
         call()
 
@@ -202,6 +214,22 @@ def test_verify_signature_violation(example1):
     verdict = verify_interpolant(phi, psi, parse("exists x. Green(x)"), 1000)
     assert verdict.kind == Verdict.SIGNATURE_VIOLATION
     assert "Green" in verdict.details
+
+
+@pytest.mark.parametrize("phi, psi, theta", [
+    ("R(a, b) & S(a)", "R(a, b) | T(a)", "R(a)"),  # theta's R is not phi's and psi's
+    ("R(a, b) & S(a)", "R(a) | T(a)", "R(a, b)"),  # phi's R is not psi's
+    ("!R(a, b) & S(a)", "!R(a, b) | T(a)", "!R(a)"),
+])
+def test_a_relation_is_its_name_and_arity(phi, psi, theta):
+    phi, psi, theta = parse(phi), parse(psi), parse(theta)
+    assert not lyndon_check(phi, psi, theta)
+    verdict = verify_interpolant(phi, psi, theta, 1000)
+    assert (verdict.kind, verdict.details) == (Verdict.SIGNATURE_VIOLATION,
+                                               "relations not shared: R")
+    # with one arity throughout, the polarities pass
+    assert lyndon_check(*[parse(print_formula(f).replace("R(a, b)", "R(a)"))
+                          for f in (phi, psi, theta)])
 
 
 def test_verify_not_entailed_carries_its_countermodel(example1):
