@@ -13,7 +13,8 @@ import sys
 # craig_interpolant on the implication chain of length 500 raises
 # RecursionError (in to_nnf of its raw interpolant, during verification);
 # parse stops at about 987 nested negations, 493 nested parentheses and 329
-# nested quantifiers (19,987, 9,993 and 6,662), and == at 498.  Hashing (done at
+# nested quantifiers (19,987, 9,993 and 6,662), and == at 498; nested
+# quantifiers parse in linear time and memory.  Hashing (done at
 # construction), to_nnf on a negation chain or a node it has seen, and the
 # other walkers of formulas.py, print_formula, canonical_rename, bind_patt
 # and classify (all but its one to_nnf) run flat.

@@ -76,9 +76,11 @@ class _Parser:
     parse_formula reads one ``->`` level in a loop over ``&`` and ``|``, and
     recurses only for the right side of ``->``; unary reads everything
     tighter.  A ``!`` costs one frame (unary), a parenthesis two (unary and
-    parse_formula) and a quantifier three (and quantified).  A registry
-    shared across calls keeps relation arities consistent within a problem
-    file.
+    parse_formula) and a quantifier three (and quantified).  ``bound``
+    counts, per name, the enclosing quantifiers that bind it: a block raises
+    its names' counts before its body and lowers them after, so nested
+    quantifiers cost linear time and memory.  A registry shared across calls
+    keeps relation arities consistent within a problem file.
     """
 
     def __init__(self, text: str, arities: dict):
@@ -86,6 +88,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.arities = arities
+        self.bound: dict = {}  # variable name -> number of blocks binding it here
 
     def expect(self, kind: str) -> tuple:
         tok = self.toks[self.i]
@@ -98,42 +101,42 @@ class _Parser:
         """Raise msg at tok, by default at the next token."""
         raise _error(msg, self.text, (tok or self.toks[self.i])[2])
 
-    def parse_formula(self, bound: frozenset):
+    def parse_formula(self):
         """``a -> b`` (right-associative) over ``|`` over ``&`` over unary."""
         toks, unary = self.toks, self.unary
         disjuncts = []
-        items = [unary(bound)]
+        items = [unary()]
         while True:
             kind = toks[self.i][0]
             if kind == "and":
                 self.i += 1
-                items.append(unary(bound))
+                items.append(unary())
                 continue
             disjuncts.append(items[0] if len(items) == 1 else And(tuple(items)))
             if kind != "or":
                 break
             self.i += 1
-            items = [unary(bound)]
+            items = [unary()]
         f = disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
         if kind == "arrow":
             self.i += 1
-            return implies(f, self.parse_formula(bound))
+            return implies(f, self.parse_formula())
         return f
 
-    def unary(self, bound):
+    def unary(self):
         # few locals and a shallow stack: a chain of ! holds one frame of
         # this per level, so its size is that chain's memory
         kind = self.toks[self.i][0]
         if kind == "ident":
-            return self.atom(bound)
+            return self.atom()
         if kind == "not":
             self.i += 1
-            return Not(self.unary(bound))
+            return Not(self.unary())
         if kind == "lpar":
             self.i += 1
-            return self.closed(self.parse_formula(bound))
+            return self.closed(self.parse_formula())
         if kind == "forall" or kind == "exists":
-            return self.quantified(kind, bound)
+            return self.quantified(kind)
         if kind == "true" or kind == "false":
             self.i += 1
             return TOP if kind == "true" else BOTTOM
@@ -146,8 +149,8 @@ class _Parser:
         self.expect("rpar")
         return f
 
-    def quantified(self, kind, bound):
-        toks = self.toks
+    def quantified(self, kind):
+        toks, bound = self.toks, self.bound
         self.i += 1
         names = []
         while toks[self.i][0] == "ident":
@@ -164,10 +167,14 @@ class _Parser:
         if not names:
             self.error("quantifier needs at least one variable")
         self.expect("dot")
-        body = self.parse_formula(bound.union(names))
+        for name in names:
+            bound[name] = bound.get(name, 0) + 1
+        body = self.parse_formula()
+        for name in names:
+            bound[name] -= 1
         return (Forall if kind == "forall" else Exists)(tuple(names), body)
 
-    def atom(self, bound):
+    def atom(self):
         toks = self.toks
         head = toks[self.i]
         self.i += 1
@@ -185,7 +192,7 @@ class _Parser:
             self.i += 1
             if toks[self.i][0] != "rpar":
                 while True:
-                    args.append(self.term(bound))
+                    args.append(self.term())
                     if toks[self.i][0] != "comma":
                         break
                     self.i += 1
@@ -199,14 +206,14 @@ class _Parser:
                        head)
         return Atom(name, tuple(args))
 
-    def term(self, bound):
+    def term(self):
         t = self.expect("ident")
         name = t[1]
         if name[0].isupper():
             self.error(f"relation symbol {name!r} used as a term", t)
         if self.toks[self.i][0] == "lpar":
             self.error(f"function symbols are not supported: {name!r}", t)
-        if name in bound:
+        if self.bound.get(name):
             return Var(name)
         if RESERVED_CONSTANT.match(name):
             self.error(f"{name!r} is in the reserved fresh-constant namespace", t)
@@ -216,7 +223,7 @@ class _Parser:
 def parse(text: str, arities: dict | None = None):
     """Parse a single formula."""
     p = _Parser(text, {} if arities is None else arities)
-    f = p.parse_formula(frozenset())
+    f = p.parse_formula()
     tok = p.toks[p.i]
     if tok[0] != "eof":
         p.error(f"trailing input {tok[1]!r}")

@@ -3,13 +3,15 @@
 ``compile_substitution`` emits one specialised instruction per rebuilt node
 (an atom with one rebuilt argument and an ∧/∨ with one or two adjacent
 rebuilt items are precomputed tuple splices), and ``Substitution.run`` sets
-every field through the slots' own setters.  ``LabeledSentence`` and
-``ForallRule`` set theirs the same way in hand-written ``__init__``s.
-``propagate`` reads the constants of every node below the root off its rule.
-The reference copies below are the previous code, kept verbatim: one general
-instruction per node kind with fields set by ``object.__setattr__``, the
-dataclass-generated ``__init__``s with a ``__post_init__`` label check, and a
-``propagate`` that walks every root, ∃ and ∀ sentence with ``signature_of``.
+every field through the slots' own setters.  ``LabeledSentence`` sets its
+fields the same way in a hand-written ``__init__``; ``ForallRule`` is
+generated by ``frozen_record``, which also makes every record refuse a
+write of a name that is not a field.  ``propagate`` reads the constants of
+every node below the root off its rule.  The reference copies below are the
+previous code, kept verbatim: one general instruction per node kind with
+fields set by ``object.__setattr__``, the dataclass-generated ``__init__``s
+with a ``__post_init__`` label check, and a ``propagate`` that walks every
+root, ∃ and ∀ sentence with ``signature_of``.
 
 The inputs are every ∃ and ∀ node of the Pelletier problems, the chains and
 ``corpus(42, 500)``, on the surface and in NNF, and the closed tableaux of
@@ -326,7 +328,8 @@ def test_records_keep_the_dataclass_behaviour(sentences):
         assert keywords == new and hash(keywords) == hash(new) and keywords is not new
         assert new != ref  # == is per class, as the generated one
         assert new != cls(*other) and ref != type(ref)(*other)
-        for attempt in (lambda: setattr(new, names[0], TOP), lambda: delattr(new, names[1])):
+        for attempt in (lambda: setattr(new, names[0], TOP), lambda: delattr(new, names[1]),
+                        lambda: setattr(new, "extra", TOP), lambda: delattr(new, "extra")):
             with pytest.raises(FrozenInstanceError):
                 attempt()
         assert values(new) == fields
