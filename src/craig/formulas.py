@@ -227,7 +227,13 @@ def _not_eq(a, b):
         return True
     if b.__class__ is not Not:
         return NotImplemented
-    return a._h == b._h and a.sub == b.sub
+    while a._h == b._h:  # down a negation chain in one frame
+        a, b = a.sub, b.sub
+        if a.__class__ is not Not or b.__class__ is not Not:
+            return a == b
+        if a is b:
+            return True
+    return False
 
 
 def _items_eq(a, b):  # And and Or
@@ -351,6 +357,15 @@ class SignatureReport:
 
     def symbols(self) -> frozenset:
         return self.relations.union(self.constants)
+
+    def __reduce__(self):  # a keys view neither copies nor pickles: pass tuples
+        return _signature_report, (self.relations, self.arities, tuple(self.constants),
+                                   self.relsig_pos, self.relsig_neg, tuple(self.free_vars))
+
+
+def _signature_report(relations, arities, constants, relsig_pos, relsig_neg, free_vars):
+    return SignatureReport(relations, arities, dict.fromkeys(constants).keys(),
+                           relsig_pos, relsig_neg, dict.fromkeys(free_vars).keys())
 
 
 (_SET_RELATIONS, _SET_ARITIES, _SET_CONSTANTS, _SET_POS, _SET_NEG,

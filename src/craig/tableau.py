@@ -14,9 +14,13 @@ satisfied and skipped, one with a disjunct whose clash partner is on the
 branch fires (that child closes immediately); (3) existentials in FIFO
 order — split-descended witnesses first, then input-descended ones, then
 ∀-instantiation-descended ones (the only kind that can regenerate without
-bound); (4) blind case splits, oldest first.  All fired rules are the vanilla
-calculus rules, so soundness, model extraction and interpolant propagation
-are unaffected; the ordering only controls which closed tableau is found.
+bound); (4) blind case splits, oldest first.  The disjunction queues hold
+the sentences themselves: a disjunction joins tier (2) for a clash partner
+already there and again each time one arrives, so it may wait more than
+once.  A split one has a disjunct on every child branch, so it is skipped
+wherever else it waits.  All fired rules are the vanilla calculus rules, so
+soundness, model extraction and interpolant propagation are unaffected; the
+ordering only controls which closed tableau is found.
 ∀-instantiation uses the oldest branch constant not yet tried for that
 formula and re-enters the queue; a ∀ on a constant-free branch waits for
 pending existentials and otherwise seeds one fresh constant (domains are
@@ -212,15 +216,6 @@ class _AlphaItem:
     next_const: int = 0  # forall only: index into branch constants
 
 
-_OPEN, _CLOSING, _DEAD = 0, 1, 2
-
-
-@dataclass(slots=True)
-class _BetaItem:
-    ls: LabeledSentence
-    state: int = _OPEN
-
-
 # undo-trail opcodes; an entry is the inverse's arguments, then its opcode:
 # (seq, _POP) undoes an append, (queue, x, _APPENDLEFT) a popleft, (container,
 # key, _DELITEM) an insertion, (container, key, value, _SETITEM) a removal,
@@ -258,7 +253,7 @@ class _BranchState:
         self.exists_queues: tuple = (deque(), deque(), deque())
         self.beta_closing: deque = deque()
         self.beta_open: deque = deque()
-        self.promote: dict = {}    # literal formula -> [beta items it would close]
+        self.promote: dict = {}    # literal formula -> [disjunctions it would close]
         self.evidence = None
         self.trail: list | None = None
         self.choices: list = []
@@ -370,33 +365,31 @@ class _BranchState:
             if waiting is not None:
                 if trail is not None:
                     trail += (promote, f, waiting, _SETITEM)
-                for item in waiting:
-                    if item.state == _OPEN:
-                        self.assign(item, "state", _CLOSING)
-                        self.push(self.beta_closing, item)
+                for waiting_ls in waiting:
+                    self.push(self.beta_closing, waiting_ls)
         elif kind is And:
             self.push_alpha(_AlphaItem(ls, "and"))
         elif kind is Or:
-            item = _BetaItem(ls)
+            closing = False
             for g in f.items:
                 if type(g) is Atom:
                     comp = Not(g)
                 elif type(g) is Not:
                     comp = g.sub
                     if type(comp) is Top:  # ⊥: this disjunct closes at once
-                        item.state = _CLOSING
+                        closing = True
                         continue
                 else:
                     continue
                 if comp in formulas:
-                    item.state = _CLOSING
+                    closing = True
                 elif comp in promote:
-                    self.push(promote[comp], item)
+                    self.push(promote[comp], ls)
                 else:
-                    promote[comp] = [item]
+                    promote[comp] = [ls]
                     if trail is not None:
                         trail += (promote, comp, _DELITEM)
-            self.push(self.beta_closing if item.state == _CLOSING else self.beta_open, item)
+            self.push(self.beta_closing if closing else self.beta_open, ls)
         elif kind is Exists:
             self.push(self.exists_queues[origin], ls)
         elif kind is Forall:
@@ -440,22 +433,14 @@ class _BranchState:
                 self.trail += (k, _ROTATE)
         return self.popleft(alpha)
 
-    def _pop_beta(self, queue: deque, want: int):
+    def next_beta(self, queue: deque):
+        """Pop the queue's first disjunction with no disjunct on the branch."""
+        formulas = self.formulas
         while queue:
-            item = self.popleft(queue)
-            if item.state != want:
-                continue
-            self.assign(item, "state", _DEAD)
-            if any(g in self.formulas for g in item.ls.formula.items):
-                continue  # some disjunct already holds: satisfied
-            return item
+            ls = self.popleft(queue)
+            if not any(g in formulas for g in ls.formula.items):
+                return ls
         return None
-
-    def next_closing_beta(self):
-        return self._pop_beta(self.beta_closing, _CLOSING)
-
-    def next_open_beta(self):
-        return self._pop_beta(self.beta_open, _OPEN)
 
     def next_exists(self):
         for queue in self.exists_queues:
@@ -513,7 +498,7 @@ class _Prover:
             if item is not None:
                 self.fire_alpha(branch, item)
                 continue
-            beta = branch.next_closing_beta()
+            beta = branch.next_beta(branch.beta_closing)
             if beta is not None:
                 self.fire_beta(branch, beta)
                 continue
@@ -521,7 +506,7 @@ class _Prover:
             if ex is not None:
                 self.fire_exists(branch, ex)
                 continue
-            beta = branch.next_open_beta()
+            beta = branch.next_beta(branch.beta_open)
             if beta is not None:
                 self.fire_beta(branch, beta)
                 continue
@@ -569,10 +554,9 @@ class _Prover:
             branch.add(gls, origin=2)
         branch.push_alpha(item)  # await further constants
 
-    def fire_beta(self, branch: _BranchState, item: _BetaItem):
+    def fire_beta(self, branch: _BranchState, ls: LabeledSentence):
         """Split: every child node is made now, in disjunct order; the search
         goes on into the first and the others wait as choice points."""
-        ls = item.ls
         self.applications += 1
         children = []
         for g in ls.formula.items:

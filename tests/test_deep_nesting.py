@@ -3,19 +3,22 @@
 ``craig/__init__.py`` raises the recursion limit at import because the
 parser recurses once per ``!``, twice per parenthesis and three times per
 quantifier (a ``->`` chain once per arrow), ``to_nnf`` once per
-∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees twice per
-level (a comparison and the node class's own ``__eq__``).  Each case below
-that runs in this process fails at the default limit of 1,000, so these
-tests pin what the raise buys; a change that makes those walkers iterative
-and deletes the raise must keep them passing.  Hashing does not recurse
-(every formula node computes its hash once, at construction), ``to_nnf``
-does not recurse on a chain of negations (it flips a polarity instead), and
-neither compiling a substitution nor running it recurses (both are flat
-loops over an explicit stack), nor do ``signature_of`` and ``is_nnf``
-(``is_nnf`` reads the memo ``to_nnf`` leaves on a node, or else walks an
-explicit stack), nor ``print_formula``, ``simplify``, ``canonical_rename``
-and ``bind_patt`` (folds over an explicit stack), nor ``classify`` but for
-its one ``to_nnf``; the subprocess cases pin these at the default limit.
+∧/∨/∃/∀ level, and ``==`` between two distinct, equal deep trees once per
+∧/∨/∃/∀ level: two frames per ∃/∀ level (a comparison and the node class's
+own ``__eq__``) and three per ∧/∨ level (the tuple comparison between).
+Each case below that runs in this process fails at the default limit of
+1,000, so these tests pin what the raise buys; a change that makes those
+walkers iterative and deletes the raise must keep them passing.  Hashing
+does not recurse (every formula node computes its hash once, at
+construction), ``to_nnf`` does not recurse on a chain of negations (it flips
+a polarity instead), nor does ``==`` on two of them (``Not``'s ``__eq__``
+loops down both), and neither compiling a substitution nor running it
+recurses (both are flat loops over an explicit stack), nor do
+``signature_of`` and ``is_nnf`` (``is_nnf`` reads the memo ``to_nnf`` leaves
+on a node, or else walks an explicit stack), nor ``print_formula``,
+``simplify``, ``canonical_rename`` and ``bind_patt`` (folds over an explicit
+stack), nor ``classify`` but for its one ``to_nnf``; the subprocess cases
+pin these at the default limit.
 ``evaluate`` and ``models._compile`` recurse once per level too, but no
 case here pins them.  The parser's own depths at the default limit are
 pinned in a subprocess too: about 490 parentheses or 330 quantifiers fit.
@@ -191,8 +194,8 @@ print("ok")
 """)
 
 
-def test_equality_of_450_deep_negation_chains_at_the_default_limit():
-    # two distinct, equal chains: == recurses once per level, two frames each
+def test_equality_of_50000_deep_negation_chains_does_not_recurse_at_the_default_limit():
+    # two distinct, equal chains: Not's == loops down both in one frame
     _run_at_the_default_limit("""
 from craig.formulas import Atom, Const, Not
 def chain(depth):
@@ -200,8 +203,8 @@ def chain(depth):
     for _ in range(depth):
         f = Not(f)
     return f
-f, g = chain(450), chain(450)
-assert f is not g and f == g and not (f != g) and f != chain(449)
+f, g = chain(50_000), chain(50_000)
+assert f is not g and f == g and not (f != g) and f != chain(49_999)
 print("ok")
 """)
 

@@ -15,6 +15,11 @@ Two parts of the state are also checked against plain references kept here:
 ``next_alpha``, which takes its item from the ready queue, against a scan of
 alpha past the dormant ∀ items; and ``add``, which dispatches once on the
 exact type of a sentence, against equality with ⊥ and the literal helpers.
+
+The β queues hold the disjunctions themselves, so one may wait more than
+once, also after it was split; no root-to-leaf path of a closed tableau may
+split one disjunction twice.  What a long proof keeps alive per application
+has a ceiling.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from craig.formulas import (
 )
 from craig.parser import parse, parse_problem
 from craig.tableau import (
-    _CLOSING, _OPEN, Closed, LabeledSentence, Satisfiable, Unknown, _BetaItem,
-    _BranchState, prove,
+    Closed, Disj, LabeledSentence, Satisfiable, Unknown, _BranchState, _Prover, prove,
 )
 
 from test_tableau_golden import chain_problem
@@ -42,9 +46,6 @@ PELLETIER = pathlib.Path(__file__).parent.parent / "bench" / "pelletier"
 
 
 def snapshot(branch: _BranchState) -> tuple:
-    def items(queue):
-        return [(it.ls, it.state) for it in queue]
-
     return (
         list(branch.formulas.items()),
         list(branch.constants),
@@ -52,9 +53,9 @@ def snapshot(branch: _BranchState) -> tuple:
         [(it.ls, it.kind, it.next_const) for it in branch.alpha],
         [(it.ls, it.kind, it.next_const) for it in branch.ready],
         [list(q) for q in branch.exists_queues],
-        items(branch.beta_closing),
-        items(branch.beta_open),
-        {key: items(waiting) for key, waiting in branch.promote.items()},
+        list(branch.beta_closing),
+        list(branch.beta_open),
+        {key: list(waiting) for key, waiting in branch.promote.items()},
     )
 
 
@@ -226,32 +227,28 @@ def reference_add(branch: _BranchState, ls: LabeledSentence):
             if partner is not None:
                 pair = (ls, partner) if isinstance(f, Atom) else (partner, ls)
                 branch.evidence = ("clash", *pair)
-    for item in branch.promote.pop(f, ()):
-        if item.state == _OPEN:
-            item.state = _CLOSING
-            branch.beta_closing.append(item)
+    # every disjunction waiting for f joins the closing queue, again if it
+    # waits there already
+    branch.beta_closing.extend(branch.promote.pop(f, ()))
     if isinstance(f, Or):
-        item = _BetaItem(ls)
+        closing = False
         for g in f.items:
             if g == BOTTOM:
-                item.state = _CLOSING
+                closing = True
                 continue
             comp = complement_literal(g)
             if comp is not None:
                 if comp in branch.formulas:
-                    item.state = _CLOSING
+                    closing = True
                 else:
-                    branch.promote.setdefault(comp, []).append(item)
-        (branch.beta_closing if item.state == _CLOSING else branch.beta_open).append(item)
+                    branch.promote.setdefault(comp, []).append(ls)
+        (branch.beta_closing if closing else branch.beta_open).append(ls)
 
 
 def observed(branch: _BranchState) -> tuple:
-    def items(queue):
-        return [(it.ls, it.state) for it in queue]
-
     return (list(branch.formulas.items()), branch.evidence,
-            items(branch.beta_closing), items(branch.beta_open),
-            [(key, items(waiting)) for key, waiting in branch.promote.items()])
+            list(branch.beta_closing), list(branch.beta_open),
+            [(key, list(waiting)) for key, waiting in branch.promote.items()])
 
 
 ATOMS = [Atom(r, (Const(c),)) for r in ("P", "Q") for c in ("a", "b")]
@@ -278,3 +275,76 @@ def test_add_matches_the_literal_helpers(sentences):
         assert observed(branch) == observed(reference)
     branch.undo_to(0)
     assert observed(branch) == empty
+
+
+# ------------------------------------------------------------------ β queues
+
+def test_a_disjunction_waits_once_per_clash_partner():
+    # the β queues hold the sentences themselves: each arriving clash partner
+    # pushes the disjunction onto the closing queue again
+    inputs = [LabeledSentence(parse(text), "L")
+              for text in ("P(a) | Q(a) | R(a)", "!P(a)", "!Q(a)", "!R(a)")]
+    branch = _BranchState()
+    for ls in inputs:
+        branch.add(ls)
+    # it entered the open queue, with no partner on the branch yet
+    assert list(branch.beta_open) == [inputs[0]]
+    assert list(branch.beta_closing) == [inputs[0]] * 3
+    assert not branch.promote and branch.evidence is None
+    outcome = prove(inputs, 100)
+    # one split, whose three children all close
+    assert isinstance(outcome, Closed)
+    assert outcome.tableau.rule_applications == 4
+    assert outcome.tableau.branch_count() == 3
+
+
+def split_twice_on_a_path(tableau) -> int:
+    """Assert that no root-to-leaf path splits one disjunction twice; returns
+    the number of split children seen."""
+    children = 0
+    stack = [(tableau.root, frozenset())]
+    while stack:
+        node, split = stack.pop()
+        if type(node.rule) is Disj:
+            children += 1
+            assert node.rule.premise not in split, node.rule.premise
+            split = split | {node.rule.premise}
+        stack.extend((child, split) for child in node.children)
+    return children
+
+
+def test_no_path_splits_a_disjunction_twice():
+    # a split disjunction may still wait in a queue; it is skipped there, as
+    # each child branch holds one of its disjuncts
+    closed = children = 0
+    problems = [problem_inputs(path.read_text(encoding="utf-8"))
+                for path in sorted(PELLETIER.glob("p*.fol"))]
+    outcomes = [prove(inputs, 1_500) for inputs in problems]
+    outcomes += [prove(refutation([inst.phi], inst.psi), 1_500) for inst in corpus(42, 200)]
+    for outcome in outcomes:
+        if isinstance(outcome, Closed):
+            closed += 1
+            children += split_twice_on_a_path(outcome.tableau)
+    assert closed >= 230 and children >= 1_500
+
+
+def test_p46_keeps_at_most_19_tracked_objects_per_application(monkeypatch):
+    # what a long proof keeps alive grows with its applications: nodes,
+    # sentences, agenda entries and trail.  Counted with the collector on, as
+    # the proof runs: P46 at 10,000 applications, when the budget ends.
+    inputs = problem_inputs((PELLETIER / "p46.fol").read_text(encoding="utf-8"))
+    work, alive = _Prover.work, []
+
+    def counted_work(self, branch):
+        outcome = work(self, branch)
+        if isinstance(outcome, Unknown):
+            gc.collect()
+            alive.append(len(gc.get_objects()))
+        return outcome
+
+    monkeypatch.setattr(_Prover, "work", counted_work)
+    gc.collect()
+    before = len(gc.get_objects())
+    outcome = prove(inputs, 10_000)
+    assert isinstance(outcome, Unknown) and outcome.budget_spent == 10_000
+    assert (alive[0] - before) / 10_000 <= 19.0
