@@ -6,20 +6,10 @@ from __future__ import annotations
 
 import sys
 
-# The parser recurses once per negation, twice per parenthesis and three
-# times per quantifier, to_nnf once or twice per ∧/∨/∃/∀ level, evaluate and
-# models._compile (and the closures it builds) once per level, and ==
-# between two distinct, equal trees twice per ∃/∀ and three times per ∧/∨
-# level.  At the default limit of 1,000, craig_interpolant on the
-# implication chain of length 500 raises RecursionError (in to_nnf of its
-# raw interpolant, during verification); parse stops at about 987 nested
-# negations, 493 nested parentheses and 329 nested quantifiers (19,987,
-# 9,993 and 6,662), and == at 498 nested quantifiers and 332 conjunctions.
-# Hashing (done at construction), == and to_nnf on a negation chain, to_nnf
-# on a node it has seen, and the other walkers of formulas.py, print_formula,
-# canonical_rename, bind_patt and classify (all but its one to_nnf) run flat.
-# tests/test_deep_nesting.py pins depths that only the raise makes reachable:
-# each of its in-process cases fails without it.
+# Some walkers still recurse once or more per nesting level, so the limit is
+# raised: tests/test_deep_nesting.py pins depths that only the raise makes
+# reachable, and each of its in-process cases fails without it.  README's
+# "Nesting depth" note is the one list of those walkers and their depths.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 

@@ -28,7 +28,7 @@ class AccessMethod:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", frozenset(self.inputs))
-        if any(not isinstance(i, int) or i < 1 for i in self.inputs):
+        if any(type(i) is not int or i < 1 for i in self.inputs):  # a bool is not an int
             raise FormulaError("input positions are 1-based naturals")
 
     def __repr__(self):

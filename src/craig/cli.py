@@ -2,10 +2,11 @@
 
 Exit codes: 0 success / verdict positive, 1 verdict negative (not valid,
 jointly consistent, not implicitly defined, not splittable, not entailed,
-signature violation, none, false, undefined), 2 unknown / budget exhausted,
-3 usage error or bad input of any kind (parse errors, unreadable files,
-malformed structures or options, input nested too deeply).  All diagnostics
-go to stderr; stdout carries only the machine-readable result.
+signature violation, none, false, undefined), 2 unknown / budget exhausted /
+out of memory, 3 usage error or bad input of any kind (parse errors,
+unreadable files, malformed structures or options, input nested too
+deeply).  All diagnostics go to stderr; stdout carries only the
+machine-readable result.
 
 ``main`` is the one place that reads input.  argparse checks the whole
 command line first: numbers go through ``parser.parse_natural`` (ASCII
@@ -265,14 +266,22 @@ def cmd_find_model(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on first use.  It keeps no
     per-call state (parse_args returns a fresh Namespace), so every call of
-    main shares it; callers must not modify it."""
+    main shares it; callers must not modify it.  The converters look parse
+    and parse_natural up when they run, as main looks up cmd_*, so a
+    replaced binding (a tracer's wrapper, a test double) is the one called."""
+    def natural(text: str) -> int:
+        return parse_natural(text)
+
+    def formula(text: str):
+        return parse(text)
+
     top = argparse.ArgumentParser(
         prog="craig",
         description="Tableau proving and constructive interpolation for "
                     "equality-free, function-free first-order logic.")
-    top.add_argument("--budget", type=parse_natural, default=None,
+    top.add_argument("--budget", type=natural, default=None,
                      help="rule-application budget (default 100000)")
-    top.add_argument("--max-model-size", type=parse_natural, default=None,
+    top.add_argument("--max-model-size", type=natural, default=None,
                      help="bound for finite-model search/screens (default 3)")
     top.add_argument("--simplify", action="store_true",
                      help="normalize emitted formulas (flatten, drop units)")
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("search-interpolant",
             help="brute-force interpolant search over the shared signature")
     p.add_argument("file")
-    p.add_argument("--max-size", type=parse_natural, default=None)
+    p.add_argument("--max-size", type=natural, default=None)
     p = cmd("beth", help="explicit definition of --define from --tau")
     p.add_argument("file")
     p.add_argument("--define", required=True)
@@ -319,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="rewrite [left] without negative occurrences of --relation")
     p.add_argument("file")
     p.add_argument("--relation", required=True)
-    p.add_argument("--arity", type=parse_natural, default=None)
+    p.add_argument("--arity", type=natural, default=None)
     p = cmd("bindpatt", help="binding-pattern extraction")
-    p.add_argument("--formula", type=parse, required=True)
+    p.add_argument("--formula", type=formula, required=True)
     p = cmd("accpart", help="accessible part of a structure")
     p.add_argument("structure")
     p.add_argument("--methods", type=_parse_methods, default="")
     p.add_argument("--tuple", type=lambda text: tuple(map(parse_natural, _names(text))),
                    default="")
     p = cmd("classify", help="syntactic fragment report")
-    p.add_argument("--formula", type=parse, required=True)
+    p.add_argument("--formula", type=formula, required=True)
     p.add_argument("--relativizers", type=_names, default="")
     p = cmd("eval", help="evaluate a formula in a structure")
     p.add_argument("structure")
-    p.add_argument("--formula", type=parse, required=True)
+    p.add_argument("--formula", type=formula, required=True)
     p = cmd("find-model", help="smallest finite model of all sentences")
     p.add_argument("file")
     return top
@@ -361,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NotProvedWithinBudget as e:
         print(f"unknown: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except MemoryError:  # the search ran out of room, not the input: no verdict
+        print("unknown: out of memory", file=sys.stderr)
         return EXIT_UNKNOWN
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)

@@ -127,7 +127,6 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     """
     tau = sorted(tau)
     sig = sigma.signature()
-    _check_beth_inputs(sig, relation, tau)
     pair = padoa_counterexample(sigma, relation, tau, max_counterexample_size)
     if pair is not None:
         raise ImplicitDefinabilityRefuted(
@@ -188,11 +187,11 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     and re-proves equivalence with phi.  NotValid carries a finite
     countermodel of that implication (phi holds, R ⊆ R', phi[R/R'] fails),
     which shows phi is not monotone in R; NotProvedWithinBudget means the
-    budget ran out.  FormulaError if the arity is negative or differs from
-    the relation's arity in phi.
+    budget ran out.  FormulaError if the arity is not an int (a bool is
+    not), is negative or differs from the relation's arity in phi.
     """
     sig = signature_of(phi)
-    if arity is not None and arity < 0:
+    if arity is not None and (type(arity) is not int or arity < 0):
         raise FormulaError(f"arity of {relation} must be non-negative, got {arity}")
     if relation in sig.relations:
         if arity not in (None, sig.arities[relation]):

@@ -55,6 +55,7 @@ import functools
 import itertools
 import json
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -86,12 +87,18 @@ class Structure:
         if n < 1:
             raise FormulaError("domain must be non-empty")
         for kind, names in (("relation", self.relations), ("constant", self.constants)):
+            if not isinstance(names, Mapping):
+                raise FormulaError(f"{kind}s must be a mapping of names, found {names!r}")
             for name in names:  # JSON object keys: a name must survive the round trip
                 if not isinstance(name, str) or not name:
                     raise FormulaError(f"{kind} name must be a non-empty string, found {name!r}")
         rels = {}
         for name, tuples in self.relations.items():
-            tuples = [tuple(t) for t in tuples]
+            try:
+                tuples = [tuple(t) for t in tuples]
+            except TypeError:
+                raise FormulaError(f"relation {name} must be a collection of tuples, "
+                                   f"found {tuples!r}") from None
             if len({len(t) for t in tuples}) > 1:
                 raise FormulaError(f"relation {name} has tuples of different lengths")
             for t in tuples:

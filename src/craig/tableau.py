@@ -211,9 +211,8 @@ Outcome = Closed | Satisfiable | Unknown
 
 @dataclass(eq=False, slots=True)  # compared by identity: alpha.index finds this very item
 class _AlphaItem:
-    ls: LabeledSentence
-    kind: str  # "and" | "forall"
-    next_const: int = 0  # forall only: index into branch constants
+    ls: LabeledSentence  # an ∧ or a ∀
+    next_const: int = 0  # ∀ only: index into branch constants
 
 
 # undo-trail opcodes; an entry is the inverse's arguments, then its opcode:
@@ -367,8 +366,8 @@ class _BranchState:
                     trail += (promote, f, waiting, _SETITEM)
                 for waiting_ls in waiting:
                     self.push(self.beta_closing, waiting_ls)
-        elif kind is And:
-            self.push_alpha(_AlphaItem(ls, "and"))
+        elif kind is And or kind is Forall:
+            self.push_alpha(_AlphaItem(ls))
         elif kind is Or:
             closing = False
             for g in f.items:
@@ -392,8 +391,6 @@ class _BranchState:
             self.push(self.beta_closing if closing else self.beta_open, ls)
         elif kind is Exists:
             self.push(self.exists_queues[origin], ls)
-        elif kind is Forall:
-            self.push_alpha(_AlphaItem(ls, "forall"))
         return True
 
     def push_alpha(self, item: _AlphaItem):
@@ -424,7 +421,7 @@ class _BranchState:
         else:  # only ∧ items can fire, and ∀ items once no ∃ is pending
             fire_all = not any(self.exists_queues)
             k = next((k for k, item in enumerate(alpha)
-                      if fire_all or item.kind == "and"), None)
+                      if fire_all or type(item.ls.formula) is And), None)
             if k is None:
                 return None
         if k:
@@ -486,14 +483,12 @@ class _Prover:
         """Expand the current branch until it closes (None), saturates or the
         budget ends."""
         while True:
+            if self.applications >= self.budget:
+                return Unknown(self.applications)
             if branch.evidence is not None:
-                if self.applications >= self.budget:
-                    return Unknown(self.applications)
                 self.applications += 1
                 self.new_node(branch.node, (), Closure(branch.evidence))
                 return None
-            if self.applications >= self.budget:
-                return Unknown(self.applications)
             item = branch.next_alpha()
             if item is not None:
                 self.fire_alpha(branch, item)
@@ -529,7 +524,7 @@ class _Prover:
     def fire_alpha(self, branch: _BranchState, item: _AlphaItem):
         ls = item.ls
         f = ls.formula
-        if item.kind == "and":
+        if type(f) is And:
             intro = [LabeledSentence(g, ls.label) for g in f.items
                      if g not in branch.formulas]
             if intro:

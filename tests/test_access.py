@@ -28,6 +28,12 @@ def test_am_leq_examples():
     assert not am_leq(m("R"), m("S"))
 
 
+@pytest.mark.parametrize("inputs", [{True}, {1, False}, {0}, {1.0}])
+def test_access_method_positions_are_ints_not_bools(inputs):
+    with pytest.raises(FormulaError, match="input positions are 1-based naturals"):
+        AccessMethod("R", inputs)
+
+
 def test_upward_closure_from_empty_inputs():
     out = upward_closure({m("R")}, {"R": 2})
     assert out == {m("R"), m("R", 1), m("R", 2), m("R", 1, 2)}

@@ -643,3 +643,30 @@ def test_main_calls_the_current_command_function(monkeypatch, capsys):
     assert run(capsys, "classify", "--formula", "P(a)")[0] == 0
     monkeypatch.setattr(cli, "cmd_classify", lambda args: 42)
     assert run(capsys, "classify", "--formula", "P(a)")[0] == 42
+
+
+def test_argv_converters_call_the_current_parse(monkeypatch, capsys):
+    # the cached parser must look parse up when it converts --formula, or a
+    # wrapper put in place after the first build would never run
+    from craig import cli
+    assert run(capsys, "classify", "--formula", "P(a)")[0] == 0
+    calls = []
+
+    def counting_parse(text, *rest):
+        calls.append(text)
+        return parse(text, *rest)
+
+    monkeypatch.setattr(cli, "parse", counting_parse)
+    assert run(capsys, "classify", "--formula", "P(a)")[0] == 0
+    assert calls == ["P(a)"]
+
+
+def test_out_of_memory_is_unknown_not_bad_input(monkeypatch, capsys):
+    from craig import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    code, out, err = run(capsys, "classify", "--formula", "P(a)")
+    assert (code, out, err) == (2, "", "unknown: out of memory\n")

@@ -227,6 +227,12 @@ def test_monotone_rewrite_rejects_a_contradicting_arity(relation, arity, message
         monotone_rewrite(parse("exists x. R(x)"), relation, 1000, arity=arity)
 
 
+def test_monotone_rewrite_rejects_a_bool_arity():
+    # True == 1, the sentence's arity, but a bool is not an int
+    with pytest.raises(FormulaError, match="arity of R must be non-negative, got True"):
+        monotone_rewrite(parse("exists x. R(x)"), "R", 1000, arity=True)
+
+
 def test_monotone_rewrite_accepts_the_sentences_arity():
     phi = parse("exists x. R(x)")
     assert monotone_rewrite(phi, "R", 10_000, arity=1) == \

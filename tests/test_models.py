@@ -66,6 +66,17 @@ def test_structure_rejects_mixed_tuple_lengths():
         Structure(2, {"R": {(0,), (0, 1)}})
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, {"P": [0, 1]}), "relation P must be a collection of tuples, found \\[0, 1\\]"),
+    ((2, {"P": 5}), "relation P must be a collection of tuples, found 5"),
+    ((2, None), "relations must be a mapping of names, found None"),
+    ((2, {}, None), "constants must be a mapping of names, found None"),
+], ids=["int-entries", "int-relation", "no-relations", "no-constants"])
+def test_structure_names_a_field_of_the_wrong_kind(args, message):
+    with pytest.raises(FormulaError, match=message):
+        Structure(*args)
+
+
 def test_evaluate_partial_assignment():
     from craig.formulas import And, Atom, Exists, Var
     A = Structure(1, {"P": {(0,)}})

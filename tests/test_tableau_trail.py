@@ -50,8 +50,8 @@ def snapshot(branch: _BranchState) -> tuple:
         list(branch.formulas.items()),
         list(branch.constants),
         branch.evidence,
-        [(it.ls, it.kind, it.next_const) for it in branch.alpha],
-        [(it.ls, it.kind, it.next_const) for it in branch.ready],
+        [(it.ls, it.next_const) for it in branch.alpha],
+        [(it.ls, it.next_const) for it in branch.ready],
         [list(q) for q in branch.exists_queues],
         list(branch.beta_closing),
         list(branch.beta_open),
@@ -62,7 +62,7 @@ def snapshot(branch: _BranchState) -> tuple:
 def fireable(branch: _BranchState) -> list:
     """Alpha's items that can fire on a branch with constants, in order."""
     n = len(branch.constants)
-    return [it for it in branch.alpha if it.kind == "and" or it.next_const < n]
+    return [it for it in branch.alpha if type(it.ls.formula) is And or it.next_const < n]
 
 
 def reference_next_alpha(branch: _BranchState, alpha: deque):
@@ -70,7 +70,7 @@ def reference_next_alpha(branch: _BranchState, alpha: deque):
     on a copy of alpha with no trail: the item it pops, or None."""
     n = len(branch.constants)
     for k, item in enumerate(alpha):
-        if item.kind == "and" or item.next_const < n or (
+        if type(item.ls.formula) is And or item.next_const < n or (
                 not n and not any(branch.exists_queues)):
             alpha.rotate(-k)
             return alpha.popleft()
