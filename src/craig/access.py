@@ -27,7 +27,14 @@ class AccessMethod:
     inputs: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
+        if type(self.relation) is not str or not self.relation:
+            raise FormulaError(f"access method relation must be a non-empty string, "
+                               f"found {self.relation!r}")
+        try:
+            object.__setattr__(self, "inputs", frozenset(self.inputs))
+        except TypeError:
+            raise FormulaError(f"access method inputs must be a collection of positions, "
+                               f"found {self.inputs!r}") from None
         if any(type(i) is not int or i < 1 for i in self.inputs):  # a bool is not an int
             raise FormulaError("input positions are 1-based naturals")
 

@@ -35,7 +35,11 @@ class Theory:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+        try:
+            object.__setattr__(self, "sentences", tuple(self.sentences))
+        except TypeError:
+            raise FormulaError(f"theory sentences must be a collection of sentences, "
+                               f"found {self.sentences!r}") from None
         for s in self.sentences:
             if not is_sentence(s):
                 raise NonSentenceError(f"theory member has free variables: {s!r}")

@@ -424,6 +424,32 @@ def signature_of(*phis) -> SignatureReport:
                            frozenset(pos), frozenset(neg), free.keys())
 
 
+def merge_reports(a: SignatureReport, b: SignatureReport) -> SignatureReport:
+    """signature_of(*A, *B) from A's report a and B's report b, with no walk:
+    the first relation of b (in first-occurrence order) with another arity in
+    a raises the joint walk's FormulaError, names keep their first-occurrence
+    order (a's, then b's new ones) and polarities are unions."""
+    arities = a.arities.copy()
+    for rel, n in b.arities.items():
+        seen = arities.setdefault(rel, n)
+        if seen != n:
+            raise FormulaError(f"relation {rel} used with arities {seen} and {n}")
+    chain = itertools.chain
+    constants, free = a.constants, a.free_vars
+    if not b.constants <= constants:
+        constants = dict.fromkeys(chain(constants, b.constants)).keys()
+    if not b.free_vars <= free:
+        free = dict.fromkeys(chain(free, b.free_vars)).keys()
+    return SignatureReport(frozenset(arities), arities, constants,
+                           a.relsig_pos | b.relsig_pos, a.relsig_neg | b.relsig_neg, free)
+
+
+def negated_report(r: SignatureReport) -> SignatureReport:
+    """The report of the NNF of ¬phi from phi's: the polarities swap."""
+    return SignatureReport(r.relations, r.arities, r.constants,
+                           r.relsig_neg, r.relsig_pos, r.free_vars)
+
+
 def free_vars(phi):
     """Free variables of phi in first-occurrence order, as a set view."""
     return signature_of(phi).free_vars

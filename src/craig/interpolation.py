@@ -21,14 +21,16 @@ from .errors import (FormulaError, NonSentenceError, NotProvedWithinBudget, NotV
                      OpenTableauError)
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    _abstract_constants, fresh_names, signature_of, variable_names,
+    _abstract_constants, fresh_names, merge_reports, negated_report, signature_of,
+    variable_names,
 )
 from .models import (
     Structure, _check_evaluable, _compile, count_structures, satisfying_structures,
 )
 from .tableau import (
-    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule,
-    Satisfiable, Unknown, labeled, prove, refute,
+    ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, ProverInput,
+    Satisfiable, Unknown, check_budget, check_input, check_sides, labeled, prove,
+    refute,
 )
 
 
@@ -75,7 +77,7 @@ def _instance_uses_constant(rule: ForallRule, instance) -> bool:
     return (instance.body if len(f.vars) > 1 else instance) != f.body
 
 
-def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
+def propagate(tableau: ClosedTableau, sides=None) -> AnnotatedTableau:
     """Annotate every node of a closed tableau with its interpolant.
 
     Iterative (deep single-child chains are routine): one top-down pass
@@ -86,14 +88,16 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     node its constant when the instance uses it.  A conjunct, a disjunct or
     an instance has no other constant its premise above lacks.  Siblings
     share their parent's sets, so they stay frozensets.  The two root
-    reports are kept as the result's ``sides``.
+    reports are kept as the result's ``sides``; a caller that holds them
+    (a ProverInput's ``sides``) hands them on, and nothing is walked.
     """
     interpolants: dict = {}
     consts: dict = {}
     order: list = []
-    inputs = tableau.root.introduced
-    sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
-                  for side in "LR")
+    if sides is None:
+        inputs = tableau.root.introduced
+        sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
+                      for side in "LR")
     l_consts, r_consts = (frozenset(side.constants) for side in sides)
     stack = [(tableau.root, l_consts, r_consts)]
     while stack:
@@ -141,13 +145,15 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     return AnnotatedTableau(tableau, interpolants, sides)
 
 
-def interpolant_from_labeled(inputs: list, budget: int):
-    """Prove the labeled set unsatisfiable and extract the root interpolant.
+def interpolant_from_labeled(inputs, budget: int):
+    """Prove the labeled set (raw, or a ProverInput, whose sides propagate
+    takes) unsatisfiable and extract the root interpolant.
 
     Returns (theta, annotated tableau); raises NotValid with the countermodel
     or NotProvedWithinBudget.
     """
-    annotated = propagate(refute(inputs, budget))
+    sides = inputs.sides if isinstance(inputs, ProverInput) else None
+    annotated = propagate(refute(inputs, budget), sides)
     return annotated.root_interpolant(), annotated
 
 
@@ -166,24 +172,35 @@ class Verdict:
         return self.kind == Verdict.VERIFIED
 
 
-def entails(phi, psi, budget: int):
+def entails(phi, psi, budget: int, reports=None):
     """Tableau check of phi ⊨ psi for sentences: the prover outcome for the
-    set {phi, ¬psi}."""
-    return prove(labeled([phi], [Not(psi)]), budget)
+    set {phi, ¬psi}.  reports, if given, are signature_of(phi) and
+    signature_of(psi), and the input check merges them instead of walking."""
+    if reports is None:
+        return prove(labeled([phi], [Not(psi)]), budget)
+    check_budget(budget)  # before the merge, as prove orders its checks
+    return prove(_checked(phi, Not(psi), reports[0], negated_report(reports[1])), budget)
 
 
-def certify(theta, allowed, claims, budget: int):
+def _checked(a, b, ra, rb) -> ProverInput:
+    """The checked input {a^L, b^R} from a's report ra and b's rb, with no walk."""
+    return check_input(labeled([a], [b]), merge_reports(ra, rb))
+
+
+def certify(theta, allowed, claims, budget: int, report=None):
     """Every construction's post-condition check; returns theta.  A symbol of
     theta outside allowed, or a (name, sentences) claim whose sentences have
     a model, is a FormulaError (an internal error); a claim the tableau does
-    not refute within budget is NotProvedWithinBudget.  Labels play no role
-    in the search, so every input is L."""
-    leaked = sorted(signature_of(theta).symbols() - set(allowed))
+    not refute within budget is NotProvedWithinBudget.  report, if given, is
+    signature_of(theta), and a claim's sentences may be a ProverInput.
+    Labels play no role in the search, so raw sentences are labeled L."""
+    leaked = sorted((report or signature_of(theta)).symbols() - set(allowed))
     if leaked:
         raise FormulaError(f"internal error: {', '.join(leaked)} outside the signature")
     for name, sentences in claims:
         try:
-            refute(labeled(sentences, ()), budget)
+            refute(sentences if isinstance(sentences, ProverInput)
+                   else labeled(sentences, ()), budget)
         except NotValid as e:
             raise FormulaError(f"internal error: {name} has a countermodel") from e
         except NotProvedWithinBudget as e:
@@ -206,9 +223,9 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
     if bad_consts:
         return Verdict(Verdict.SIGNATURE_VIOLATION,
                        f"constants not shared: {', '.join(bad_consts)}")
-    for name, (a, b) in (("phi -> theta", (phi, theta)),
-                         ("theta -> psi", (theta, psi))):
-        outcome = entails(a, b, budget)
+    for name, a, b, reports in (("phi -> theta", phi, theta, (sig_phi, sig_theta)),
+                                ("theta -> psi", theta, psi, (sig_theta, sig_psi))):
+        outcome = entails(a, b, budget, reports)
         if isinstance(outcome, Unknown):
             return Verdict(Verdict.ENTAILMENT_UNKNOWN,
                            f"budget exhausted proving {name}")
@@ -228,13 +245,20 @@ def craig_interpolant(phi, psi, budget: int):
 
 
 def _verified_interpolant(phi, psi, budget: int):
-    """craig_interpolant's work: (theta, the annotated tableau it was read off)."""
+    """craig_interpolant's work: (theta, the annotated tableau it was read off).
+    phi, ¬psi and theta are walked once each: the three proofs' inputs and
+    propagate's sides are built from those reports."""
     not_psi = Not(psi)  # one node for both proofs: its NNF is computed once
-    theta, annotated = interpolant_from_labeled(labeled([phi], [not_psi]), budget)
-    left, right = annotated.sides  # the symbols of phi and of psi
+    parts = labeled([phi], ()), labeled((), [not_psi])
+    check_budget(budget)  # after the NNF and before the walks, as prove orders them
+    inputs = check_sides(*parts)
+    theta, annotated = interpolant_from_labeled(inputs, budget)
+    left, right = inputs.sides
+    report = signature_of(theta)
     certify(theta, left.symbols() & right.symbols(),
-            [("phi -> theta", [phi, Not(theta)]), ("theta -> psi", [theta, not_psi])],
-            budget)
+            [("phi -> theta", _checked(phi, Not(theta), left, negated_report(report))),
+             ("theta -> psi", _checked(theta, not_psi, report, right))],
+            budget, report)
     return theta, annotated
 
 

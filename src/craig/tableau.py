@@ -78,8 +78,8 @@ from .errors import (
 )
 from .formulas import (
     BOTTOM, And, Atom, Const, Exists, Forall, Not, Or, Top, _slot_setters,
-    compile_substitution, fresh_names, frozen_record, is_nnf, is_sentence,
-    signature_of, to_nnf,
+    SignatureReport, compile_substitution, fresh_names, frozen_record, is_nnf,
+    is_sentence, merge_reports, signature_of, to_nnf,
 )
 from .models import Structure, evaluate
 
@@ -566,29 +566,83 @@ class _Prover:
         return Satisfiable(saturated_branch_model(model_branch), model_branch)
 
 
+def check_budget(budget):
+    """A budget that is not a positive int (a bool is not) raises FormulaError."""
+    if type(budget) is not int or budget <= 0:
+        raise FormulaError(f"budget must be a positive int, got {budget!r}")
+
+
+@frozen_record
+class ProverInput:
+    """A checked prover input: labeled NNF sentences and their joint report.
+    ``sides`` are the reports of its L and of its R sentences where the
+    check walked them apart (check_sides), else None.  Made only by the
+    input check (check_input, check_sides); prove trusts it, since formulas
+    are immutable.  Iterating it yields the sentences."""
+
+    sentences: tuple  # of LabeledSentence
+    report: SignatureReport
+    sides: tuple | None = None
+
+    def __iter__(self):
+        return iter(self.sentences)
+
+
+def check_input(inputs, report=None, sides=None) -> ProverInput:
+    """The input check of prove; a bare formula is labeled L.  Without a
+    report the inputs are walked first, and a relation used with two
+    arities raises FormulaError; a given report is trusted as the inputs'
+    joint one (an NNF has its sentence's report; see negated_report), and
+    given sides as the reports of its L and of its R inputs.  Then, input
+    by input, an open one raises NonSentenceError (a FormulaError) and one
+    not in NNF raises NotNNFError."""
+    norm = tuple([s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
+                  for s in inputs])
+    if report is None:
+        report = signature_of(*[ls.formula for ls in norm])  # raises on an arity clash
+    for ls in norm:
+        if report.free_vars and not is_sentence(ls.formula):
+            raise NonSentenceError(f"free variables in input: {ls.formula!r}")
+        if not is_nnf(ls.formula):
+            raise NotNNFError(f"input not in NNF: {ls.formula!r}")
+    return ProverInput(norm, report, sides)
+
+
+def check_sides(left: list, right: list) -> ProverInput:
+    """check_input(left + right) for an L part and an R part (lists of
+    LabeledSentence), with one walk per part: the input's sides are the two
+    parts' reports.  The errors and their order are the joint check's: when
+    a part's walk raises, the joint walk raises its error, and a clash
+    across the parts raises from the merge."""
+    joint = (*left, *right)
+    try:
+        sides = (signature_of(*[ls.formula for ls in left]),
+                 signature_of(*[ls.formula for ls in right]))
+    except FormulaError:
+        check_input(joint)
+        raise
+    return check_input(joint, merge_reports(*sides), sides)
+
+
 def prove(inputs, budget: int):
     """Run the tableau on labeled NNF sentences.
 
     Returns Closed (the input set is unsatisfiable), Satisfiable (with a
-    verified finite model) or Unknown (budget exhausted).  This is the one
-    check of prover inputs, so every proving entry point takes sentences.
-    A budget that is not a positive int (a bool is not) raises FormulaError
-    first.  Inputs that use one relation with two arities raise
-    FormulaError; after that, the first input that is open raises
-    NonSentenceError (a FormulaError) and the first that is not in NNF
-    raises NotNNFError.
+    verified finite model) or Unknown (budget exhausted).  inputs are raw
+    (labeled sentences or bare formulas, labeled L), which check_input
+    checks, or a ProverInput, which the check already made and prove
+    trusts; every proving entry point takes one or the other.  The errors
+    come in this order: a budget that is not a positive int (a bool is not)
+    raises FormulaError; then, for raw inputs, a relation used with two
+    arities raises FormulaError, and after it, input by input, an open one
+    raises NonSentenceError (a FormulaError) and one not in NNF raises
+    NotNNFError.  A caller that checks its inputs itself checks the budget
+    first too (check_budget), so its errors come in the same order.
     """
-    if type(budget) is not int or budget <= 0:
-        raise FormulaError(f"budget must be a positive int, got {budget!r}")
-    norm = [s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
-            for s in inputs]
-    sig = signature_of(*(ls.formula for ls in norm))  # raises on an arity clash
-    for ls in norm:
-        if sig.free_vars and not is_sentence(ls.formula):
-            raise NonSentenceError(f"free variables in input: {ls.formula!r}")
-        if not is_nnf(ls.formula):
-            raise NotNNFError(f"input not in NNF: {ls.formula!r}")
-    return _Prover(norm, budget, sig.constants).run()
+    check_budget(budget)
+    if not isinstance(inputs, ProverInput):
+        inputs = check_input(inputs)
+    return _Prover(inputs.sentences, budget, inputs.report.constants).run()
 
 
 def refute(inputs, budget: int) -> ClosedTableau:

@@ -34,6 +34,18 @@ def test_access_method_positions_are_ints_not_bools(inputs):
         AccessMethod("R", inputs)
 
 
+@pytest.mark.parametrize("relation, inputs, field", [
+    (1, {1}, "relation must be a non-empty string, found 1"),
+    ("", {1}, "relation must be a non-empty string, found ''"),
+    (None, {1}, "relation must be a non-empty string, found None"),
+    ("R", 5, "inputs must be a collection of positions, found 5"),
+    ("R", None, "inputs must be a collection of positions, found None"),
+])
+def test_access_method_names_the_bad_field(relation, inputs, field):
+    with pytest.raises(FormulaError, match=f"^access method {field}$"):
+        AccessMethod(relation, inputs)
+
+
 def test_upward_closure_from_empty_inputs():
     out = upward_closure({m("R")}, {"R": 2})
     assert out == {m("R"), m("R", 1), m("R", 2), m("R", 1, 2)}

@@ -231,6 +231,16 @@ def test_accpart_cli(data_dir, capsys):
     assert code == 0 and json.loads(out) == [0, 1]
 
 
+@pytest.mark.parametrize("methods, error", [
+    (":1", "error: access method relation must be a non-empty string, found ''\n"),
+    ("R:1 :-", "error: access method relation must be a non-empty string, found ''\n"),
+])
+def test_accpart_rejects_a_method_with_no_relation(methods, error, data_dir, capsys):
+    code, out, err = run(capsys, "accpart", str(data_dir / "structure.json"),
+                         "--methods", methods, "--tuple", "0")
+    assert (code, out, err) == (3, "", error)
+
+
 def test_classify_cli(capsys):
     code, out, _ = run(capsys, "classify", "--formula",
                        "exists x y. R(x,y) & R(y,x)")

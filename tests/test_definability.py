@@ -237,3 +237,10 @@ def test_monotone_rewrite_accepts_the_sentences_arity():
     phi = parse("exists x. R(x)")
     assert monotone_rewrite(phi, "R", 10_000, arity=1) == \
         monotone_rewrite(phi, "R", 10_000)
+
+
+@pytest.mark.parametrize("sentences", [5, None])
+def test_theory_names_sentences_that_are_not_a_collection(sentences):
+    with pytest.raises(FormulaError, match=f"^theory sentences must be a collection "
+                                           f"of sentences, found {sentences}$"):
+        Theory(sentences)

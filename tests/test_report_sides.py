@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import pathlib
 from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
 from craig.corpus import corpus
 from craig.formulas import Not, SignatureReport, conj, signature_of
-from craig.interpolation import craig_interpolant, propagate
+from craig.cli import main
+from craig.interpolation import craig_interpolant, propagate, verify_interpolant
 from craig.parser import parse
 from craig.tableau import Closed, labeled, prove
 
@@ -146,9 +148,8 @@ def craig_modules() -> list:
         "interpolation", "models", "parser", "tableau", "theory")]
 
 
-def test_craig_interpolant_walks_signatures_six_times(monkeypatch):
-    # propagate's two sides, certify's theta and the three proofs' input
-    # checks; phi and psi are not walked again
+def counted_walks(monkeypatch) -> list:
+    """The list that every later signature_of call, from any module, joins."""
     calls = []
     real = signature_of
 
@@ -159,7 +160,31 @@ def test_craig_interpolant_walks_signatures_six_times(monkeypatch):
     for module in craig_modules():
         if hasattr(module, "signature_of"):
             monkeypatch.setattr(module, "signature_of", counting)
+    return calls
+
+
+def test_craig_interpolant_walks_signatures_three_times(monkeypatch):
+    # phi's and psi's sides and certify's theta: the three proofs' inputs
+    # and propagate's sides are merged from those three reports
+    calls = counted_walks(monkeypatch)
     for inst in corpus(42, 50):
         del calls[:]
         craig_interpolant(inst.phi, inst.psi, BUDGET)
-        assert len(calls) == 6, inst.index
+        assert len(calls) == 3, inst.index
+
+
+def test_verify_interpolant_walks_signatures_three_times(monkeypatch, capsys):
+    # phi, psi and theta once each: both entailment proofs merge their
+    # reports, in check-interpolant and in every search verification alike
+    cases = [(inst.phi, inst.psi, craig_interpolant(inst.phi, inst.psi, BUDGET))
+             for inst in corpus(42, 50)]
+    calls = counted_walks(monkeypatch)
+    for phi, psi, theta in cases:
+        del calls[:]
+        assert verify_interpolant(phi, psi, theta, BUDGET)
+        assert len(calls) == 3
+    example1 = str(pathlib.Path(__file__).resolve().parent / "data" / "example1.fol")
+    del calls[:]
+    assert main(["check-interpolant", example1, "--theta", "exists x. Big(x) & Cat(x)"]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    assert len(calls) == 5  # parse_problem's check of the file's two sentences, then 3

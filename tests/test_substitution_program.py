@@ -381,6 +381,10 @@ def test_propagate_matches_the_reference_node_by_node(monkeypatch):
         del calls[:]
         new = propagate(t)
         assert len(calls) == 2  # one per label, for the root's inputs only
+        del calls[:]
+        handed = propagate(t, new.sides)
+        assert not calls  # sides handed on, as craig_interpolant does: no walk
+        assert handed.sides is new.sides and handed.interpolants == new.interpolants
         monkeypatch.undo()
         assert new.interpolants == reference_propagate(t).interpolants
         assert_propagation_agrees(t)
