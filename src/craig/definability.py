@@ -2,11 +2,11 @@
 Padoa counterexamples, Robinson separators and monotone rewriting.
 
 All constructions follow the same pattern: build a valid implication whose
-Craig interpolant has the wanted shape, extract it, then pass it to
-``interpolation.certify``, which checks its signature (tau for Beth, the
-shared one for Robinson, the input's for monotone rewriting) and re-proves
-the claimed properties with the tableau.  Compactness steps are replaced by
-the finite theories these functions require.
+Craig interpolant has the wanted shape, extract it, then pass it and its
+report to ``interpolation.certify``, which checks its signature (tau for
+Beth, the input's sides' shared one for Robinson, the input's for monotone
+rewriting) and re-proves the claims, each checked from reports already made.
+Compactness steps are replaced by the finite theories these functions require.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from .errors import (
     NotValid,
 )
 from .formulas import (
-    And, Atom, Const, Forall, Not, Or, Var, _abstract_constants,
-    fresh_names, is_sentence, map_atoms, signature_of, simplify, variable_names,
+    And, Atom, Const, Forall, Not, Or, Var, _abstract_constants, fresh_names,
+    is_sentence, map_atoms, merge_reports, negated_report, signature_of, simplify,
+    variable_names,
 )
-from .interpolation import certify, interpolant_from_labeled
+from .interpolation import _checked, certify, interpolant_from_labeled
 from .models import Structure, satisfying_structures
 from .tableau import labeled
 
@@ -143,7 +144,8 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     frozen = tuple(itertools.islice(fresh_names("c", sig.constants), arity))
     args = tuple(Const(c) for c in frozen)
 
-    left = [*sigma.sentences, Atom(relation, args)]
+    head = Atom(relation, args)
+    left = [*sigma.sentences, head]
     right = [*sigma_primed,
              *(_copy_bicond(t, primed[t], sig.arities[t]) for t in tau),
              Not(Atom(primed[relation], args))]
@@ -162,10 +164,14 @@ def explicit_definition(sigma: Theory, relation: str, tau, budget: int,
     phi = _abstract_constants(theta, dict(zip(frozen, variables)))  # fresh: no occurs check
 
     # the biconditional, re-proved at the frozen tuple: theta is phi(c⃗)
-    head = Atom(relation, args)
+    report, head_report = signature_of(theta), signature_of(head)
     certify(phi, tau, [
-        ("R -> definition", [*sigma.sentences, head, Not(theta)]),
-        ("definition -> R", [*sigma.sentences, theta, Not(head)])], budget)
+        ("R -> definition", _checked(left, [Not(theta)], merge_reports(sig, head_report),
+                                     negated_report(report))),
+        ("definition -> R", _checked([*sigma.sentences, theta], [Not(head)],
+                                     merge_reports(sig, report),
+                                     negated_report(head_report)))],
+        budget, signature_of(phi))
     return Definition(phi, variables)
 
 
@@ -178,10 +184,13 @@ def robinson_separator(sigma1: Theory, sigma2: Theory, budget: int):
         raise JointlyConsistent("the theories admit a common model",
                                 *e.witnesses) from e
     theta = simplify(theta)
-    left, right = annotated.sides  # Σ1 is labeled L and Σ2 R
-    return certify(theta, left.symbols() & right.symbols(),
-                   [("sigma1 |= phi", [*sigma1.sentences, Not(theta)]),
-                    ("sigma2 |= !phi", [*sigma2.sentences, theta])], budget)
+    left, right = annotated.tableau.inputs.sides  # Σ1 is labeled L and Σ2 R
+    report = signature_of(theta)
+    return certify(theta, left.symbols() & right.symbols(), [
+        ("sigma1 |= phi", _checked(sigma1.sentences, [Not(theta)], left,
+                                   negated_report(report))),
+        ("sigma2 |= !phi", _checked(sigma2.sentences, [theta], right, report))],
+        budget, report)
 
 
 def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
@@ -191,10 +200,12 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
     and re-proves equivalence with phi.  NotValid carries a finite
     countermodel of that implication (phi holds, R ⊆ R', phi[R/R'] fails),
     which shows phi is not monotone in R; NotProvedWithinBudget means the
-    budget ran out.  FormulaError if the arity is not an int (a bool is
-    not), is negative or differs from the relation's arity in phi.
+    budget ran out.  FormulaError if the relation is not a str, or the arity
+    not an int (a bool is not), negative or not the relation's in phi.
     """
     sig = signature_of(phi)
+    if type(relation) is not str:
+        raise FormulaError(f"relation must be a relation name, got {relation!r}")
     if arity is not None and (type(arity) is not int or arity < 0):
         raise FormulaError(f"arity of {relation} must be non-negative, got {arity}")
     if relation in sig.relations:
@@ -219,7 +230,10 @@ def monotone_rewrite(phi, relation: str, budget: int, arity: int | None = None):
                        f"(countermodel with {primed} for the enlarged {relation})",
                        *e.witnesses) from e
     theta = simplify(theta)
-    if relation in signature_of(theta).relsig_neg:
+    report = signature_of(theta)
+    if relation in report.relsig_neg:
         raise FormulaError("internal error: rewrite kept a negative occurrence")
-    return certify(theta, sig.symbols(), [("phi -> theta", [phi, Not(theta)]),
-                                          ("theta -> phi", [theta, Not(phi)])], budget)
+    return certify(theta, sig.symbols(), [
+        ("phi -> theta", _checked([phi], [Not(theta)], sig, negated_report(report))),
+        ("theta -> phi", _checked([theta], [Not(phi)], report, negated_report(sig)))],
+        budget, report)

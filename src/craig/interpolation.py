@@ -21,7 +21,7 @@ from .errors import (FormulaError, NonSentenceError, NotProvedWithinBudget, NotV
                      OpenTableauError)
 from .formulas import (
     BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Var,
-    _abstract_constants, fresh_names, merge_reports, negated_report, signature_of,
+    _abstract_constants, fresh_names, negated_report, signature_of,
     variable_names,
 )
 from .models import (
@@ -29,8 +29,7 @@ from .models import (
 )
 from .tableau import (
     ClosedTableau, Closure, Conj, Disj, ExistsRule, ForallRule, ProverInput,
-    Satisfiable, Unknown, check_budget, check_input, check_sides, labeled, prove,
-    refute,
+    Satisfiable, Unknown, check_budget, check_input, labeled, prove, refute,
 )
 
 
@@ -38,9 +37,6 @@ from .tableau import (
 class AnnotatedTableau:
     tableau: ClosedTableau
     interpolants: dict  # node id -> formula
-    # (L report, R report): signature_of of the root's L inputs and of its R
-    # inputs, which share the symbols of the sentences they are the NNF of
-    sides: tuple = ()
 
     def root_interpolant(self):
         return self.interpolants[self.tableau.root.id]
@@ -77,28 +73,22 @@ def _instance_uses_constant(rule: ForallRule, instance) -> bool:
     return (instance.body if len(f.vars) > 1 else instance) != f.body
 
 
-def propagate(tableau: ClosedTableau, sides=None) -> AnnotatedTableau:
+def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
     """Annotate every node of a closed tableau with its interpolant.
 
     Iterative (deep single-child chains are routine): one top-down pass
     accumulates the constants occurring in L/R sentences at or above each
     node, then a bottom-up pass applies the propagation cases.  The root's
-    constants come from one signature_of call per label; below it they are
+    constants are those of the sides of tableau.inputs; below it they are
     read off the rules, with no walk: an ∃ node adds its witnesses, and a ∀
     node its constant when the instance uses it.  A conjunct, a disjunct or
     an instance has no other constant its premise above lacks.  Siblings
-    share their parent's sets, so they stay frozensets.  The two root
-    reports are kept as the result's ``sides``; a caller that holds them
-    (a ProverInput's ``sides``) hands them on, and nothing is walked.
+    share their parent's sets, so they stay frozensets.
     """
     interpolants: dict = {}
     consts: dict = {}
     order: list = []
-    if sides is None:
-        inputs = tableau.root.introduced
-        sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
-                      for side in "LR")
-    l_consts, r_consts = (frozenset(side.constants) for side in sides)
+    l_consts, r_consts = (frozenset(side.constants) for side in tableau.inputs.sides)
     stack = [(tableau.root, l_consts, r_consts)]
     while stack:
         node, l_consts, r_consts = stack.pop()
@@ -142,18 +132,14 @@ def propagate(tableau: ClosedTableau, sides=None) -> AnnotatedTableau:
                 thetas.append(interpolants[child.id])
             theta = Or(tuple(thetas)) if premise.label == "L" else And(tuple(thetas))
         interpolants[node.id] = theta
-    return AnnotatedTableau(tableau, interpolants, sides)
+    return AnnotatedTableau(tableau, interpolants)
 
 
 def interpolant_from_labeled(inputs, budget: int):
-    """Prove the labeled set (raw, or a ProverInput, whose sides propagate
-    takes) unsatisfiable and extract the root interpolant.
-
-    Returns (theta, annotated tableau); raises NotValid with the countermodel
-    or NotProvedWithinBudget.
-    """
-    sides = inputs.sides if isinstance(inputs, ProverInput) else None
-    annotated = propagate(refute(inputs, budget), sides)
+    """Prove the labeled set (raw, or a ProverInput) unsatisfiable and
+    extract the root interpolant: (theta, annotated tableau).  Raises
+    NotValid with the countermodel or NotProvedWithinBudget."""
+    annotated = propagate(refute(inputs, budget))
     return annotated.root_interpolant(), annotated
 
 
@@ -172,35 +158,29 @@ class Verdict:
         return self.kind == Verdict.VERIFIED
 
 
-def entails(phi, psi, budget: int, reports=None):
+def entails(phi, psi, budget: int):
     """Tableau check of phi ⊨ psi for sentences: the prover outcome for the
-    set {phi, ¬psi}.  reports, if given, are signature_of(phi) and
-    signature_of(psi), and the input check merges them instead of walking."""
-    if reports is None:
-        return prove(labeled([phi], [Not(psi)]), budget)
-    check_budget(budget)  # before the merge, as prove orders its checks
-    return prove(_checked(phi, Not(psi), reports[0], negated_report(reports[1])), budget)
+    set {phi, ¬psi}."""
+    return prove(labeled([phi], [Not(psi)]), budget)
 
 
-def _checked(a, b, ra, rb) -> ProverInput:
-    """The checked input {a^L, b^R} from a's report ra and b's rb, with no walk."""
-    return check_input(labeled([a], [b]), merge_reports(ra, rb))
+def _checked(left, right, ra, rb) -> ProverInput:
+    """check_input of labeled(left, right) from the parts' reports ra and rb.
+    Labels play no role in the search: a claim proves as if all were L."""
+    return check_input(labeled(left, right), (ra, rb))
 
 
-def certify(theta, allowed, claims, budget: int, report=None):
-    """Every construction's post-condition check; returns theta.  A symbol of
-    theta outside allowed, or a (name, sentences) claim whose sentences have
-    a model, is a FormulaError (an internal error); a claim the tableau does
-    not refute within budget is NotProvedWithinBudget.  report, if given, is
-    signature_of(theta), and a claim's sentences may be a ProverInput.
-    Labels play no role in the search, so raw sentences are labeled L."""
-    leaked = sorted((report or signature_of(theta)).symbols() - set(allowed))
+def certify(theta, allowed, claims, budget: int, report):
+    """Every construction's post-condition check; returns theta.  A symbol
+    of theta's report outside allowed, or a (name, ProverInput) claim whose
+    sentences have a model, is a FormulaError (an internal error); a claim
+    the tableau does not refute within budget is NotProvedWithinBudget."""
+    leaked = sorted(report.symbols() - set(allowed))
     if leaked:
         raise FormulaError(f"internal error: {', '.join(leaked)} outside the signature")
-    for name, sentences in claims:
+    for name, inputs in claims:
         try:
-            refute(sentences if isinstance(sentences, ProverInput)
-                   else labeled(sentences, ()), budget)
+            refute(inputs, budget)
         except NotValid as e:
             raise FormulaError(f"internal error: {name} has a countermodel") from e
         except NotProvedWithinBudget as e:
@@ -211,8 +191,9 @@ def certify(theta, allowed, claims, budget: int, report=None):
 
 def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
     """Exact syntactic signature checks plus two tableau entailment checks
-    (sentences only: the prover rejects an open input).  A relation is its
-    name and arity: one name used with another arity is not shared."""
+    (sentences only: the prover rejects an open input), from the three
+    reports.  A relation is its name and arity: one name used with another
+    arity is not shared."""
     sig_phi, sig_psi, sig_theta = signature_of(phi), signature_of(psi), signature_of(theta)
     bad_rels = sorted(r for r, _ in sig_theta.arities.items()
                       - (sig_phi.arities.items() & sig_psi.arities.items()))
@@ -223,9 +204,10 @@ def verify_interpolant(phi, psi, theta, budget: int) -> Verdict:
     if bad_consts:
         return Verdict(Verdict.SIGNATURE_VIOLATION,
                        f"constants not shared: {', '.join(bad_consts)}")
-    for name, a, b, reports in (("phi -> theta", phi, theta, (sig_phi, sig_theta)),
-                                ("theta -> psi", theta, psi, (sig_theta, sig_psi))):
-        outcome = entails(a, b, budget, reports)
+    check_budget(budget)  # before the merges, as prove orders its checks
+    for name, a, b, ra, rb in (("phi -> theta", phi, theta, sig_phi, sig_theta),
+                               ("theta -> psi", theta, psi, sig_theta, sig_psi)):
+        outcome = prove(_checked([a], [Not(b)], ra, negated_report(rb)), budget)
         if isinstance(outcome, Unknown):
             return Verdict(Verdict.ENTAILMENT_UNKNOWN,
                            f"budget exhausted proving {name}")
@@ -246,18 +228,15 @@ def craig_interpolant(phi, psi, budget: int):
 
 def _verified_interpolant(phi, psi, budget: int):
     """craig_interpolant's work: (theta, the annotated tableau it was read off).
-    phi, ¬psi and theta are walked once each: the three proofs' inputs and
-    propagate's sides are built from those reports."""
+    phi, ¬psi and theta are walked once each: the three proofs' inputs, and
+    the sides propagate reads, are built from those reports."""
     not_psi = Not(psi)  # one node for both proofs: its NNF is computed once
-    parts = labeled([phi], ()), labeled((), [not_psi])
-    check_budget(budget)  # after the NNF and before the walks, as prove orders them
-    inputs = check_sides(*parts)
-    theta, annotated = interpolant_from_labeled(inputs, budget)
-    left, right = inputs.sides
+    theta, annotated = interpolant_from_labeled(labeled([phi], [not_psi]), budget)
+    left, right = annotated.tableau.inputs.sides
     report = signature_of(theta)
     certify(theta, left.symbols() & right.symbols(),
-            [("phi -> theta", _checked(phi, Not(theta), left, negated_report(report))),
-             ("theta -> psi", _checked(theta, not_psi, report, right))],
+            [("phi -> theta", _checked([phi], [Not(theta)], left, negated_report(report))),
+             ("theta -> psi", _checked([theta], [not_psi], report, right))],
             budget, report)
     return theta, annotated
 

@@ -158,7 +158,7 @@ class Node:
 @dataclass
 class ClosedTableau:
     root: Node
-    inputs: tuple
+    inputs: ProverInput  # iterates the root's sentences
     rule_applications: int
 
     def leaves(self) -> list:
@@ -447,13 +447,13 @@ class _BranchState:
 
 
 class _Prover:
-    def __init__(self, inputs, budget: int, constants):
-        self.inputs = tuple(inputs)
+    def __init__(self, inputs: ProverInput, budget: int):
+        self.inputs = inputs
         self.budget = budget
         self.applications = 0
         self.next_id = 0
-        self.avoid = constants  # the inputs' constants, in first-occurrence order
-        self.fresh = fresh_names("c", constants)  # one supply: no branch reuses a name
+        self.avoid = inputs.report.constants  # in first-occurrence order
+        self.fresh = fresh_names("c", self.avoid)  # one supply: no branch reuses a name
         # ∀ formula -> the compiled substitution of its first block variable;
         # a cache for this proof, shared by every branch, so never on the trail
         self.programs: dict = {}
@@ -465,12 +465,12 @@ class _Prover:
         return node
 
     def run(self):
-        root = Node(self.next_id, self.inputs, Root())
+        root = Node(self.next_id, self.inputs.sentences, Root())
         self.next_id += 1
         branch = _BranchState()
         branch.node = root
         branch.constants.extend(self.avoid)  # no choice point yet: nothing to undo
-        for ls in self.inputs:
+        for ls in self.inputs.sentences:
             branch.add(ls)
         while True:
             outcome = self.work(branch)
@@ -574,54 +574,47 @@ def check_budget(budget):
 
 @frozen_record
 class ProverInput:
-    """A checked prover input: labeled NNF sentences and their joint report.
-    ``sides`` are the reports of its L and of its R sentences where the
-    check walked them apart (check_sides), else None.  Made only by the
-    input check (check_input, check_sides); prove trusts it, since formulas
-    are immutable.  Iterating it yields the sentences."""
+    """A checked prover input, made only by check_input; prove trusts it, since
+    formulas are immutable.  Iterating it yields the sentences."""
 
-    sentences: tuple  # of LabeledSentence
-    report: SignatureReport
-    sides: tuple | None = None
+    sentences: tuple  # of LabeledSentence, in NNF
+    report: SignatureReport  # of all the sentences
+    sides: tuple  # the reports of the L and of the R sentences
 
     def __iter__(self):
         return iter(self.sentences)
 
 
-def check_input(inputs, report=None, sides=None) -> ProverInput:
-    """The input check of prove; a bare formula is labeled L.  Without a
-    report the inputs are walked first, and a relation used with two
-    arities raises FormulaError; a given report is trusted as the inputs'
-    joint one (an NNF has its sentence's report; see negated_report), and
-    given sides as the reports of its L and of its R inputs.  Then, input
-    by input, an open one raises NonSentenceError (a FormulaError) and one
-    not in NNF raises NotNNFError."""
+_NO_SYMBOLS = signature_of()  # an empty part's report; reports are never mutated
+
+
+def check_input(inputs, sides=None) -> ProverInput:
+    """The input check of prove; a bare formula is labeled L.  The L and the R
+    inputs are walked apart (an empty part not at all) unless sides gives
+    their reports (an NNF has its sentence's report).  A relation used with
+    two arities raises the joint walk's FormulaError: a part that clashes
+    alone is walked jointly, and merge_reports, which joins the sides into
+    the report, raises a clash across them.  Inputs not all L before all R
+    are walked jointly for the report, whose constant order the ∀ rule
+    follows.  Then, input by input, an open one raises NonSentenceError (a
+    FormulaError) and one not in NNF raises NotNNFError."""
     norm = tuple([s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
                   for s in inputs])
-    if report is None:
-        report = signature_of(*[ls.formula for ls in norm])  # raises on an arity clash
+    if sides is None:
+        parts = [[ls.formula for ls in norm if ls.label == side] for side in "LR"]
+        try:
+            sides = tuple([signature_of(*part) if part else _NO_SYMBOLS for part in parts])
+        except FormulaError:
+            signature_of(*[ls.formula for ls in norm])  # raises the joint walk's error
+            raise
+    ordered = "RL" not in "".join([ls.label for ls in norm])
+    report = merge_reports(*sides) if ordered else signature_of(*[ls.formula for ls in norm])
     for ls in norm:
         if report.free_vars and not is_sentence(ls.formula):
             raise NonSentenceError(f"free variables in input: {ls.formula!r}")
         if not is_nnf(ls.formula):
             raise NotNNFError(f"input not in NNF: {ls.formula!r}")
     return ProverInput(norm, report, sides)
-
-
-def check_sides(left: list, right: list) -> ProverInput:
-    """check_input(left + right) for an L part and an R part (lists of
-    LabeledSentence), with one walk per part: the input's sides are the two
-    parts' reports.  The errors and their order are the joint check's: when
-    a part's walk raises, the joint walk raises its error, and a clash
-    across the parts raises from the merge."""
-    joint = (*left, *right)
-    try:
-        sides = (signature_of(*[ls.formula for ls in left]),
-                 signature_of(*[ls.formula for ls in right]))
-    except FormulaError:
-        check_input(joint)
-        raise
-    return check_input(joint, merge_reports(*sides), sides)
 
 
 def prove(inputs, budget: int):
@@ -631,18 +624,17 @@ def prove(inputs, budget: int):
     verified finite model) or Unknown (budget exhausted).  inputs are raw
     (labeled sentences or bare formulas, labeled L), which check_input
     checks, or a ProverInput, which the check already made and prove
-    trusts; every proving entry point takes one or the other.  The errors
-    come in this order: a budget that is not a positive int (a bool is not)
-    raises FormulaError; then, for raw inputs, a relation used with two
-    arities raises FormulaError, and after it, input by input, an open one
-    raises NonSentenceError (a FormulaError) and one not in NNF raises
-    NotNNFError.  A caller that checks its inputs itself checks the budget
-    first too (check_budget), so its errors come in the same order.
+    trusts; every proving entry point takes one or the other.  A closed
+    tableau keeps the ProverInput, whose sides propagate reads.  A budget
+    that is not a positive int (a bool is not) raises FormulaError first,
+    then raw inputs raise check_input's errors.  A caller that checks its
+    inputs itself checks the budget first too (check_budget), so its errors
+    come in the same order.
     """
     check_budget(budget)
     if not isinstance(inputs, ProverInput):
         inputs = check_input(inputs)
-    return _Prover(inputs.sentences, budget, inputs.report.constants).run()
+    return _Prover(inputs, budget).run()
 
 
 def refute(inputs, budget: int) -> ClosedTableau:

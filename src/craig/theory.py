@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaError, NonSentenceError, NotSplittable
-from .formulas import Not, signature_of, simplify
+from .formulas import Not, merge_reports, negated_report, signature_of, simplify
 from .definability import Theory
-from .interpolation import certify, interpolant_from_labeled
+from .interpolation import _checked, certify, interpolant_from_labeled
 from .tableau import labeled
 
 
@@ -80,13 +80,13 @@ def split_theory(sigma: Theory, sigma_sig, tau_sig):
 
 def weak_interpolant(sigma: Theory, phi, psi, budget: int):
     """θ with Σ ⊨ phi→θ, Σ ⊨ θ→psi, sig(θ) ⊆ (sig(phi)∩sig(psi)) ∪ sig(Σ)."""
-    inputs = labeled([*sigma.sentences, phi], [Not(psi)])
-    theta = simplify(interpolant_from_labeled(inputs, budget)[0])
-    allowed = ((signature_of(phi).symbols() & signature_of(psi).symbols())
-               | sigma.signature().symbols())
-    return certify(theta, allowed, [
-        ("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
-        ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)
+    theta, annotated = interpolant_from_labeled(
+        labeled([*sigma.sentences, phi], [Not(psi)]), budget)
+    (left, right), theory = annotated.tableau.inputs.sides, sigma.signature()
+    # (phi ∩ psi) ∪ Σ is ((Σ ∪ phi) ∩ psi) ∪ Σ: the sides' common symbols and Σ's
+    allowed = (left.symbols() & right.symbols()) | theory.symbols()
+    return _certified(simplify(theta), allowed, sigma, phi, psi, (theory, left, right),
+                      budget)
 
 
 def strong_interpolant(sigma: Theory, phi, psi, budget: int):
@@ -100,6 +100,20 @@ def strong_interpolant(sigma: Theory, phi, psi, budget: int):
             "the theory is not (sig(phi), sig(psi))-splittable")
     inputs = labeled([*split.sigma1.sentences, phi], [*split.sigma2.sentences, Not(psi)])
     theta = simplify(interpolant_from_labeled(inputs, budget)[0])
-    return certify(theta, sig_phi.symbols() & sig_psi.symbols(), [
-        ("Sigma, phi |= theta", [*sigma.sentences, phi, Not(theta)]),
-        ("Sigma, theta |= psi", [*sigma.sentences, theta, Not(psi)])], budget)
+    theory = sigma.signature()
+    return _certified(theta, sig_phi.symbols() & sig_psi.symbols(), sigma, phi, psi,
+                      (theory, merge_reports(theory, sig_phi), negated_report(sig_psi)),
+                      budget)
+
+
+def _certified(theta, allowed, sigma: Theory, phi, psi, reports, budget: int):
+    """certify for both forms: Σ, phi ⊨ θ and Σ, θ ⊨ psi, re-proved from the
+    reports of Σ, of Σ with phi and of ¬psi."""
+    theory, left, right = reports
+    report = signature_of(theta)
+    return certify(theta, allowed, [
+        ("Sigma, phi |= theta", _checked([*sigma.sentences, phi], [Not(theta)], left,
+                                         negated_report(report))),
+        ("Sigma, theta |= psi", _checked([*sigma.sentences, theta], [Not(psi)],
+                                         merge_reports(theory, report), right))],
+        budget, report)

@@ -227,6 +227,15 @@ def test_monotone_rewrite_rejects_a_contradicting_arity(relation, arity, message
         monotone_rewrite(parse("exists x. R(x)"), relation, 1000, arity=arity)
 
 
+@pytest.mark.parametrize("relation", [5, None, ["R"], ("R",), b"R"])
+@pytest.mark.parametrize("arity", [1, None])
+def test_monotone_rewrite_rejects_a_relation_that_is_not_a_name(relation, arity):
+    # a bare TypeError from priming the name before, or for a list from the
+    # set lookup; None and 5 without an arity read "does not occur"
+    with pytest.raises(FormulaError, match=r"^relation must be a relation name, got "):
+        monotone_rewrite(parse("P(a)"), relation, 100, arity)
+
+
 def test_monotone_rewrite_rejects_a_bool_arity():
     # True == 1, the sentence's arity, but a bool is not an int
     with pytest.raises(FormulaError, match="arity of R must be non-negative, got True"):

@@ -19,7 +19,7 @@ from craig.interpolation import (
 from craig.models import enumerate_structures, evaluate
 
 from craig.parser import parse, print_formula
-from craig.tableau import Closed, LabeledSentence, prove
+from craig.tableau import Closed, ClosedTableau, LabeledSentence, check_input, prove
 from craig.theory import strong_interpolant, weak_interpolant
 
 
@@ -154,7 +154,8 @@ def test_reprove_countermodel_is_internal_error():
     # a claim the construction made has a model: the construction is wrong,
     # and no budget would have re-proved it
     with pytest.raises(FormulaError, match="internal error"):
-        certify(TOP, (), [("P(c) is contradictory", [parse("P(c)")])], 1000)
+        certify(TOP, (), [("P(c) is contradictory", check_input([parse("P(c)")]))], 1000,
+                signature_of(TOP))
 
 
 def _leaking_constructions(tallest):
@@ -186,11 +187,9 @@ def test_every_construction_rejects_a_leaked_symbol(name, tallest_theory, monkey
     call, theta, leak = _leaking_constructions(tallest_theory)[name]
 
     def leaking(inputs, budget):
-        # the stand-in for the annotated tableau carries what propagate's
-        # does and the constructions read: the reports of the two sides
-        sides = tuple(signature_of(*[ls.formula for ls in inputs if ls.label == side])
-                      for side in "LR")
-        return theta, AnnotatedTableau(None, {}, sides)
+        # the stand-in for the proof keeps what a closed tableau keeps and
+        # the constructions read: its checked input, with the sides' reports
+        return theta, AnnotatedTableau(ClosedTableau(None, check_input(inputs), 0), {})
 
     for module in (interpolation, definability, theory):
         monkeypatch.setattr(module, "interpolant_from_labeled", leaking)

@@ -1,31 +1,34 @@
 """Checked prover inputs: merged and negated reports against the walk, and
-the input check's errors against the joint check of ``prove``.
+the input check's errors against the joint check it replaced.
 
 ``merge_reports`` builds the report of two formula lists from their two
 reports and ``negated_report`` that of NNF(¬θ) from θ's, with no walk; both
 must equal ``signature_of`` field by field, in the order of the constants,
-free variables and arities.  ``check_sides`` walks an L part and an R part
-apart; ``craig_interpolant`` goes through it, and must raise what the
-parent's path raised: ``refute(labeled([phi], [Not(psi)]), budget)``, with
-the same text.
+free variables and arities.  ``check_input`` walks the L part and the R part
+apart and merges their reports; ``joint_check`` below is the one-walk check
+it replaced, and the two must raise the same errors, with the same texts,
+and make the same report.  ``craig_interpolant`` must raise what
+``refute(labeled([phi], [Not(psi)]), budget)`` raises.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from craig import tableau
 from craig.corpus import corpus
 from craig.errors import FormulaError, NonSentenceError, NotNNFError
 from craig.formulas import (
-    And, Atom, Const, Exists, Forall, Not, Or, TOP, Var, merge_reports,
-    negated_report, signature_of, to_nnf,
+    And, Atom, Const, Exists, Forall, Not, Or, TOP, Var, is_nnf, is_sentence,
+    merge_reports, negated_report, signature_of, to_nnf,
 )
 from craig.interpolation import craig_interpolant, entails
 from craig.parser import parse
 from craig.tableau import (
-    Closed, LabeledSentence, check_input, check_sides, labeled, prove, refute,
-    render_trace,
+    Closed, LabeledSentence, check_input, labeled, prove, refute, render_trace,
 )
 
 from test_formulas import formulas, wide_formulas
@@ -119,7 +122,7 @@ def test_the_merge_raises_the_joint_walks_clash(a, b):
     try:
         signature_of(*a), signature_of(*b)
     except FormulaError:
-        return  # a part that clashes alone is never merged: check_sides walks jointly
+        return  # a part that clashes alone is never merged: check_input walks jointly
     joint, merged = walked_or_merged(a, b)
     assert merged == joint
 
@@ -156,28 +159,82 @@ def test_the_negated_report_is_the_report_of_the_nnf_of_the_negation_on_hypothes
 
 # ---------------------------------------------------------------- the input check
 
+def joint_check(inputs) -> SimpleNamespace:
+    """The input check before the parts were walked apart: one joint walk,
+    then input by input the open and the NNF checks."""
+    norm = tuple(s if isinstance(s, LabeledSentence) else LabeledSentence(s, "L")
+                 for s in inputs)
+    report = signature_of(*[ls.formula for ls in norm])  # raises on an arity clash
+    for ls in norm:
+        if report.free_vars and not is_sentence(ls.formula):
+            raise NonSentenceError(f"free variables in input: {ls.formula!r}")
+        if not is_nnf(ls.formula):
+            raise NotNNFError(f"input not in NNF: {ls.formula!r}")
+    return SimpleNamespace(sentences=norm, report=report)
+
+
 def check_outcome(call) -> tuple:
-    """The error of an input check, or its sentences and reports."""
+    """The error of an input check, or its sentences and report."""
     result = outcome(call)
     if result[0] != "ok":
         return result
     return "ok", result[1].sentences, fields(result[1].report)
 
 
+def walked_sides(inputs) -> tuple:
+    """The reports of the L and of the R formulas, each part walked alone."""
+    return tuple(fields(signature_of(*[ls.formula for ls in inputs if ls.label == side]))
+                 for side in "LR")
+
+
 @settings(max_examples=600, derandomize=True)
 @given(st.lists(st.one_of(clashing_formulas(), formulas()), max_size=3),
        st.lists(st.one_of(clashing_formulas(), formulas()), max_size=3))
-def test_check_sides_raises_what_the_joint_check_raises(a, b):
+def test_check_input_raises_what_the_joint_check_raises(a, b):
     # raw formulas, so open and non-NNF inputs reach the check too
-    left = [LabeledSentence(f, "L") for f in a]
-    right = [LabeledSentence(f, "R") for f in b]
-    joint = check_outcome(lambda: check_input(left + right))
-    assert check_outcome(lambda: check_sides(left, right)) == joint
+    inputs = [LabeledSentence(f, "L") for f in a] + [LabeledSentence(f, "R") for f in b]
+    joint = check_outcome(lambda: joint_check(inputs))
+    assert check_outcome(lambda: check_input(inputs)) == joint
     if joint[0] == "ok":
-        inputs = check_sides(left, right)
-        assert fields(inputs.sides[0]) == fields(signature_of(*a))
-        assert fields(inputs.sides[1]) == fields(signature_of(*b))
-        assert list(inputs) == left + right
+        checked = check_input(inputs)
+        assert tuple(map(fields, checked.sides)) == walked_sides(inputs)
+        assert list(checked) == inputs
+
+
+@settings(max_examples=600, derandomize=True)
+@given(st.lists(st.tuples(st.one_of(clashing_formulas(), formulas()),
+                          st.sampled_from("LR")), max_size=5))
+def test_interleaved_labels_keep_the_joint_walks_report(pairs):
+    # labels in any order: the report is the joint walk's, constants in
+    # order, since that order decides which constants the ∀ rule tries
+    inputs = [LabeledSentence(f, label) for f, label in pairs]
+    joint = check_outcome(lambda: joint_check(inputs))
+    assert check_outcome(lambda: check_input(inputs)) == joint
+    if joint[0] == "ok":
+        assert tuple(map(fields, check_input(inputs).sides)) == walked_sides(inputs)
+
+
+def test_interleaved_labels_order_the_constants_jointly():
+    inputs = [LabeledSentence(parse("P(b)"), "R"), LabeledSentence(parse("P(a)"), "L"),
+              LabeledSentence(parse("P(c) | P(b)"), "R")]
+    checked = check_input(inputs)
+    assert list(checked.report.constants) == ["b", "a", "c"]
+    assert [list(side.constants) for side in checked.sides] == [["a"], ["b", "c"]]
+
+
+def test_an_empty_part_is_not_walked(monkeypatch):
+    calls = []
+    real = tableau.signature_of
+    monkeypatch.setattr(tableau, "signature_of", lambda *phis: calls.append(phis) or real(*phis))
+    for inputs, walks in (([], 0), ([parse("P(a)")], 1),
+                          (labeled([parse("P(a)")], [parse("Q(a)")]), 2),
+                          (labeled((), [parse("Q(a)")]), 1)):
+        del calls[:]
+        checked = check_input(inputs)
+        assert len(calls) == walks
+        assert fields(checked.report) == fields(real(*[ls.formula for ls in checked]))
+        for side in checked.sides:
+            assert side.symbols() <= checked.report.symbols()
 
 
 def test_the_check_goes_input_by_input_open_then_nnf():
@@ -187,28 +244,30 @@ def test_the_check_goes_input_by_input_open_then_nnf():
         with pytest.raises(error):
             check_input(inputs)
         with pytest.raises(error):
-            check_sides([LabeledSentence(inputs[0], "L")], [LabeledSentence(inputs[1], "R")])
-    # a given report is trusted for the clash, not for the sentence check
-    report = signature_of(open_nnf)
+            check_input([LabeledSentence(inputs[0], "L"), LabeledSentence(inputs[1], "R")])
+    # given sides are trusted for the clash, not for the sentence check
+    sides = signature_of(open_nnf), signature_of()
     with pytest.raises(NonSentenceError, match=r"^free variables in input: "):
-        check_input([open_nnf], report)
+        check_input([open_nnf], sides)
 
 
 def test_a_checked_input_proves_as_its_raw_sentences_do():
     for inst in corpus(42, 300):
         raw = labeled([inst.phi], [Not(inst.psi)])
-        checked = check_sides(labeled([inst.phi], ()), labeled((), [Not(inst.psi)]))
-        a, b = prove(raw, BUDGET), prove(checked, BUDGET)
-        assert type(a) is type(b) is Closed
-        assert a.tableau.rule_applications == b.tableau.rule_applications
-        assert render_trace(a.tableau) == render_trace(b.tableau)
+        given = check_input(raw, (signature_of(inst.phi), signature_of(Not(inst.psi))))
+        outcomes = prove(raw, BUDGET), prove(check_input(raw), BUDGET), prove(given, BUDGET)
+        assert {type(o) for o in outcomes} == {Closed}
+        assert len({o.tableau.rule_applications for o in outcomes}) == 1
+        assert len({render_trace(o.tableau) for o in outcomes}) == 1
 
 
-def test_entails_with_reports_proves_as_without():
+def test_an_entailment_checked_from_reports_proves_as_walked():
+    # verify_interpolant's inputs: both sides' reports given, none walked
     for inst, theta in zip(corpus(42, 300), interpolants()):
         for a, b in ((inst.phi, theta), (theta, inst.psi), (inst.psi, inst.phi)):
             walked = entails(a, b, BUDGET)
-            merged = entails(a, b, BUDGET, (signature_of(a), signature_of(b)))
+            given = (signature_of(a), negated_report(signature_of(b)))
+            merged = prove(check_input(labeled([a], [Not(b)]), given), BUDGET)
             assert type(walked) is type(merged)
             if isinstance(walked, Closed):
                 assert render_trace(walked.tableau) == render_trace(merged.tableau)

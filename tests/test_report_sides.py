@@ -1,13 +1,14 @@
-"""Signature reports built through slot setters, and the side reports that
-``propagate`` hands on.
+"""Signature reports built through slot setters, the side reports of every
+checked prover input, and how often each construction walks a formula.
 
 ``SignatureReport`` sets its fields in a hand-written ``__init__`` through
 the slots' own setters; ``old.SignatureReport`` below is the dataclass it was, kept
 verbatim, so the two must agree on fields, construction, ``==``, ``repr``
-and ``symbols()``.  ``propagate`` keeps the reports of the root's L and R
-inputs as ``AnnotatedTableau.sides``; Craig extraction and Robinson
-separation take their allowed symbols from them instead of walking their
-inputs again.
+and ``symbols()``.  The input check keeps the reports of the L and the R
+inputs as ``ProverInput.sides``, and a closed tableau keeps its checked
+input; ``propagate`` and every construction read the sides there instead of
+walking their inputs again, and the walk counts of each construction are
+pinned.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ from dataclasses import FrozenInstanceError, dataclass
 import pytest
 
 from craig.corpus import corpus
+from craig.definability import (
+    Theory, explicit_definition, monotone_rewrite, robinson_separator,
+)
 from craig.formulas import Not, SignatureReport, conj, signature_of
 from craig.cli import main
-from craig.interpolation import craig_interpolant, propagate, verify_interpolant
-from craig.parser import parse
+from craig.interpolation import craig_interpolant, verify_interpolant
+from craig.parser import parse, parse_problem
 from craig.tableau import Closed, labeled, prove
+from craig.theory import strong_interpolant, weak_interpolant
 
 from test_substitution_program import BUDGET, problems
 
@@ -114,7 +119,7 @@ def test_bad_arguments_raise_type_error_as_before(make):
 # ---------------------------------------------------------------- the sides
 
 def proved_pairs() -> list:
-    """(L sentences, R sentences, annotated tableau) of every closed corpus
+    """(L sentences, R sentences, sides of the checked input) of every closed corpus
     instance, Pelletier problem and chain: each one sentence a side as in
     Craig extraction, and for the problems also every sentence apart, as in
     Robinson separation."""
@@ -126,15 +131,14 @@ def proved_pairs() -> list:
     for left, right in pairs:
         outcome = prove(labeled(left, right), BUDGET)
         if isinstance(outcome, Closed):
-            out.append((left, right, propagate(outcome.tableau)))
+            out.append((left, right, outcome.tableau.inputs.sides))
     return out
 
 
 def test_the_sides_have_the_symbols_of_the_inputs():
     pairs = proved_pairs()
     assert len(pairs) > 540
-    for left, right, annotated in pairs:
-        l_side, r_side = annotated.sides
+    for left, right, (l_side, r_side) in pairs:
         l_sig, r_sig = signature_of(*left), signature_of(*right)
         assert l_side.symbols() & r_side.symbols() == l_sig.symbols() & r_sig.symbols()
         for side, sig in ((l_side, l_sig), (r_side, r_sig)):
@@ -164,8 +168,8 @@ def counted_walks(monkeypatch) -> list:
 
 
 def test_craig_interpolant_walks_signatures_three_times(monkeypatch):
-    # phi's and psi's sides and certify's theta: the three proofs' inputs
-    # and propagate's sides are merged from those three reports
+    # phi's and psi's sides and certify's theta: the three proofs' inputs,
+    # and the sides propagate reads, are built from those three reports
     calls = counted_walks(monkeypatch)
     for inst in corpus(42, 50):
         del calls[:]
@@ -188,3 +192,47 @@ def test_verify_interpolant_walks_signatures_three_times(monkeypatch, capsys):
     assert main(["check-interpolant", example1, "--theta", "exists x. Big(x) & Cat(x)"]) == 0
     assert capsys.readouterr().out == "verified\n"
     assert len(calls) == 5  # parse_problem's check of the file's two sentences, then 3
+
+
+def construction_cases() -> dict:
+    """name -> (construction, arguments), on the inputs of the CLI's example
+    files; the files are parsed and the theories checked here, before any
+    walk is counted."""
+    root = pathlib.Path(__file__).resolve().parent
+
+    def problem(path: str):
+        return parse_problem((root / path).read_text(encoding="utf-8"))
+
+    rob, weak = problem("../bench/cli/robinson.fol"), problem("../bench/cli/theory-weak.fol")
+    split, tallest = problem("../bench/cli/theory-split.fol"), problem("data/tallest.fol")
+    return {
+        "robinson": (robinson_separator,
+                     (Theory(tuple(rob.left)), Theory(tuple(rob.right)), BUDGET)),
+        "monotone": (monotone_rewrite, (parse("P(a) & Q(a)"), "P", BUDGET)),
+        "weak": (weak_interpolant,
+                 (Theory(weak.theory), conj(weak.left), conj(weak.right), BUDGET)),
+        "strong": (strong_interpolant,
+                   (Theory(split.theory), conj(split.left), conj(split.right), BUDGET)),
+        "beth": (explicit_definition,
+                 (Theory(tallest.theory), "Tallest", ["Taller-than"], BUDGET)),
+    }
+
+
+@pytest.mark.parametrize("name, walks", [
+    ("robinson", 3),  # Σ1's and Σ2's sides, theta
+    ("monotone", 4),  # phi, then phi's and the primed side's sides, theta
+    ("weak", 4),      # the sides of Σ with phi and of ¬psi, Σ, theta
+    # phi, psi; split_theory's 2 sentences, their 2 Theory checks and its 2
+    # parts; the two sides, Σ, theta
+    ("strong", 12),
+    # Σ; the Padoa search's Σ and its 10 sentence and conjunct checks; the
+    # two sides, the defined atom, theta and the definition
+    ("beth", 17),
+])
+def test_each_construction_pins_its_walks(name, walks, monkeypatch):
+    # the extraction's input check walks each side once and the claims are
+    # built from reports; the other walks are the construction's own checks
+    construction, args = construction_cases()[name]
+    calls = counted_walks(monkeypatch)
+    construction(*args)
+    assert len(calls) == walks

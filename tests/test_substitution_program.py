@@ -6,8 +6,9 @@ rebuilt items are precomputed tuple splices), and ``Substitution.run`` sets
 every field through the slots' own setters.  ``LabeledSentence`` sets its
 fields the same way in a hand-written ``__init__``; ``ForallRule`` is
 generated by ``frozen_record``, which also makes every record refuse a
-write of a name that is not a field.  ``propagate`` reads the constants of
-every node below the root off its rule.  The reference copies below are the
+write of a name that is not a field.  ``propagate`` reads the root's
+constants off the input check's sides, and those of every node below the
+root off its rule.  The reference copies below are the
 previous code, kept verbatim: one general instruction per node kind with
 fields set by ``object.__setattr__``, the dataclass-generated ``__init__``s
 with a ``__post_init__`` label check, and a ``propagate`` that walks every
@@ -380,11 +381,7 @@ def test_propagate_matches_the_reference_node_by_node(monkeypatch):
         monkeypatch.setattr(interpolation, "signature_of", counting)
         del calls[:]
         new = propagate(t)
-        assert len(calls) == 2  # one per label, for the root's inputs only
-        del calls[:]
-        handed = propagate(t, new.sides)
-        assert not calls  # sides handed on, as craig_interpolant does: no walk
-        assert handed.sides is new.sides and handed.interpolants == new.interpolants
+        assert not calls  # the root's constants are the input check's sides
         monkeypatch.undo()
         assert new.interpolants == reference_propagate(t).interpolants
         assert_propagation_agrees(t)
