@@ -25,6 +25,7 @@ _new = object.__new__
 _INTERNING = threading.Lock()
 # Substitution.run's opcodes, most frequent first
 _ATOM1, _NOT, _ITEM2, _ITEM1, _BLOCK, _ATOM, _ITEMS = range(7)
+_NO_LITERALS: dict = {}  # Substitution.run's lookups without a table: always empty
 
 
 class _Term:
@@ -609,11 +610,19 @@ class Substitution:
     ``vars`` lists the variables that occur free, in first-occurrence order
     (preorder, arguments left to right), the order signature_of gives.
     ``run(consts)`` takes one Const per entry of ``vars``, in that order, and
-    returns the substituted formula.  ``code`` is a flat post-order program
-    over only the nodes that contain a free occurrence; running it rebuilds
-    those nodes and reuses every other subtree as the same object.  Each
-    instruction rebuilds one node from the nodes rebuilt before it, taken
-    off a stack; it is a 5-tuple (opcode, a, b, c, d):
+    returns the substituted formula.  ``run(consts, table)`` returns an equal
+    formula, with the same hash, but takes each rebuilt atom and negation
+    from table, a dict of such nodes keyed by their hashes, when it holds an
+    equal one, and adds those it builds: runs that share a table build each
+    literal once.  The int keys compare in C, with no call of a node's
+    ``__hash__`` or ``__eq__``, and a node found is read before one is
+    built; one found under the hash of another literal is replaced.
+
+    ``code`` is a flat post-order program over only the nodes that contain a
+    free occurrence; running it rebuilds those nodes and reuses every other
+    subtree as the same object.  Each instruction rebuilds one node from the
+    nodes rebuilt before it, taken off a stack; it is a 5-tuple (opcode, a,
+    b, c, d):
 
     - ``_ATOM1``: an atom with one rebuilt argument, (rel, the arguments
       before it, those after it, its index into consts);
@@ -642,24 +651,35 @@ class Substitution:
         self.vars = vars
         self.code = code
 
-    def run(self, consts: tuple):
+    def run(self, consts: tuple, table: dict | None = None):
         code = self.code
         if not code:
             return self.formula
         stack: list = []
         push, pop = stack.append, stack.pop
+        shared = _NO_LITERALS.get if table is None else table.get
         for op, a, b, c, d in code:
             if op is _ATOM1:  # the one rebuilt argument goes between b and c
-                node = _new(Atom)
                 args = b + (consts[d],) + c
-                _SET_REL(node, a)
-                _SET_ARGS(node, args)
-                _SET_H(node, hash((a, args)))
+                h = hash((a, args))
+                node = shared(h)
+                if node.__class__ is not Atom or node.args != args or node.rel != a:
+                    node = _new(Atom)
+                    _SET_REL(node, a)
+                    _SET_ARGS(node, args)
+                    _SET_H(node, h)
+                    if table is not None:
+                        table[h] = node
             elif op is _NOT:
-                node = _new(Not)
                 sub = pop()
-                _SET_SUB(node, sub)
-                _SET_H(node, hash((sub,)))
+                h = hash((sub,))
+                node = shared(h)
+                if node.__class__ is not Not or node.sub is not sub:
+                    node = _new(Not)
+                    _SET_SUB(node, sub)
+                    _SET_H(node, h)
+                    if table is not None:
+                        table[h] = node
             elif op is _ITEM2:  # the two rebuilt items go between b and c
                 node = _new(a)
                 second = pop()
@@ -678,14 +698,19 @@ class Substitution:
                 d(node, body)
                 _SET_H(node, hash((b, body)))
             elif op is _ATOM:
-                node = _new(Atom)
                 args = list(a.args)
                 for i, k in b:
                     args[i] = consts[k]
                 args = tuple(args)
-                _SET_REL(node, a.rel)
-                _SET_ARGS(node, args)
-                _SET_H(node, hash((a.rel, args)))
+                h = hash((a.rel, args))
+                node = shared(h)
+                if node.__class__ is not Atom or node.args != args or node.rel != a.rel:
+                    node = _new(Atom)
+                    _SET_REL(node, a.rel)
+                    _SET_ARGS(node, args)
+                    _SET_H(node, h)
+                    if table is not None:
+                        table[h] = node
             else:  # _ITEMS
                 node = _new(a)
                 items = list(b)

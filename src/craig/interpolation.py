@@ -96,7 +96,7 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
         if isinstance(rule, ExistsRule):
             names = rule.constants
         elif isinstance(rule, ForallRule):
-            used = _instance_uses_constant(rule, node.introduced[0].formula)
+            used = _instance_uses_constant(rule, node.intro.formula)
             names = (rule.constant,) if used else ()
         else:
             names = ()
@@ -107,15 +107,20 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
                 r_consts = r_consts.union(names)
         consts[node.id] = (l_consts, r_consts)
         order.append(node)
-        stack.extend((ch, l_consts, r_consts) for ch in node.children)
+        below = node.below
+        if type(below) is tuple:
+            stack.extend((ch, l_consts, r_consts) for ch in below)
+        elif below is not None:
+            stack.append((below, l_consts, r_consts))
 
     for node in reversed(order):
-        if not node.children:
+        below = node.below
+        if below is None:
             if not isinstance(node.rule, Closure):
                 raise OpenTableauError("tableau has an open branch; cannot propagate")
             theta = _leaf_interpolant(node.rule.evidence)
-        elif len(node.children) == 1:
-            child = node.children[0]
+        elif type(below) is not tuple:
+            child = below
             theta = interpolants[child.id]
             if isinstance(child.rule, ForallRule):
                 l_consts, r_consts = consts[node.id]
@@ -125,7 +130,7 @@ def propagate(tableau: ClosedTableau) -> AnnotatedTableau:
         else:
             thetas = []
             premise = None
-            for child in node.children:
+            for child in below:
                 if not isinstance(child.rule, Disj):
                     raise FormulaError(f"unexpected branching rule {child.rule!r}")
                 premise = child.rule.premise

@@ -45,21 +45,33 @@ variables first occur in the body (a ∀ on a constant-free branch registers
 the constant it seeds itself).  Conjuncts, disjuncts and ∀ instances use only
 constants already on the branch, so adding them registers nothing.
 
-Search state.  One mutable branch state serves the whole depth-first
-search.  A split creates every child node at once, in disjunct order, leaves
-a choice point (trail mark, child node, disjunct) for each child after the
-first, and goes straight on into the first.  While a choice point is open,
-every change to the branch state logs its inverse on an undo trail, a flat
-list on which each entry is the inverse's arguments followed by an int
-opcode; when a branch closes, the latest choice point is popped, the trail
-is undone down to its mark and the next child is entered.  Nothing before
-the lowest open choice point is ever undone, so the trail is None, and
-nothing is logged, until the first split and again once the last pending
-child is entered.  Search order, node ids and fresh constants are those of a
-search that copied the branch at every split.  No part of the proof state
-refers back to what holds it (a node names its children, not its parent,
-and no trail entry names the branch state), so a finished proof is freed by
-reference counting alone, without the cyclic collector.
+Search state.  One mutable branch state serves the whole depth-first search.
+A split creates every child node at once, in disjunct order, leaves a choice
+point (trail mark, child node) for each child after the first, and goes
+straight on into the first.  While a choice point is open, every change to the
+branch state logs its inverse on an undo trail, a flat list on which each
+entry is the inverse's arguments followed by an int opcode; when a branch
+closes, the latest choice point is popped, the trail is undone down to its
+mark and the next child is entered.  Nothing before the lowest open choice
+point is ever undone, so the trail is None, and nothing is logged, until the
+first split and again once the last pending child is entered.  Search order,
+node ids and fresh constants are those of a search that copied the branch at
+every split.  No part of the proof state refers back to what holds it (a node
+names its children, not its parent, and no trail entry names the branch
+state), so a finished proof is freed by reference counting alone, without the
+cyclic collector.
+
+What each application keeps alive is kept small, since the collector's cost
+follows it.  A node holds its one introduced sentence and its one child in
+its ``intro`` and ``below`` fields directly, and a tuple only at a split, at
+an ∧ step with several new conjuncts, at the root and at a closure;
+``introduced`` and ``children`` read them as tuples.  ``promote`` holds the
+one disjunction that waits for a literal, and a list only once several wait.
+The proof keeps a table of the literals its ∀ and ∃ instances built, shared
+by every branch like the compiled programs: ``Substitution.run`` takes an
+equal atom or negated atom from it instead of building a new one, so within
+one proof the equal literals that instances rebuild are one object.
+Formulas compare and hash as before, so the search does not change.
 
 The budget counts rule applications: one per ∧, ∀ or ∃ step that adds a
 node, one per closure, and one per split, however many children the split
@@ -70,7 +82,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BranchNotSaturatedError, FormulaError, NonSentenceError, NotNNFError,
@@ -147,12 +159,26 @@ class Closure:
     evidence: tuple
 
 
+# Nodes are the bulk of a long proof, so each holds its one introduced sentence
+# and its one child directly, with no tuple or list around them.
 @dataclass(slots=True)
 class Node:
     id: int
-    introduced: tuple  # of LabeledSentence
+    intro: object  # a LabeledSentence, or a tuple (root, ∧ step, closure)
     rule: object
-    children: list = field(default_factory=list)
+    below: object = None  # the child Node, or a tuple of them at a split
+
+    @property
+    def introduced(self) -> tuple:
+        intro = self.intro
+        return intro if type(intro) is tuple else (intro,)
+
+    @property
+    def children(self) -> tuple:
+        below = self.below
+        if below is None:
+            return ()
+        return below if type(below) is tuple else (below,)
 
 
 @dataclass
@@ -226,14 +252,15 @@ _POP, _APPENDLEFT, _DELITEM, _SETITEM, _SETATTR, _RESTORE, _ROTATE = range(7)
 class _BranchState:
     """Search state of the branch being expanded, shared by every branch.
 
-    ``choices`` holds the open choice points (trail mark, child node,
-    disjunct), the latest on top.  While one is open, every mutation pushes
-    its inverse onto ``trail``, a flat list: the inverse's arguments, then
-    its opcode.  ``undo_to(mark)`` pops an opcode, then its arguments, and
-    applies the inverse, newest first, until the trail is back to ``mark``
-    entries.  No entry names the branch state itself (its own attributes are
-    restored by name), so the trail makes no reference cycle.  With no choice
-    point open ``trail`` is None and nothing is logged.
+    ``choices`` holds the open choice points (trail mark, child node; the
+    node's sentence is its disjunct), the latest on top.  While one is open,
+    every mutation pushes its inverse onto ``trail``, a flat list: the
+    inverse's arguments, then its opcode.  ``undo_to(mark)`` pops an opcode,
+    then its arguments, and applies the inverse, newest first, until the
+    trail is back to ``mark`` entries.  No entry names the branch state
+    itself (its own attributes are restored by name), so the trail makes no
+    reference cycle.  With no choice point open ``trail`` is None and
+    nothing is logged.
     """
 
     __slots__ = ("node", "formulas", "constants", "alpha", "ready",
@@ -252,36 +279,37 @@ class _BranchState:
         self.exists_queues: tuple = (deque(), deque(), deque())
         self.beta_closing: deque = deque()
         self.beta_open: deque = deque()
-        self.promote: dict = {}    # literal formula -> [disjunctions it would close]
+        # literal formula -> the disjunction it would close, or a list of them
+        self.promote: dict = {}
         self.evidence = None
         self.trail: list | None = None
         self.choices: list = []
 
     # -- choice points and the trail --------------------------------------
 
-    def split(self, children: list):
-        """Open a choice point for every (node, disjunct) after the first and
-        enter the first."""
+    def split(self, children: tuple):
+        """Open a choice point for every child node after the first and enter
+        the first."""
         if self.trail is None:
             self.trail = []
         mark = len(self.trail)
-        self.choices.extend((mark, node, gls) for node, gls in reversed(children[1:]))
-        self.enter(*children[0])
+        self.choices.extend((mark, node) for node in reversed(children[1:]))
+        self.enter(children[0])
 
     def backtrack(self) -> bool:
         """Resume the latest choice point; False when none is left."""
         if not self.choices:
             return False
-        mark, node, gls = self.choices.pop()
+        mark, node = self.choices.pop()
         self.undo_to(mark)
         if not self.choices:
             self.trail = None  # nothing before this point is ever undone
-        self.enter(node, gls)
+        self.enter(node)
         return True
 
-    def enter(self, node: Node, gls: LabeledSentence):
+    def enter(self, node: Node):
         self.node = node
-        self.add(gls, origin=0)
+        self.add(node.intro, origin=0)
 
     def undo_to(self, mark: int):
         trail = self.trail
@@ -364,8 +392,11 @@ class _BranchState:
             if waiting is not None:
                 if trail is not None:
                     trail += (promote, f, waiting, _SETITEM)
-                for waiting_ls in waiting:
-                    self.push(self.beta_closing, waiting_ls)
+                if type(waiting) is list:
+                    for waiting_ls in waiting:
+                        self.push(self.beta_closing, waiting_ls)
+                else:
+                    self.push(self.beta_closing, waiting)
         elif kind is And or kind is Forall:
             self.push_alpha(_AlphaItem(ls))
         elif kind is Or:
@@ -382,12 +413,18 @@ class _BranchState:
                     continue
                 if comp in formulas:
                     closing = True
-                elif comp in promote:
-                    self.push(promote[comp], ls)
-                else:
-                    promote[comp] = [ls]
+                    continue
+                waiting = promote.get(comp)
+                if waiting is None:
+                    promote[comp] = ls
                     if trail is not None:
                         trail += (promote, comp, _DELITEM)
+                elif type(waiting) is list:
+                    self.push(waiting, ls)
+                else:  # a second disjunction waits: a list from now on
+                    promote[comp] = [waiting, ls]
+                    if trail is not None:
+                        trail += (promote, comp, waiting, _SETITEM)
             self.push(self.beta_closing if closing else self.beta_open, ls)
         elif kind is Exists:
             self.push(self.exists_queues[origin], ls)
@@ -457,11 +494,16 @@ class _Prover:
         # ∀ formula -> the compiled substitution of its first block variable;
         # a cache for this proof, shared by every branch, so never on the trail
         self.programs: dict = {}
+        # hash -> a literal the proof's ∀ and ∃ instances built: an instance
+        # takes an equal one from here (Substitution.run), so equal literals
+        # are one object; also shared by every branch, so never on the trail
+        self.literals: dict = {}
 
-    def new_node(self, parent: Node, introduced, rule) -> Node:
-        node = Node(self.next_id, tuple(introduced), rule)
+    def new_node(self, parent: Node, intro, rule) -> Node:
+        """A node below parent, which has no child yet."""
+        node = Node(self.next_id, intro, rule)
         self.next_id += 1
-        parent.children.append(node)
+        parent.below = node
         return node
 
     def run(self):
@@ -513,9 +555,9 @@ class _Prover:
         used = program.vars  # vacuous block variables mint no constants
         mapping = {v: next(self.fresh) for v in f.vars if v in used}
         names = [mapping[v] for v in used]  # in the order the body uses them
-        gls = LabeledSentence(program.run(tuple(map(Const, names))), ls.label)
+        gls = LabeledSentence(program.run(tuple(map(Const, names)), self.literals), ls.label)
         self.applications += 1
-        branch.node = self.new_node(branch.node, (gls,),
+        branch.node = self.new_node(branch.node, gls,
                                     ExistsRule(ls, tuple(mapping.values())))
         if names:
             branch.add_constants(names)
@@ -529,7 +571,9 @@ class _Prover:
                      if g not in branch.formulas]
             if intro:
                 self.applications += 1
-                branch.node = self.new_node(branch.node, intro, Conj(ls))
+                branch.node = self.new_node(branch.node,
+                                            intro[0] if len(intro) == 1 else tuple(intro),
+                                            Conj(ls))
                 for gls in intro:
                     branch.add(gls)
             return
@@ -541,11 +585,11 @@ class _Prover:
         program = self.programs.get(f)
         if program is None:
             program = self.programs[f] = compile_substitution(f.body, f.vars[:1])
-        peeled = _instantiate_first(f, (Const(c),), program)
+        peeled = _instantiate_first(f, (Const(c),), program, self.literals)
         if peeled not in branch.formulas:
             gls = LabeledSentence(peeled, ls.label)
             self.applications += 1
-            branch.node = self.new_node(branch.node, (gls,), ForallRule(ls, c))
+            branch.node = self.new_node(branch.node, gls, ForallRule(ls, c))
             branch.add(gls, origin=2)
         branch.push_alpha(item)  # await further constants
 
@@ -553,10 +597,12 @@ class _Prover:
         """Split: every child node is made now, in disjunct order; the search
         goes on into the first and the others wait as choice points."""
         self.applications += 1
+        rule = Disj(ls)  # one record for all the children
         children = []
         for g in ls.formula.items:
-            gls = LabeledSentence(g, ls.label)
-            children.append((self.new_node(branch.node, (gls,), Disj(ls)), gls))
+            children.append(Node(self.next_id, LabeledSentence(g, ls.label), rule))
+            self.next_id += 1
+        branch.node.below = children = tuple(children)
         branch.split(children)
 
     def saturate(self, branch: _BranchState):
@@ -692,11 +738,11 @@ def _exists_witnessed(f: Exists, present: set, consts) -> bool:
     return False
 
 
-def _instantiate_first(f: Forall, args: tuple, program):
+def _instantiate_first(f: Forall, args: tuple, program, literals=None):
     """f with its first block variable instantiated to the constant in args,
     a 1-tuple (Const,); the rest of the block stays a ∀.  program is
-    compile_substitution(f.body, f.vars[:1])."""
-    body = program.run(args)
+    compile_substitution(f.body, f.vars[:1]); literals is its run's table."""
+    body = program.run(args, literals)
     return Forall(f.vars[1:], body) if len(f.vars) > 1 else body
 
 

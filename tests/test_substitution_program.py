@@ -17,6 +17,12 @@ root, ∃ and ∀ sentence with ``signature_of``.
 The inputs are every ∃ and ∀ node of the Pelletier problems, the chains and
 ``corpus(42, 500)``, on the surface and in NNF, and the closed tableaux of
 the Pelletier problems and chains at budget 1,500 and of ``corpus(42, 500)``.
+
+A proof shares one table of literals among its ∀ and ∃ instances
+(``Substitution.run(consts, table)``).  Every run the prover makes on those
+problems is checked against a run without the table: the same formula and
+hash, the compiled formula's own kept subtrees, and one object per rebuilt
+literal within the proof.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from craig import interpolation
 from craig.corpus import corpus
 from craig.errors import FormulaError, OpenTableauError
 from craig.formulas import (
-    BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Top, Var,
-    compile_substitution, signature_of, to_nnf, walk,
+    BOTTOM, TOP, And, Atom, Const, Exists, Forall, Not, Or, Substitution, Top,
+    Var, compile_substitution, signature_of, to_nnf, walk,
 )
 from craig.interpolation import (
     AnnotatedTableau, _leaf_interpolant, _quantifier_case, propagate,
@@ -427,3 +433,93 @@ def walk_nodes(t) -> list:
         out.append(n)
         stack.extend(reversed(n.children))
     return out
+
+
+# ---------------------------------------------------------------- literal table
+
+def is_literal(f) -> bool:
+    return type(f) is Atom or (type(f) is Not and type(f.sub) is Atom)
+
+
+def table_runs(monkeypatch, inputs) -> list:
+    """(program, consts, instance, table) of every run the proof of inputs
+    made with its literal table, in order."""
+    runs = []
+    run = Substitution.run
+
+    def recorded(self, consts, table=None):
+        out = run(self, consts, table)
+        if table is not None:
+            runs.append((self, consts, out, table))
+        return out
+
+    monkeypatch.setattr(Substitution, "run", recorded)
+    prove(inputs, BUDGET)
+    monkeypatch.undo()
+    return runs
+
+
+def assert_table_runs_agree(runs) -> int:
+    """Check one proof's runs against runs without the table; returns the
+    number of rebuilt literals."""
+    one = {}  # literal -> the one object of it in this proof
+    literals = 0
+    for program, consts, out, table in runs:
+        plain = program.run(consts)
+        assert out == plain and hash(out) == hash(plain), program.formula
+        for old, new, ref in zip(walk(program.formula), walk(out), walk(plain)):
+            # a kept subtree is the compiled formula's own object; only a
+            # rebuilt node may come from the table
+            assert (new is old) == (ref is old), (program.formula, old)
+            assert type(new) is type(ref) and hash(new) == hash(ref) and new == ref
+            if new is not old and is_literal(new):
+                literals += 1
+                assert table[hash(new)] is new
+                assert one.setdefault(new, new) is new, new
+    if runs:  # the table holds literals only, each under its hash
+        assert all(is_literal(v) and k == hash(v) for k, v in runs[-1][3].items())
+    return literals
+
+
+def test_the_literal_table_changes_no_instance(monkeypatch):
+    # every ∀ and ∃ program run while proving Pelletier 1-46, the chains and
+    # corpus(42, 500): the instance equals the one built without the table,
+    # with the same hash; kept subtrees are the compiled formula's own
+    # objects; and within one proof, equal rebuilt literals are one object
+    inputs = [labeled(left, [Not(r) for r in right]) for left, right in problems()]
+    inputs += [labeled([inst.phi], [Not(inst.psi)]) for inst in corpus(42, 500)]
+    runs = literals = reused = 0
+    for one_input in inputs:
+        proof_runs = table_runs(monkeypatch, one_input)
+        assert len({id(table) for *_, table in proof_runs}) <= 1  # one table per proof
+        runs += len(proof_runs)
+        found = assert_table_runs_agree(proof_runs)
+        literals += found
+        if proof_runs:
+            reused += found - len(proof_runs[-1][3])
+    assert runs > 10_000 and literals > 40_000
+    assert 2 * reused > literals  # most rebuilt literals came from the table
+
+
+def test_the_literal_table_checks_what_it_finds_under_a_hash():
+    # a node the table holds under the hash of another literal (two literals
+    # whose hashes collide) is not reused, and the new one takes its place
+    x = Var("x")
+    phi = Or((Atom("P", (x,)), Not(Atom("P", (x,))), Atom("Q", (x, x))))
+    program = compile_substitution(phi, ("x",))
+    a = (Const("a"),)
+    atom, negation = parse("P(a)"), parse("!P(a)")
+    table = {hash(atom): parse("P(b)"), hash(negation): parse("!P(b)")}
+    out = program.run(a, table)
+    assert out == program.run(a) == parse("P(a) | !P(a) | Q(a, a)")
+    first, second, _ = out.items
+    assert table[hash(atom)] is first and table[hash(negation)] is second
+    assert second.sub is first
+    # a negation is reused only over the very atom the run took: an equal
+    # negation over another object is replaced
+    stale = table[hash(negation)] = Not(atom)
+    again = program.run(a, table)
+    assert again.items[0] is first and again.items[1] is not stale
+    assert again.items[1].sub is first and table[hash(negation)] is again.items[1]
+    # with the table full, a run builds no literal
+    assert all(f is g for f, g in zip(program.run(a, table).items, again.items))
